@@ -17,7 +17,6 @@ from .clocksync import ClockSync
 from .node import NodeRuntime
 from .params import Params
 from .rounds import Instance
-from .protocols import NodePlugin
 
 # -- delay policies -----------------------------------------------------------
 
@@ -75,7 +74,7 @@ def make_rate_schedule(kind: str, theta: Fraction, duration: Fraction, rng):
 class SilentNode:
     """Sends nothing, ever."""
 
-    def __init__(self, sim, node, p, proto_factory=None, oracle=None):
+    def __init__(self, sim, node, p, proto=None, oracle=None):
         pass
 
     def start(self):
@@ -114,7 +113,7 @@ def random_envelope(p: Params, rng):
 class NoiseNode:
     """Broadcasts random well-formed and malformed envelopes at tick pace."""
 
-    def __init__(self, sim, node, p: Params, proto_factory=None, oracle=None):
+    def __init__(self, sim, node, p: Params, proto=None, oracle=None):
         self.sim = sim
         self.node = node
         self.p = p
@@ -196,7 +195,7 @@ class ClockSkewNode:
     allow.  Other nodes' rows are relayed honestly to keep everyone's trust.
     """
 
-    def __init__(self, sim, node, p: Params, proto_factory=None, oracle=None,
+    def __init__(self, sim, node, p: Params, proto=None, oracle=None,
                  mode: str = "fastest"):
         self.sim = sim
         self.node = node
@@ -212,9 +211,6 @@ class ClockSkewNode:
         period = self.p.update_period
         self.claim_units = (h0 // period) * period
         self.sim.alarm(self.node, (h0 // period + 1) * period, ("tick",))
-
-    def boot_claims(self, claims, now: int):
-        self.clocksync.boot_clean(claims, now)
 
     def _spacing(self) -> Fraction:
         p = self.p
@@ -261,14 +257,14 @@ STRATEGIES = {
 }
 
 
-def make_byzantine(name: str, sim, node: int, p: Params, proto_factory, oracle,
+def make_byzantine(name: str, sim, node: int, p: Params, proto, oracle,
                    mode: Optional[str] = None):
     cls = STRATEGIES.get(name)
     if cls is None:
         raise ValueError(f"unknown byzantine strategy {name!r}")
     if cls is ClockSkewNode:
-        return cls(sim, node, p, proto_factory, oracle, mode=mode or "fastest")
-    return cls(sim, node, p, proto_factory, oracle)
+        return cls(sim, node, p, proto, oracle, mode=mode or "fastest")
+    return cls(sim, node, p, proto, oracle)
 
 
 # -- corrupted boot states ---------------------------------------------------------
@@ -330,15 +326,15 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
         inst = Instance(label, rng.randrange(2), rng.choice((1, 2)),
                         rng.randrange(2), now + rng.randint(-p.instance_ttl,
                                                             p.instance_ttl),
-                        NodePlugin(rounds.proto_factory(), rt.node))
-        for i in range(1, inst.plugin.rounds + 2):
+                        rounds.proto, rt.node)
+        for i in range(1, rounds.proto.rounds + 2):
             if rng.random() < 0.3:
                 t = now + rng.randint(-p.stall_after, 2 * p.stall_after)
                 inst.thresholds[i] = t
                 if now < t <= now + horizon_units:
                     rt._alarm(t, ("round", label, i))
         for u in range(n):
-            for i in range(1, inst.plugin.rounds + 1):
+            for i in range(1, rounds.proto.rounds + 1):
                 if rng.random() < 0.1:
                     inst.inbox[(u, i)] = None if rng.random() < 0.5 else (rng.randrange(2),)
                     inst.counts[i] += 1

@@ -39,7 +39,7 @@ def _report(result) -> str:
 def _write_outputs(result, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "trace.log"), "w") as fh:
-        fh.write("\n".join(verdicts.trace_lines(result.trace, result.params)))
+        fh.write("\n".join(verdicts.trace_lines(result.trace)))
         fh.write("\n")
     with open(os.path.join(outdir, "trace.jsonl"), "w") as fh:
         fh.write(verdicts.trace_to_jsonl(result.trace))

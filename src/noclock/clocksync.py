@@ -6,13 +6,9 @@ and cross-checks incoming reports: updates must arrive neither too soon nor
 too late, must advance the sender's claim by exactly one update period, and a
 claimed value must be corroborated by n-f stored reports.
 
-Two modes:
-  * self-stabilizing (default): inconsistencies start two hold timers; while
-    the report hold runs the value is relayed as unknown, and while the trust
-    hold runs the node is not trusted.  Consistent behavior therefore regains
-    trust after a fixed quiet period.
-  * simplified: an inconsistency permanently revokes trust (kept for
-    differential testing of the analysis bounds).
+Inconsistencies start two hold timers: while the report hold runs the value
+is relayed as unknown, and while the trust hold runs the node is not trusted.
+Consistent behavior therefore regains trust after a fixed quiet period.
 
 All message-borne clock values are modular; registers indexed by local time
 are unbounded node memory.
@@ -40,7 +36,6 @@ class ClockSync:
         self.last_update_at: List[int] = [0] * n     # local time of last update from w
         self.report_hold_until: List[Optional[int]] = [None] * n
         self.trust_hold_until: List[Optional[int]] = [None] * n
-        self.evidence = 0   # count of timing/step/support violations observed
 
     # -- boot states ----------------------------------------------------------
 
@@ -65,15 +60,8 @@ class ClockSync:
             if w == v:
                 continue
             if now - self.last_update_at[w] > p.max_update_gap:
-                if p.simplified_clocksync:
-                    self.rows[w][w] = None
-                    self.evidence += 1
-                else:
-                    self._flag(w, now)
-            if p.simplified_clocksync:
-                out[w] = self.rows[w][w]
-            else:
-                out[w] = self.rows[w][w] if _expired(self.report_hold_until[w], now) else None
+                self._flag(w, now)
+            out[w] = self.rows[w][w] if _expired(self.report_hold_until[w], now) else None
         out[v] = now % p.clock_modulus
         self.rows[v] = list(out)
         return out
@@ -86,18 +74,7 @@ class ClockSync:
         stale = now - self.last_update_at[w]
         step_ok = (prev is not None and values[w] is not None and
                    mod_signed(values[w] - prev, p.clock_modulus) == p.update_period)
-        bad = stale < p.min_update_gap or not step_ok
-        if p.simplified_clocksync:
-            if bad:
-                self.rows[w][w] = None
-                self.evidence += 1
-            else:
-                self.rows[w] = list(values)
-            if self._support(w, p.n - p.f) < p.n - p.f:
-                self.rows[w][w] = None
-            self.last_update_at[w] = now
-            return
-        if bad:
+        if stale < p.min_update_gap or not step_ok:
             self._flag(w, now)
         self.rows[w] = list(values)
         need = p.n - p.f
@@ -106,13 +83,11 @@ class ClockSync:
                 continue
             if self._support(x, need) < need:
                 self.trust_hold_until[x] = now + p.trust_regain
-                self.evidence += 1
         self.last_update_at[w] = now
 
     def _flag(self, w: int, now: int) -> None:
         self.report_hold_until[w] = now + self.p.report_hold
         self.trust_hold_until[w] = now + self.p.trust_regain
-        self.evidence += 1
 
     def _support(self, x: int, enough: Optional[int] = None) -> int:
         claim = self.rows[x][x]
@@ -136,8 +111,6 @@ class ClockSync:
         """Trusted clock estimate of w (modular), or None while distrusted."""
         if w == self.node:
             return now % self.p.clock_modulus
-        if self.p.simplified_clocksync:
-            return self.rows[w][w]
         if _expired(self.trust_hold_until[w], now):
             return self.rows[w][w]
         return None

@@ -60,8 +60,7 @@ def make_oracle(config: dict, seed: int):
 def build_params(sc: Scenario) -> Params:
     proto = protocols.make_protocol(sc.protocol["name"], sc.n, sc.f)
     return derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds, proto.bit_bound,
-                  T=sc.T, clock_update_period=sc.clock_update_period,
-                  simplified_clocksync=sc.simplified_clocksync)
+                  T=sc.T, clock_update_period=sc.clock_update_period)
 
 
 def build_env(sc: Scenario):
@@ -100,31 +99,27 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     handlers: Dict[int, object] = {}
     sim = Simulator(sc.n, clocks, handlers, delay_policy, p.grid, rng, p.d)
 
-    proto_name = sc.protocol["name"]
-
-    def proto_factory():
-        return protocols.make_protocol(proto_name, sc.n, sc.f)
-
+    proto = protocols.make_protocol(sc.protocol["name"], sc.n, sc.f)
     oracle = make_oracle(sc.oracle, sc.seed)
     runtimes = {}
     for v in range(sc.n):
         if v in byz:
             handlers[v] = adversary.make_byzantine(
                 sc.adversary.get("byzantine", "silent"), sim, v, p,
-                proto_factory, oracle, mode=sc.adversary.get("mode"))
+                proto, oracle, mode=sc.adversary.get("mode"))
         else:
-            handlers[v] = runtimes[v] = NodeRuntime(sim, v, p, proto_factory,
-                                                    oracle)
+            handlers[v] = runtimes[v] = NodeRuntime(sim, v, p, proto, oracle)
 
     corruption = sc.corruption.get("kind", "none")
     if corruption == "none":
+        # Every handler that keeps clock estimates, byzantine ones included,
+        # boots knowing everyone's claim.
         claims = [(p.grid.to_units(offsets[w]) // p.update_period)
                   * p.update_period % p.clock_modulus for w in range(sc.n)]
-        for v, rt in runtimes.items():
-            rt.clocksync.boot_clean(claims, p.grid.to_units(offsets[v]))
-        for v in byz:
-            if hasattr(handlers[v], "boot_claims"):
-                handlers[v].boot_claims(claims, p.grid.to_units(offsets[v]))
+        for v, handler in handlers.items():
+            if hasattr(handler, "clocksync"):
+                handler.clocksync.boot_clean(claims,
+                                             p.grid.to_units(offsets[v]))
     elif corruption == "random":
         horizon = 4 * p.stall_after
         for v, rt in runtimes.items():
@@ -144,7 +139,7 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
 
     metrics = [runtimes[v].guard.metrics() for v in sorted(runtimes)]
     vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
-                            proto_factory) if evaluate else []
+                            lambda: proto) if evaluate else []
     return RunResult(sc, p, sim.trace if keep_trace else [], metrics, vds,
                      correct, byz)
 

@@ -18,14 +18,14 @@ from .rounds import Rounds
 
 
 class NodeRuntime:
-    def __init__(self, sim, node: int, p: Params, proto_factory, oracle):
+    def __init__(self, sim, node: int, p: Params, proto, oracle):
         self.sim = sim
         self.node = node
         self.p = p
         trace = sim.trace
         self.clocksync = ClockSync(p, node)
         self.guard = Guard(p, node, trace, self._alarm, self._now)
-        self.rounds = Rounds(p, node, proto_factory, self.guard, trace,
+        self.rounds = Rounds(p, node, proto, self.guard, trace,
                              self._send_round, self._alarm, self._now)
         self.initiation = Initiation(p, node, self.clocksync, self.rounds,
                                      oracle, trace, self._broadcast_infra,

@@ -46,7 +46,6 @@ class Params:
     grid: LocalGrid
 
     # All fields below are ints in grid units unless noted otherwise.
-    d_units: int
     quantum: int
     update_period: int           # local time between clock-update broadcasts
     max_update_gap: int          # reading gap above which a sender is too slow
@@ -74,8 +73,6 @@ class Params:
     id_bits: int
     round_bits: int
 
-    simplified_clocksync: bool = False   # permanent-distrust (Algorithm-1) mode
-
     def clock_value_ok(self, v: object) -> bool:
         return v is None or (isinstance(v, int) and 0 <= v < self.clock_modulus)
 
@@ -97,7 +94,7 @@ class Params:
 
 
 def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
-           clock_update_period=None, simplified_clocksync: bool = False) -> Params:
+           clock_update_period=None) -> Params:
     """Build the full constants set for one scenario."""
     theta = frac(theta)
     d = frac(d)
@@ -145,14 +142,13 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
     p = Params(
         n=n, f=f, theta=theta, d=d, rounds=rounds, bit_bound=bit_bound, T=T,
         d_clk=d_clk, grid=grid,
-        d_units=grid.to_units(d),
         quantum=grid.q_units,
         update_period=period_u,
-        max_update_gap=grid.gt_bound((2 * theta * theta + theta) * d_clk + q),
-        min_update_gap=grid.le_bound(d),
-        relay_band=grid.le_bound((2 * theta * theta + 4 * theta) * d_clk + q),
-        init_band=grid.le_bound(3 * theta * d_clk + q),
-        echo_band=grid.le_bound(8 * theta * d_clk),
+        max_update_gap=grid.floor_units((2 * theta * theta + theta) * d_clk + q),
+        min_update_gap=grid.floor_units(d),
+        relay_band=grid.floor_units((2 * theta * theta + 4 * theta) * d_clk + q),
+        init_band=grid.floor_units(3 * theta * d_clk + q),
+        echo_band=grid.floor_units(8 * theta * d_clk),
         # Timer resets are stamped with the floor-quantized reading, which can
         # predate the triggering event by up to one quantum; one quantum of
         # inflation keeps the gate and the round gap at >= 2d of real time.
@@ -165,7 +161,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         echo_ttl=grid.ceil_units(theta * echo_window),
         instance_ttl=grid.ceil_units(inst_ttl),
         clock_modulus=modulus,
-        init_accept_gap=grid.le_bound(T / theta - d - q),
+        init_accept_gap=grid.floor_units(T / theta - d - q),
         rate_limit=grid.ceil_units(T),
         overload_window=grid.ceil_units(theta * t_tilde),
         max_busy_instances=k1,
@@ -174,7 +170,6 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         value_bits=value_bits,
         id_bits=max(1, ceil(log2(n))),
         round_bits=max(1, ceil(log2(rounds + 2))),
-        simplified_clocksync=simplified_clocksync,
     )
     _check(p)
     return p

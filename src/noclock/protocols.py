@@ -1,15 +1,16 @@
 """Synchronous consensus plugins and the silent-consensus wrapper.
 
-A plugin is a pure state machine over rounds 1..R:
+A plugin is a stateless object, one per run, describing a pure state machine
+over rounds 1..R:
 
-    fresh(input_bit) -> state                    # state["self"] is the node index
+    fresh(input_bit, index) -> state             # state["self"] is the node index
     step(state, i, received) -> (state, sends)   # received: payloads of round
                                                  # i-1 (None entries allowed),
                                                  # ignored for i == 1
     finish(state, received) -> output bit        # received: round-R payloads
     missing_payload(i, sender) -> payload        # canonical stand-in
 
-Payloads are bit tuples; `None` means "no message".  `wrap_silent` turns any
+Payloads are bit tuples; `None` means "no message".  `SilentWrapper` turns any
 such plugin into one that sends nothing when every correct input is 0: two
 extra broadcast rounds demote insufficiently supported 1-inputs to 0, gate
 entry into the inner protocol, and force output 0 unless enough round-2
@@ -30,30 +31,6 @@ Payload = Tuple[int, ...]
 ONE: Payload = (1,)
 
 
-class NodePlugin:
-    """One participant's instance of a plugin, with its node index bound."""
-
-    def __init__(self, proto, index: int):
-        self.proto = proto
-        self.index = index
-        self.rounds = proto.rounds
-        self.bit_bound = proto.bit_bound
-
-    def fresh(self, input_bit: int):
-        state = self.proto.fresh(input_bit)
-        state["self"] = self.index
-        return state
-
-    def step(self, state, i, received):
-        return self.proto.step(state, i, received)
-
-    def finish(self, state, received):
-        return self.proto.finish(state, received)
-
-    def missing_payload(self, i, sender):
-        return self.proto.missing_payload(i, sender)
-
-
 class PhaseKing:
     """f+1 phases of three rounds each: value exchange, proposal, king.
 
@@ -71,9 +48,9 @@ class PhaseKing:
         self.bit_bound = 4 * (f + 1) * n
         self.name = f"phase-king(n={n},f={f})"
 
-    def fresh(self, input_bit: int) -> dict:
-        return {"value": 1 if input_bit else 0, "proposal": None,
-                "follow_king": True}
+    def fresh(self, input_bit: int, index: int) -> dict:
+        return {"self": index, "value": 1 if input_bit else 0,
+                "proposal": None, "follow_king": True}
 
     def _king(self, i: int) -> int:
         return ((i - 1) // 3) % self.n
@@ -133,30 +110,26 @@ class PhaseKing:
 class SilentWrapper:
     """Silent binary consensus from any synchronous consensus plugin."""
 
-    def __init__(self, inner_factory: Callable[[], object], n: int, f: int):
+    def __init__(self, inner, n: int, f: int):
         if 3 * f >= n:
             raise ValueError(f"silent wrapper needs f < n/3, got n={n}, f={f}")
-        probe = inner_factory()
         self.n = n
         self.f = f
-        self.inner_factory = inner_factory
-        self.inner_rounds = probe.rounds
-        self.rounds = probe.rounds + 2
-        self.bit_bound = probe.bit_bound + 2 * (n - 1)
-        self.name = f"silent[{probe.name}]"
+        self.inner = inner
+        self.rounds = inner.rounds + 2
+        self.bit_bound = inner.bit_bound + 2 * (n - 1)
+        self.name = f"silent[{inner.name}]"
 
-    def fresh(self, input_bit: int) -> dict:
-        return {"self": None, "input": 1 if input_bit else 0,
+    def fresh(self, input_bit: int, index: int) -> dict:
+        return {"self": index, "input": 1 if input_bit else 0,
                 "r1_ones": 0, "r2_ones": 0, "inner_active": False,
-                "inner": None, "inner_plugin": None, "inner_bits": 0,
-                "aborted": False}
+                "inner": None, "inner_bits": 0, "aborted": False}
 
     def _ones(self, received: Sequence[Optional[Payload]]) -> int:
         return sum(1 for m in received if m == ONE)
 
-    @staticmethod
-    def _canonical(plugin, j: int, received: Sequence[Optional[Payload]]) -> list:
-        return [m if m is not None else plugin.missing_payload(j, u)
+    def _canonical(self, j: int, received: Sequence[Optional[Payload]]) -> list:
+        return [m if m is not None else self.inner.missing_payload(j, u)
                 for u, m in enumerate(received)]
 
     def step(self, state: dict, i: int,
@@ -179,22 +152,20 @@ class SilentWrapper:
             if state["r2_ones"] < n - self.f:
                 state["input"] = 0
             if state["inner_active"]:
-                state["inner_plugin"] = NodePlugin(self.inner_factory(), state["self"])
-                state["inner"] = state["inner_plugin"].fresh(state["input"])
+                state["inner"] = self.inner.fresh(state["input"], state["self"])
         if not state["inner_active"] or state["aborted"]:
             return state, [None] * n
-        plugin = state["inner_plugin"]
-        if plugin is None:
+        if state["inner"] is None:
             # Rounds fired out of order (possible only from a corrupted boot
             # state); the inner run is undefined, so abort locally.
             state["aborted"] = True
             return state, [None] * n
-        prev = self._canonical(plugin, j - 1, received) if j > 1 else None
-        state["inner"], sends = plugin.step(state["inner"], j, prev)
+        prev = self._canonical(j - 1, received) if j > 1 else None
+        state["inner"], sends = self.inner.step(state["inner"], j, prev)
         cost = sum(len(m) for u, m in enumerate(sends)
                    if m is not None and u != state["self"])
         state["inner_bits"] += cost
-        if state["inner_bits"] > plugin.bit_bound:
+        if state["inner_bits"] > self.inner.bit_bound:
             state["aborted"] = True
             return state, [None] * n
         return state, list(sends)
@@ -204,34 +175,30 @@ class SilentWrapper:
             return 0
         if state["r2_ones"] <= self.f:
             return 0
-        plugin = state["inner_plugin"]
-        if plugin is None:
+        if state["inner"] is None:
             return 0
-        last = self._canonical(plugin, self.inner_rounds, received)
-        return plugin.finish(state["inner"], last)
+        last = self._canonical(self.inner.rounds, received)
+        return self.inner.finish(state["inner"], last)
 
     def missing_payload(self, i: int, sender: int) -> Payload:
         return ()
 
 
-def wrap_silent(inner_factory: Callable[[], object], n: int, f: int) -> SilentWrapper:
-    return SilentWrapper(inner_factory, n, f)
-
-
 def phase_king_silent(n: int, f: int) -> SilentWrapper:
-    return wrap_silent(lambda: PhaseKing(n, f), n, f)
+    return SilentWrapper(PhaseKing(n, f), n, f)
+
+
+# Protocol names a scenario may select, each with its constructor (n, f).
+PROTOCOLS = {"phase-king-silent": phase_king_silent}
 
 
 def make_protocol(name: str, n: int, f: int):
-    if name == "phase-king-silent":
-        return phase_king_silent(n, f)
-    if name == "phase-king":
-        return PhaseKing(n, f)
-    raise ValueError(f"unknown protocol {name!r}")
+    if name not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {name!r}")
+    return PROTOCOLS[name](n, f)
 
 
-def run_lockstep(proto_factory: Callable[[], object], inputs: Dict[int, int],
-                 n: int,
+def run_lockstep(proto, inputs: Dict[int, int], n: int,
                  byzantine: Optional[Dict[int, Callable[[int, int], Optional[Payload]]]] = None,
                  participants: Optional[set] = None):
     """Direct synchronous execution; the oracle everything else is checked against.
@@ -244,42 +211,36 @@ def run_lockstep(proto_factory: Callable[[], object], inputs: Dict[int, int],
     correct = [v for v in range(n) if v not in byzantine]
     if participants is None:
         participants = set(correct)
-    plugins, states = {}, {}
-    rounds = None
-    for v in correct:
-        if v in participants:
-            plugins[v] = NodePlugin(proto_factory(), v)
-            states[v] = plugins[v].fresh(inputs[v])
-            rounds = plugins[v].rounds
+    states = {v: proto.fresh(inputs[v], v) for v in correct
+              if v in participants}
     sent: Dict[int, dict] = {}
     received: Dict[int, dict] = {}
-    last_received = {v: [None] * n for v in plugins}
-    for i in range(1, rounds + 1):
+    last_received = {v: [None] * n for v in states}
+    for i in range(1, proto.rounds + 1):
         sent[i] = {}
-        for v, plugin in plugins.items():
+        for v in states:
             prev = None if i == 1 else last_received[v]
-            states[v], sends = plugin.step(states[v], i, prev)
+            states[v], sends = proto.step(states[v], i, prev)
             sent[i][v] = list(sends)
         for u, fn in byzantine.items():
             sent[i][u] = [fn(i, w) for w in range(n)]
         received[i] = {v: [sent[i][u][v] if u in sent[i] else None
                            for u in range(n)]
-                       for v in plugins}
+                       for v in states}
         last_received = received[i]
-    outputs = {v: plugins[v].finish(states[v], last_received[v]) for v in plugins}
+    outputs = {v: proto.finish(states[v], last_received[v]) for v in states}
     return outputs, sent, received
 
 
-def replay(proto_factory: Callable[[], object], index: int, input_bit: int,
+def replay(proto, index: int, input_bit: int,
            received_by_round: Sequence[Sequence[Optional[Payload]]]) -> int:
     """Re-run one node's recorded execution through the plugin state machine.
 
     received_by_round[k] is the payload vector the node fed to its round-(k+1)
     computation; the last entry feeds the output computation.
     """
-    plugin = NodePlugin(proto_factory(), index)
-    state = plugin.fresh(input_bit)
-    for i in range(1, plugin.rounds + 1):
+    state = proto.fresh(input_bit, index)
+    for i in range(1, proto.rounds + 1):
         prev = None if i == 1 else received_by_round[i - 2]
-        state, _ = plugin.step(state, i, prev)
-    return plugin.finish(state, received_by_round[plugin.rounds - 1])
+        state, _ = proto.step(state, i, prev)
+    return proto.finish(state, received_by_round[proto.rounds - 1])

@@ -17,27 +17,25 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .messages import Label, Payload, RoundMsg
 from .params import Params
-from .protocols import NodePlugin
 
 
 class Instance:
     __slots__ = ("label", "input", "confidence", "oracle_val", "joined_at",
-                 "plugin", "state", "thresholds", "inbox", "counts", "fired",
+                 "state", "thresholds", "inbox", "counts", "fired",
                  "output", "out_reason", "last_progress", "bits", "nontrivial",
                  "done")
 
     def __init__(self, label: Label, input_bit: int, confidence: int,
-                 oracle_val: int, joined_at: int, plugin: NodePlugin):
+                 oracle_val: int, joined_at: int, proto, node: int):
         self.label = label
         self.input = input_bit
         self.confidence = confidence
         self.oracle_val = oracle_val
         self.joined_at = joined_at
-        self.plugin = plugin
-        self.state = plugin.fresh(input_bit)
-        self.thresholds: List[Optional[int]] = [None] * (plugin.rounds + 2)
+        self.state = proto.fresh(input_bit, node)
+        self.thresholds: List[Optional[int]] = [None] * (proto.rounds + 2)
         self.inbox: Dict[Tuple[int, int], Optional[Payload]] = {}
-        self.counts: List[int] = [0] * (plugin.rounds + 2)
+        self.counts: List[int] = [0] * (proto.rounds + 2)
         self.fired: Set[int] = set()
         self.output: Optional[int] = None
         self.out_reason = ""
@@ -48,11 +46,11 @@ class Instance:
 
 
 class Rounds:
-    def __init__(self, p: Params, node: int, proto_factory, guard, trace: list,
+    def __init__(self, p: Params, node: int, proto, guard, trace: list,
                  send_round, set_alarm, clock):
         self.p = p
         self.node = node
-        self.proto_factory = proto_factory
+        self.proto = proto
         self.guard = guard
         self.trace = trace
         self.send_round = send_round      # (receiver, RoundMsg) -> None
@@ -67,7 +65,7 @@ class Rounds:
         if label in self.instances:
             return
         inst = Instance(label, input_bit, confidence, oracle_val, now,
-                        NodePlugin(self.proto_factory(), self.node))
+                        self.proto, self.node)
         self.instances[label] = inst
         inst.thresholds[1] = now + self.p.first_round_lead
         self.set_alarm(inst.thresholds[1], ("round", label, 1))
@@ -86,7 +84,7 @@ class Rounds:
             return
         if inst.done:
             return
-        if not (1 <= i <= inst.plugin.rounds):
+        if not (1 <= i <= self.proto.rounds):
             self.trace.append(("drop", self.clock(), self.node, "round_range",
                                sender, label, i))
             return
@@ -125,7 +123,7 @@ class Rounds:
             self.trace.append(("suppressed", self.clock(), self.node,
                                inst.label, i))
             return
-        rounds = inst.plugin.rounds
+        rounds = self.proto.rounds
         received = None
         if i > 1:
             prev = inst.inbox
@@ -133,14 +131,14 @@ class Rounds:
             self.trace.append(("rrcv", self.clock(), self.node, inst.label,
                                i - 1, tuple(received)))
         if i == rounds + 1:
-            inst.output = inst.plugin.finish(inst.state, received)
+            inst.output = self.proto.finish(inst.state, received)
             inst.out_reason = "ok"
             inst.done = True
             self.trace.append(("output", self.clock(), self.node, inst.label,
                                inst.output, "ok"))
             self.guard.note_terminate(inst.label)
             return
-        inst.state, sends = inst.plugin.step(inst.state, i, received)
+        inst.state, sends = self.proto.step(inst.state, i, received)
         self.trace.append(("remit", self.clock(), self.node, inst.label, i,
                            tuple(sends)))
         if i >= 3 or any(m is not None for m in sends):

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import List, Optional
 
+from .protocols import PROTOCOLS
 from .timebase import frac
 
 
@@ -36,7 +37,6 @@ class Scenario:
     corruption: dict = field(default_factory=lambda: {"kind": "none"})
     script: List[dict] = field(default_factory=list)
     clock_update_period: Optional[str] = None
-    simplified_clocksync: bool = False
 
     def validate(self) -> None:
         problems = []
@@ -77,7 +77,7 @@ class Scenario:
                 problems.append(f"malformed script entry {entry!r}")
             if not (0 <= entry.get("node", -1) < self.n):
                 problems.append(f"script node {entry.get('node')} invalid")
-        if self.protocol.get("name") not in ("phase-king-silent",):
+        if self.protocol.get("name") not in PROTOCOLS:
             problems.append(f"unknown protocol {self.protocol.get('name')!r}")
         if problems:
             raise ScenarioError(problems)

@@ -39,8 +39,8 @@ class LocalGrid:
     `unit` divides both the read quantum and every schedulable protocol
     constant, so thresholds, timeouts and quantized readings are all exact
     integers.  Comparison bounds that need no exact representation are turned
-    into integer bounds with the rounding appropriate for their comparison
-    direction (`le_bound` for `x <= b`, `gt_bound` for `x > b`).
+    into integer bounds by `floor_units`, which serves both `x <= b` and
+    `x > b` comparisons.
     """
 
     def __init__(self, unit: Fraction, quantum: Fraction):
@@ -65,6 +65,8 @@ class LocalGrid:
         return -((-r.numerator) // r.denominator)
 
     def floor_units(self, value: Fraction) -> int:
+        """Integer b' with: units <= b' iff units*unit <= value (so also
+        units > b' iff units*unit > value)."""
         r = frac(value) / self.unit
         return r.numerator // r.denominator
 
@@ -72,14 +74,6 @@ class LocalGrid:
         """Quantize an exact local-clock value to the read grid, in units."""
         q = self.q_units
         return (self.floor_units(local) // q) * q
-
-    def le_bound(self, bound: Fraction) -> int:
-        """Integer b' with: units <= b' iff units*unit <= bound."""
-        return self.floor_units(bound)
-
-    def gt_bound(self, bound: Fraction) -> int:
-        """Integer b' with: units > b' iff units*unit > bound."""
-        return self.floor_units(bound)
 
 
 def mod_signed(delta: int, modulus: int) -> int:

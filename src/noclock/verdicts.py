@@ -108,12 +108,9 @@ class _Index:
 
 def evaluate(trace, sc, p: Params, clocks, correct, proto_factory) -> List[Verdict]:
     ix = _Index(trace, correct)
-    d = p.d
     duration = frac(sc.duration)
     corrupted = sc.corruption.get("kind", "none") != "none"
-    t_val = frac(sc.T) if sc.T is not None else 2 * p.theta ** 2 * d
-    s_real = 10 * (p.rounds * d + t_val)
-    cutoff = s_real if corrupted else Fraction(0)
+    cutoff = 10 * (p.rounds * p.d + p.T) if corrupted else Fraction(0)
     # An instance without progress terminates within the stall window plus a
     # couple of sweep ticks, so only instances still active that close to the
     # end of the run may legitimately lack outputs.
@@ -127,9 +124,12 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory) -> List[Verdi
             term_times = [t for t, _, _ in outs.values()]
             if not term_times or min(term_times) < cutoff:
                 return False   # pre-stabilization instance
-        if any(node not in outs for node in parts):
+        if not parts or any(node not in outs for node in parts):
+            # Unfinished, or not joined by any correct node yet.
             acts = [t for t, *_ in parts.values()]
             acts += [t for t, _, _ in outs.values()]
+            if label in ix.inits:
+                acts.append(ix.inits[label][0])
             for node in parts:
                 acts += [t for t, _ in
                          ix.remit.get((label, node), {}).values()]
@@ -138,12 +138,12 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory) -> List[Verdi
         return True
 
     verdicts = [
-        _replay_suite(ix, p, correct, proto_factory, eligible),
+        _replay_suite(ix, p, proto_factory(), eligible),
         _agreement_suite(ix, correct, eligible),
         _timing_suite(ix, p, correct, eligible),
         _silence_suite(ix, correct, eligible),
-        _estimates_suite(ix, p, clocks, correct, duration),
-        _bits_suite(ix, sc, p, correct, s_real, duration),
+        _estimates_suite(ix, p, clocks, correct),
+        _bits_suite(ix, p, correct, cutoff, duration),
         _envelope_suite(ix, p, correct, cutoff),
         _rarity_suite(ix, p, correct, cutoff),
     ]
@@ -155,7 +155,7 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory) -> List[Verdi
     return verdicts
 
 
-def _nonzero_labels(ix, correct):
+def _nonzero_labels(ix):
     out = []
     for label, parts in ix.participates.items():
         if any(rec[2] != 0 for rec in parts.values()):
@@ -163,10 +163,10 @@ def _nonzero_labels(ix, correct):
     return out
 
 
-def _replay_suite(ix, p, correct, proto_factory, eligible) -> Verdict:
+def _replay_suite(ix, p, proto, eligible) -> Verdict:
     bad = []
     checked = 0
-    for label in _nonzero_labels(ix, correct):
+    for label in _nonzero_labels(ix):
         if not eligible(label):
             continue
         parts = ix.participates[label]
@@ -190,7 +190,7 @@ def _replay_suite(ix, p, correct, proto_factory, eligible) -> Verdict:
                 received.append(rounds_seen[i])
             if received is None:
                 continue
-            got = replay(proto_factory, node, input_bit, received)
+            got = replay(proto, node, input_bit, received)
             checked += 1
             if got != value:
                 bad.append(("replay_mismatch", label, node, got, value))
@@ -285,7 +285,7 @@ def _timing_suite(ix, p, correct, eligible) -> Verdict:
         if echoes:
             ts = [t for t, _ in echoes]
             k3 = max(k3, (max(ts) - min(ts)) / dc)
-    for label in _nonzero_labels(ix, correct):
+    for label in _nonzero_labels(ix):
         if not eligible(label):
             continue
         parts = ix.participates[label]
@@ -328,7 +328,7 @@ def _silence_suite(ix, correct, eligible) -> Verdict:
                    counterexample=bad[:12] or None)
 
 
-def _estimates_suite(ix, p, clocks, correct, duration) -> Verdict:
+def _estimates_suite(ix, p, clocks, correct) -> Verdict:
     grid = p.grid
     mod = p.clock_modulus
     low = grid.ceil_units(3 * p.theta * p.d_clk) + grid.q_units
@@ -362,31 +362,36 @@ def _estimates_suite(ix, p, clocks, correct, duration) -> Verdict:
                    counterexample=[worst] if worst and not passed else None)
 
 
-def _bits_suite(ix, sc, p, correct, s_real, duration) -> Verdict:
+def _window_bits(sends, start, window, count) -> List[List[int]]:
+    """[infra, instance] bit totals of one node's time-ordered (t, kind, bits)
+    sends in the windows [start + k*window, start + (k+1)*window), k < count.
+    """
+    totals = [[0, 0] for _ in range(count)]
+    k, edge = -1, start
+    for t, kind, bits in sends:
+        while t >= edge:
+            k += 1
+            if k == count:
+                return totals
+            edge += window
+        if k >= 0:
+            totals[k][kind not in INFRA_KINDS] += bits
+    return totals
+
+
+def _bits_suite(ix, p, correct, cutoff, duration) -> Verdict:
     from math import log2
-    d = p.d
-    window = 10 * (frac(sc.T) if sc.T is not None else 2 * p.theta ** 2 * p.d)
-    t_val = frac(sc.T) if sc.T is not None else 2 * p.theta ** 2 * p.d
+    window = 10 * p.T
     denom_all = (p.n ** 2 * max(1.0, log2(p.n))
-                 + p.n * p.bit_bound * p.rounds / float(t_val))
+                 + p.n * p.bit_bound * p.rounds / float(p.T))
     denom_infra = p.n ** 2 * max(1.0, log2(p.n))
     c_all = c_infra = 0.0
-    windows = max(0, int((duration - s_real) / window))
+    windows = max(0, int((duration - cutoff) / window))
     for node in correct:
-        total = [0] * windows
-        infra = [0] * windows
-        for t, kind, bits in ix.sends.get(node, []):
-            if t < s_real:
-                continue
-            k = int((t - s_real) / window)
-            if k >= windows:
-                continue
-            total[k] += bits
-            if kind in INFRA_KINDS:
-                infra[k] += bits
-        for k in range(windows):
-            c_all = max(c_all, total[k] / float(window) / denom_all)
-            c_infra = max(c_infra, infra[k] / float(window) / denom_infra)
+        for infra, inst in _window_bits(ix.sends.get(node, []), cutoff,
+                                        window, windows):
+            c_all = max(c_all, (infra + inst) / float(window) / denom_all)
+            c_infra = max(c_infra, infra / float(window) / denom_infra)
     passed = windows == 0 or (c_all <= CEILINGS["c_bits"]
                               and c_infra <= CEILINGS["c_bits"])
     return Verdict("amortized-bits", passed,
@@ -436,7 +441,7 @@ def _rarity_suite(ix, p, correct, cutoff) -> Verdict:
     """Per initiator, nonzero-input instances are at least one window apart."""
     window = p.grid.from_units(p.overload_window) / p.theta
     firsts: Dict[int, list] = {}
-    for label in _nonzero_labels(ix, correct):
+    for label in _nonzero_labels(ix):
         times = [t for t, *_ in ix.participates[label].values()]
         if min(times) >= cutoff:
             firsts.setdefault(label[0], []).append(min(times))
@@ -485,27 +490,14 @@ def _stabilization_suite(ix, correct, eligible, cutoff, suite_verdicts) -> Verdi
 
 def bit_windows(trace, sc, p: Params, correct, metrics) -> List[dict]:
     """Per-node, per-window bit totals for the metrics export."""
-    duration = frac(sc.duration)
-    t_val = frac(sc.T) if sc.T is not None else 2 * p.theta ** 2 * p.d
-    window = 10 * t_val
-    count = max(1, int(duration / window))
+    window = 10 * p.T
+    count = max(1, int(frac(sc.duration) / window))
+    sends = _Index(trace, correct).sends
     by_node = {m["node"]: m for m in metrics}
     rows = []
-    totals = {v: [[0, 0] for _ in range(count)] for v in correct}
-    for rec in trace:
-        if rec[0] != "send" or rec[2] not in totals:
-            continue
-        k = int(rec[1] / window)
-        if k >= count:
-            continue
-        slot = totals[rec[2]][k]
-        if rec[4] in INFRA_KINDS:
-            slot[0] += rec[5] + rec[6]
-        else:
-            slot[1] += rec[5] + rec[6]
     for v in correct:
-        for k in range(count):
-            infra, inst = totals[v][k]
+        totals = _window_bits(sends.get(v, []), Fraction(0), window, count)
+        for k, (infra, inst) in enumerate(totals):
             rows.append({"node": v, "window": k, "infra_bits": infra,
                          "instance_bits": inst,
                          "instances_joined": by_node[v]["instances_joined"],
@@ -516,7 +508,7 @@ def bit_windows(trace, sc, p: Params, correct, metrics) -> List[dict]:
 # -- trace serialization -------------------------------------------------------
 
 
-def trace_lines(trace, p: Params) -> List[str]:
+def trace_lines(trace) -> List[str]:
     """Flat log format: time | node | kind | payload-digest | bits."""
     lines = []
     for rec in trace:

@@ -253,7 +253,7 @@ def test_criterion_9_phase_king_exhaustive():
                 return fns[i - 1](w)
             for bits in itertools.product((0, 1), repeat=n - 1):
                 inputs = dict(zip(correct, bits))
-                outputs, _, _ = run_lockstep(lambda: PhaseKing(n, f), inputs,
+                outputs, _, _ = run_lockstep(PhaseKing(n, f), inputs,
                                              n, byzantine={byz: fn})
                 checked += 1
                 vals = set(outputs.values())

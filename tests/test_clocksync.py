@@ -150,19 +150,6 @@ def test_trust_regained_after_quiet_period(p):
     assert cs.estimate(3, deadline) == claims[3] % p.clock_modulus
 
 
-def test_simplified_mode_distrust_is_permanent():
-    p = derive(4, 1, "1.1", "1", 8, 38, simplified_clocksync=True)
-    cs = ClockSync(p, 0)
-    cs.boot_clean([0, 0, 0, 0], 0)
-    claims = [0, 0, 0, 0]
-    now = _drive_rounds(cs, p, claims, 0, 2)
-    assert cs.estimate(3, now) == claims[3]
-    cs.on_update(3, list(claims), now + 2)   # violation
-    assert cs.estimate(3, now + 2) is None
-    now = _drive_rounds(cs, p, claims, now, 400)
-    assert cs.estimate(3, now) is None       # never forgiven
-
-
 def test_sanitize_clamps_future_registers(p):
     cs = healthy(p)
     cs.last_update_at[2] = 10_000_000

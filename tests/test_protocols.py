@@ -3,12 +3,10 @@ import random
 
 import pytest
 
-from noclock.protocols import (ONE, PhaseKing, SilentWrapper, phase_king_silent,
-                               replay, run_lockstep, wrap_silent)
-
-
-def king_factory(n, f):
-    return lambda: PhaseKing(n, f)
+from noclock.protocols import (ONE, PROTOCOLS, PhaseKing, SilentWrapper,
+                               make_protocol, phase_king_silent, replay,
+                               run_lockstep)
+from noclock.scenario import Scenario
 
 
 # -- phase king ----------------------------------------------------------------
@@ -17,7 +15,7 @@ def king_factory(n, f):
 @pytest.mark.parametrize("n,f", [(4, 1), (7, 2)])
 @pytest.mark.parametrize("b", [0, 1])
 def test_validity_clean_run(n, f, b):
-    outputs, _, _ = run_lockstep(king_factory(n, f), {v: b for v in range(n)}, n)
+    outputs, _, _ = run_lockstep(PhaseKing(n, f), {v: b for v in range(n)}, n)
     assert set(outputs.values()) == {b}
 
 
@@ -56,7 +54,7 @@ def test_single_equivocator_phase_patterns_never_split_agreement():
             for bits in itertools.product((0, 1), repeat=n - 1):
                 inputs = dict(zip(correct, bits))
                 outputs, _, _ = run_lockstep(
-                    king_factory(n, f), inputs, n,
+                    PhaseKing(n, f), inputs, n,
                     byzantine={byz_node: byz_fn(per_round)})
                 vals = set(outputs.values())
                 assert len(vals) == 1, (byz_node, pattern, inputs, outputs)
@@ -79,7 +77,7 @@ def test_byzantine_kings_early_phases_still_agree():
         if sub == 0:
             return (1 - w % 2,)
         return (1, w % 2)                 # conflicting proposals
-    outputs, _, _ = run_lockstep(king_factory(n, f), inputs, n,
+    outputs, _, _ = run_lockstep(PhaseKing(n, f), inputs, n,
                                  byzantine={0: evil_king, 1: evil_king})
     assert len(set(outputs.values())) == 1
 
@@ -89,7 +87,7 @@ def test_byzantine_kings_early_phases_still_agree():
 
 def test_all_zero_inputs_are_silent_and_output_zero():
     n, f = 4, 1
-    outputs, sent, _ = run_lockstep(lambda: phase_king_silent(n, f),
+    outputs, sent, _ = run_lockstep(phase_king_silent(n, f),
                                     {v: 0 for v in range(n)}, n)
     assert set(outputs.values()) == {0}
     for rnd in sent.values():
@@ -100,7 +98,7 @@ def test_all_zero_inputs_are_silent_and_output_zero():
 def test_unanimous_ones_with_silent_byzantine():
     n, f = 4, 1
     inputs = {v: 1 for v in range(n) if v != 3}
-    outputs, _, _ = run_lockstep(lambda: phase_king_silent(n, f), inputs, n,
+    outputs, _, _ = run_lockstep(phase_king_silent(n, f), inputs, n,
                                  byzantine={3: lambda i, w: None})
     assert set(outputs.values()) == {1}
 
@@ -111,7 +109,7 @@ def test_seven_nodes_four_ones_demote_to_zero():
     # silent, every tally is 0 <= f, and everyone outputs 0.
     n, f = 7, 2
     inputs = {v: 1 if v < 4 else 0 for v in range(n)}
-    outputs, sent, _ = run_lockstep(lambda: phase_king_silent(n, f), inputs, n)
+    outputs, sent, _ = run_lockstep(phase_king_silent(n, f), inputs, n)
     ones_round1 = sum(1 for sends in sent[1].values() if sends[0] == ONE)
     assert ones_round1 == 4
     assert all(m is None for sends in sent[2].values() for m in sends)
@@ -120,7 +118,7 @@ def test_seven_nodes_four_ones_demote_to_zero():
 
 def test_partial_participation_outputs_zero():
     n, f = 4, 1
-    outputs, _, _ = run_lockstep(lambda: phase_king_silent(n, f),
+    outputs, _, _ = run_lockstep(phase_king_silent(n, f),
                                  {v: 1 for v in range(n)}, n,
                                  participants={0, 1})
     assert outputs == {0: 0, 1: 0}
@@ -134,16 +132,24 @@ def test_wrapper_shape_and_overhead():
     assert ps.bit_bound == pk.bit_bound + 2 * (n - 1)
     # In the unanimous-ones run the wrapper overhead is exactly two one-bit
     # broadcasts per node.
-    _, sent, _ = run_lockstep(lambda: ps, {v: 1 for v in range(n)}, n)
+    _, sent, _ = run_lockstep(ps, {v: 1 for v in range(n)}, n)
     for v in range(n):
         pre_bits = sum(len(m) for rnd in (1, 2) for u, m in enumerate(sent[rnd][v])
                        if m is not None and u != v)
         assert pre_bits == 2 * (n - 1)
 
 
+def test_scenarios_and_make_protocol_share_one_registry():
+    for name in PROTOCOLS:
+        Scenario(protocol={"name": name}).validate()
+        assert make_protocol(name, 4, 1).rounds > 0
+    with pytest.raises(ValueError):
+        make_protocol("phase-king", 4, 1)
+
+
 def test_wrapper_rejects_bad_resilience():
     with pytest.raises(ValueError):
-        wrap_silent(lambda: PhaseKing(4, 1), 6, 2)
+        SilentWrapper(PhaseKing(4, 1), 6, 2)
 
 
 class LyingPlugin:
@@ -156,8 +162,8 @@ class LyingPlugin:
         self.bit_bound = 1
         self.name = "liar"
 
-    def fresh(self, input_bit):
-        return {"self": None}
+    def fresh(self, input_bit, index):
+        return {"self": index}
 
     def step(self, state, i, received):
         return state, [(1, 1, 1, 1, 1, 1, 1, 1)] * self.n
@@ -171,8 +177,8 @@ class LyingPlugin:
 
 def test_inner_bit_bound_violation_aborts_with_zero():
     n = 4
-    ps = SilentWrapper(lambda: LyingPlugin(n), n, 1)
-    outputs, sent, _ = run_lockstep(lambda: ps, {v: 1 for v in range(n)}, n)
+    ps = SilentWrapper(LyingPlugin(n), n, 1)
+    outputs, sent, _ = run_lockstep(ps, {v: 1 for v in range(n)}, n)
     assert set(outputs.values()) == {0}
     # After the abort the nodes go quiet.
     assert all(m is None for sends in sent[5].values() for m in sends)
@@ -181,12 +187,13 @@ def test_inner_bit_bound_violation_aborts_with_zero():
 def test_replay_reproduces_lockstep_outputs():
     n, f = 4, 1
     inputs = {0: 1, 1: 0, 2: 1}
+    ps = phase_king_silent(n, f)
     outputs, _, received = run_lockstep(
-        lambda: phase_king_silent(n, f), inputs, n,
+        ps, inputs, n,
         byzantine={3: lambda i, w: (1,) if (i + w) % 3 == 0 else None})
     for v, out in outputs.items():
-        per_round = [received[i][v] for i in range(1, phase_king_silent(n, f).rounds + 1)]
-        assert replay(lambda: phase_king_silent(n, f), v, inputs[v], per_round) == out
+        per_round = [received[i][v] for i in range(1, ps.rounds + 1)]
+        assert replay(ps, v, inputs[v], per_round) == out
 
 
 def test_wrapper_agreement_validity_under_random_byzantine_matrices():
@@ -204,7 +211,7 @@ def test_wrapper_agreement_validity_under_random_byzantine_matrices():
             return table[key]
         correct = [v for v in range(n) if v != byz_node]
         inputs = {v: rng.randint(0, 1) for v in correct}
-        outputs, _, _ = run_lockstep(lambda: phase_king_silent(n, f), inputs,
+        outputs, _, _ = run_lockstep(phase_king_silent(n, f), inputs,
                                      n, byzantine={byz_node: fn})
         vals = set(outputs.values())
         assert len(vals) == 1, (trial, inputs, outputs)

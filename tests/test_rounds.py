@@ -41,7 +41,7 @@ def ctx():
     sends = []
     alarms = []
     trace = []
-    rounds = Rounds(p, 0, lambda: phase_king_silent(4, 1), guard, trace,
+    rounds = Rounds(p, 0, phase_king_silent(4, 1), guard, trace,
                     lambda w, env: sends.append((w, env)),
                     lambda units, tag: alarms.append((units, tag)),
                     lambda: Fraction(0))
@@ -162,8 +162,8 @@ def test_bit_budget_violation_aborts_instance(ctx):
         rounds = 3
         bit_bound = 38
 
-        def fresh(self, b):
-            return {"self": None}
+        def fresh(self, b, index):
+            return {"self": index}
 
         def step(self, state, i, received):
             return state, [tuple([1] * 2000)] * 4
@@ -174,7 +174,7 @@ def test_bit_budget_violation_aborts_instance(ctx):
         def missing_payload(self, i, sender):
             return ()
 
-    rounds.proto_factory = lambda: Flood()
+    rounds.proto = Flood()
     rounds.join(LABEL, 1, 2, 1, 12000)
     rounds.on_alarm(LABEL, 1, 12484, 12484)
     inst = rounds.instances[LABEL]

@@ -47,8 +47,8 @@ fractions_st = st.fractions(min_value=0, max_value=1000,
 @given(value=fractions_st, units=st.integers(min_value=0, max_value=40000))
 def test_bound_helpers_match_exact_comparisons(value, units):
     grid = LocalGrid(Fraction(1, 20), Fraction(1, 4))
-    assert (units <= grid.le_bound(value)) == (units * grid.unit <= value)
-    assert (units > grid.gt_bound(value)) == (units * grid.unit > value)
+    assert (units <= grid.floor_units(value)) == (units * grid.unit <= value)
+    assert (units > grid.floor_units(value)) == (units * grid.unit > value)
 
 
 @given(delta=st.integers(-10**7, 10**7), modulus=st.integers(2, 10**6))

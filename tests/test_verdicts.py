@@ -65,6 +65,15 @@ def test_missing_participant_breaks_timing(good_run):
     assert not by_name(vds, "timing-windows").passed
 
 
+def test_init_without_any_participant_breaks_timing(good_run):
+    # The init is well before the end of the run, so no correct node joining
+    # it is a violation, not an instance still starting up.
+    sc, res = good_run
+    trace = [r for r in res.trace if r[0] != "participate"]
+    vds = reevaluate(sc, res, trace)
+    assert not by_name(vds, "timing-windows").passed
+
+
 def test_missing_output_is_unterminated(good_run):
     sc, res = good_run
     trace = [r for r in res.trace if not (r[0] == "output" and r[2] == 1)]
