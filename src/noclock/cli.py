@@ -21,7 +21,6 @@ from .scenario import Scenario, ScenarioError
 
 def _verdict_json(v: verdicts.Verdict) -> dict:
     return {"name": v.name, "passed": v.passed, "measured": v.measured,
-            "detail": v.detail,
             "counterexample": None if v.counterexample is None
             else [repr(rec) for rec in v.counterexample]}
 

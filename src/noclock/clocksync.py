@@ -115,9 +115,6 @@ class ClockSync:
             return self.rows[w][w]
         return None
 
-    def trusts(self, w: int, now: int) -> bool:
-        return self.estimate(w, now) is not None
-
     def sanitize(self, now: int) -> None:
         """Clamp registers a corrupted boot may have left in the future."""
         p = self.p

@@ -1,10 +1,9 @@
-"""Self-stabilization machinery: overload detection, quarantine, bit totals.
+"""Self-stabilization machinery: overload detection and quarantine.
 
 Stored-tuple garbage collection lives with the tables it guards (initiation
 and rounds expose `sweep`); this module owns the per-initiator instance
-counters, the inconsistency verdicts, the quarantine-and-wipe sequence, and
-the per-node bit accounting the amortized-communication bound is checked
-against.
+counters, the inconsistency verdicts and the quarantine-and-wipe sequence.
+Bits sent are counted from the trace's `send` records, not here.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ class Guard:
         self.suppress_until: Optional[int] = None
         self.wipe_cb = None               # set by the runtime
         self.quarantines = 0
-        self.infra_bits = 0
-        self.instance_bits = 0
-        self.payload_bits = 0
         self.instances_joined = 0
 
     # -- counters -------------------------------------------------------------
@@ -103,19 +99,7 @@ class Guard:
         if self.wipe_cb is not None:
             self.wipe_cb()
 
-    # -- bit accounting ------------------------------------------------------------
-
-    def charge_infra(self, bits: int) -> None:
-        self.infra_bits += bits
-
-    def charge_instance(self, bits: int, payload_bits: int) -> None:
-        self.instance_bits += bits
-        self.payload_bits += payload_bits
-
     def metrics(self) -> dict:
         return {"node": self.node,
-                "infra_bits": self.infra_bits,
-                "instance_bits": self.instance_bits,
-                "payload_bits": self.payload_bits,
                 "instances_joined": self.instances_joined,
                 "quarantines": self.quarantines}

@@ -137,11 +137,26 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
 
     sim.run_until(duration)
 
-    metrics = [runtimes[v].guard.metrics() for v in sorted(runtimes)]
+    bits = _bits_sent(sim.trace, runtimes)
+    metrics = [{"node": v, **bits[v], **runtimes[v].guard.metrics()}
+               for v in sorted(runtimes)]
     vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
                             lambda: proto) if evaluate else []
     return RunResult(sc, p, sim.trace if keep_trace else [], metrics, vds,
                      correct, byz)
+
+
+def _bits_sent(trace, nodes) -> Dict[int, dict]:
+    """Per-node bit totals of the trace's `send` records."""
+    totals = {v: dict.fromkeys(("infra_bits", "instance_bits", "payload_bits"), 0)
+              for v in nodes}
+    for rec in trace:
+        if rec[0] == "send" and rec[2] in totals:
+            row = totals[rec[2]]
+            kind = "infra_bits" if rec[4] in verdicts.INFRA_KINDS else "instance_bits"
+            row[kind] += rec[5] + rec[6]
+            row["payload_bits"] += rec[6]
+    return totals
 
 
 def sweep(base: Scenario, axes: Dict[str, list], evaluate: bool = True):

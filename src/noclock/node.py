@@ -3,8 +3,8 @@
 All protocol state transitions happen inside kernel event handlers; local
 computation takes zero simulated time.  The runtime converts the kernel's
 exact clock to the integer readings the protocol layer works with, routes
-envelopes, applies bit accounting, and drives the periodic tick (clock-update
-broadcast plus all garbage-collection sweeps).
+envelopes, and drives the periodic tick (clock-update broadcast plus all
+garbage-collection sweeps).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class NodeRuntime:
         frame = envelope.frame_bits(self.p)
         for w in range(self.p.n):
             if w != self.node:
-                self.guard.charge_infra(frame)
                 self.sim.send(self.node, w, envelope, frame, 0)
 
     def _send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:

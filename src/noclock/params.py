@@ -42,6 +42,7 @@ class Params:
     bit_bound: int               # declared per-node payload bits of that protocol
     T: Fraction                  # min local time between own initiations
     d_clk: Fraction              # base interval of clock-update machinery
+    judging_horizon: Fraction    # S: corrupted-boot instances judged after it
 
     grid: LocalGrid
 
@@ -68,6 +69,7 @@ class Params:
     max_busy_instances: int      # overload rule (i) threshold
     max_total_instances: int     # overload rule (ii) threshold
     quarantine_hold: int         # send-suppression time before the wipe
+    unfinished_tail: int         # end-of-run stretch unfinished instances may end in
 
     value_bits: int              # wire bits per clock value / stamp
     id_bits: int
@@ -128,6 +130,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
 
     modulus_raw = 64 * (lead + period * (rounds + 3) + regain)
     period_u = grid.to_units(period)
+    stall = grid.ceil_units(lead + theta * round_window + q)
     modulus = -(-grid.ceil_units(modulus_raw) // period_u) * period_u
     if modulus % 2:
         modulus += period_u
@@ -141,7 +144,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
     value_bits = max(1, ceil(log2(modulus)))
     p = Params(
         n=n, f=f, theta=theta, d=d, rounds=rounds, bit_bound=bit_bound, T=T,
-        d_clk=d_clk, grid=grid,
+        d_clk=d_clk, judging_horizon=10 * (rounds * d + T), grid=grid,
         quantum=grid.q_units,
         update_period=period_u,
         max_update_gap=grid.floor_units((2 * theta * theta + theta) * d_clk + q),
@@ -157,7 +160,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         trust_regain=grid.ceil_units(regain),
         first_round_lead=grid.to_units(lead),
         round_gap=grid.to_units(2 * theta * d + q),
-        stall_after=grid.ceil_units(lead + theta * round_window + q),
+        stall_after=stall,
         echo_ttl=grid.ceil_units(theta * echo_window),
         instance_ttl=grid.ceil_units(inst_ttl),
         clock_modulus=modulus,
@@ -167,6 +170,10 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         max_busy_instances=k1,
         max_total_instances=k2,
         quarantine_hold=grid.ceil_units(theta * d),
+        # An instance without progress terminates within the stall window plus
+        # a couple of sweep ticks, so only instances still active that close
+        # to the end of a run may lack outputs.
+        unfinished_tail=stall + 5 * period_u,
         value_bits=value_bits,
         id_bits=max(1, ceil(log2(n))),
         round_bits=max(1, ceil(log2(rounds + 2))),

@@ -155,7 +155,6 @@ class Rounds:
                 self.abort(inst.label, now, "bit_budget")
                 return
             inst.bits += cost
-            self.guard.charge_instance(cost, 0 if payload is None else len(payload))
             self.send_round(w, RoundMsg(inst.label, i, payload))
         # Own message is local state, stored through the same quorum path.
         self.on_round_msg(self.node, inst.label, i, sends[self.node], now)

@@ -4,15 +4,19 @@ Evaluation is side-effect-free and re-runnable: the same trace yields the
 same verdicts.  Each verdict carries measured constants and, on failure, a
 pointer into the trace (the offending records).
 
-For corrupted-boot scenarios every per-instance suite is scoped to instances
-whose correct terminations all happen after the stabilization horizon
-S = 10*(R + T)*d; earlier instances may do anything.
+`_Index` reads the trace once into one record per instance label, and
+`evaluate` decides once which instances the per-instance suites judge.  On a
+corrupted boot they judge only instances whose correct outputs exist and all
+come at or after the horizon S = 10*(R*d + T) (`Params.judging_horizon`);
+earlier instances may do anything.  Unfinished instances still active within
+`Params.unfinished_tail` of the end of the run are not judged either.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -32,32 +36,37 @@ class Verdict:
     name: str
     passed: bool
     measured: dict = field(default_factory=dict)
-    detail: str = ""
     counterexample: Optional[list] = None
 
     def __repr__(self):
         flag = "PASS" if self.passed else "FAIL"
-        return f"<{self.name}: {flag} {self.measured} {self.detail}>"
+        return f"<{self.name}: {flag} {self.measured}>"
+
+
+@dataclass(eq=False, slots=True)
+class _Instance:
+    """What the correct nodes recorded about one instance label."""
+    init: Optional[tuple] = None     # (t, initiator) of the first init
+    parts: Dict = field(default_factory=dict)     # node -> (t, conf, input, oracle)
+    outs: Dict = field(default_factory=dict)      # node -> first (t, value, reason)
+    received: Dict = field(default_factory=dict)  # node -> {round: vector}
+    emitted: Dict = field(default_factory=dict)   # node -> {round: (t, vector)}
+    echo_times: List = field(default_factory=list)
+    round_payload: int = 0           # payload bits of the correct RoundMsg sends
+    nonzero: bool = False            # some correct node joined with input != 0
 
 
 class _Index:
-    """Single-pass trace index."""
+    """Single-pass trace index: one `_Instance` per label, plus per-node data."""
 
     def __init__(self, trace, correct):
         cset = set(correct)
-        self.participates: Dict = {}
-        self.outputs: Dict = {}
-        self.rrcv: Dict = {}
-        self.remit: Dict = {}
-        self.inits: Dict = {}
-        self.echo_sends: Dict = {}
+        self.instances = inst = defaultdict(_Instance)   # label -> _Instance
         self.sends: Dict = {}
-        self.round_payload: Dict = {}
         self.est: Dict = {}
         self.quarantines: List = []
         self.underflows: List = []
         self.suppressed: List = []
-        self.gc_instances: List = []
         for rec in trace:
             kind = rec[0]
             if kind == "send":
@@ -66,32 +75,29 @@ class _Index:
                     self.sends.setdefault(sender, []).append(
                         (t, mkind, frame + payload))
                     if mkind == "Echo":
-                        self.echo_sends.setdefault(m.label, []).append((t, sender))
+                        inst[m.label].echo_times.append(t)
                     elif mkind == "RoundMsg" and payload:
-                        self.round_payload[m.label] = \
-                            self.round_payload.get(m.label, 0) + payload
+                        inst[m.label].round_payload += payload
             elif kind == "participate":
                 _, t, node, label, conf, input_bit, oracle_val = rec
                 if node in cset:
-                    self.participates.setdefault(label, {})[node] = \
-                        (t, conf, input_bit, oracle_val)
+                    inst[label].parts[node] = (t, conf, input_bit, oracle_val)
             elif kind == "output":
                 _, t, node, label, value, reason = rec
                 if node in cset:
-                    self.outputs.setdefault(label, {}).setdefault(
-                        node, (t, value, reason))
+                    inst[label].outs.setdefault(node, (t, value, reason))
             elif kind == "rrcv":
                 _, t, node, label, rnd, vec = rec
                 if node in cset:
-                    self.rrcv.setdefault((label, node), {})[rnd] = vec
+                    inst[label].received.setdefault(node, {})[rnd] = vec
             elif kind == "remit":
                 _, t, node, label, rnd, vec = rec
                 if node in cset:
-                    self.remit.setdefault((label, node), {})[rnd] = (t, vec)
+                    inst[label].emitted.setdefault(node, {})[rnd] = (t, vec)
             elif kind == "init":
                 _, t, node, label = rec
-                if node in cset:
-                    self.inits.setdefault(label, (t, node))
+                if node in cset and inst[label].init is None:
+                    inst[label].init = (t, node)
             elif kind == "est":
                 _, t, node, ests = rec
                 if node in cset:
@@ -102,77 +108,60 @@ class _Index:
                 self.underflows.append(rec)
             elif kind == "suppressed":
                 self.suppressed.append(rec)
-            elif kind == "gc_instance":
-                self.gc_instances.append(rec)
+        for rec in self.instances.values():
+            rec.nonzero = any(part[2] != 0 for part in rec.parts.values())
 
 
 def evaluate(trace, sc, p: Params, clocks, correct, proto_factory) -> List[Verdict]:
     ix = _Index(trace, correct)
     duration = frac(sc.duration)
     corrupted = sc.corruption.get("kind", "none") != "none"
-    cutoff = 10 * (p.rounds * p.d + p.T) if corrupted else Fraction(0)
-    # An instance without progress terminates within the stall window plus a
-    # couple of sweep ticks, so only instances still active that close to the
-    # end of the run may legitimately lack outputs.
-    tail = p.grid.from_units(p.stall_after + 5 * p.update_period)
-
-    def eligible(label) -> bool:
-        """Scope per-instance suites to instances this run can judge."""
-        parts = ix.participates.get(label, {})
-        outs = ix.outputs.get(label, {})
+    cutoff = p.judging_horizon if corrupted else Fraction(0)
+    tail = p.grid.from_units(p.unfinished_tail)
+    judged = []   # (label, record) of every instance the suites judge
+    for label, rec in sorted(ix.instances.items()):
+        parts, outs = rec.parts, rec.outs
+        if rec.init is None and not parts:
+            continue   # no correct node initiated or joined it
         if cutoff > 0:
-            term_times = [t for t, _, _ in outs.values()]
-            if not term_times or min(term_times) < cutoff:
-                return False   # pre-stabilization instance
+            if not outs or min(t for t, _, _ in outs.values()) < cutoff:
+                continue   # pre-stabilization instance
         if not parts or any(node not in outs for node in parts):
-            # Unfinished, or not joined by any correct node yet.
             acts = [t for t, *_ in parts.values()]
             acts += [t for t, _, _ in outs.values()]
-            if label in ix.inits:
-                acts.append(ix.inits[label][0])
+            if rec.init is not None:
+                acts.append(rec.init[0])
             for node in parts:
-                acts += [t for t, _ in
-                         ix.remit.get((label, node), {}).values()]
+                acts += [t for t, _ in rec.emitted.get(node, {}).values()]
             if acts and duration - max(acts) <= tail:
-                return False   # still running into the end of the trace
-        return True
-
+                continue   # still running into the end of the trace
+        judged.append((label, rec))
     verdicts = [
-        _replay_suite(ix, p, proto_factory(), eligible),
-        _agreement_suite(ix, correct, eligible),
-        _timing_suite(ix, p, correct, eligible),
-        _silence_suite(ix, correct, eligible),
+        _replay_suite(judged, p, proto_factory()),
+        _agreement_suite(judged, correct),
+        _timing_suite(judged, p, correct),
+        _silence_suite(judged),
         _estimates_suite(ix, p, clocks, correct),
         _bits_suite(ix, p, correct, cutoff, duration),
         _envelope_suite(ix, p, correct, cutoff),
-        _rarity_suite(ix, p, correct, cutoff),
+        _rarity_suite(ix, p, cutoff),
     ]
     if corrupted:
-        verdicts.append(_stabilization_suite(ix, correct, eligible, cutoff,
-                                             verdicts))
+        verdicts.append(_stabilization_suite(ix, judged, cutoff, verdicts))
     else:
         verdicts.append(_hygiene_suite(ix))
     return verdicts
 
 
-def _nonzero_labels(ix):
-    out = []
-    for label, parts in ix.participates.items():
-        if any(rec[2] != 0 for rec in parts.values()):
-            out.append(label)
-    return out
-
-
-def _replay_suite(ix, p, proto, eligible) -> Verdict:
+def _replay_suite(judged, p, proto) -> Verdict:
     bad = []
     checked = 0
-    for label in _nonzero_labels(ix):
-        if not eligible(label):
+    for label, rec in judged:
+        if not rec.nonzero:
             continue
-        parts = ix.participates[label]
-        outs = ix.outputs.get(label, {})
+        parts = rec.parts
         for node, (t, conf, input_bit, _oracle) in sorted(parts.items()):
-            out = outs.get(node)
+            out = rec.outs.get(node)
             if out is None:
                 bad.append(("unterminated", label, node))
                 continue
@@ -180,7 +169,7 @@ def _replay_suite(ix, p, proto, eligible) -> Verdict:
             if reason != "ok":
                 bad.append(("forced_termination", label, node, reason))
                 continue
-            rounds_seen = ix.rrcv.get((label, node), {})
+            rounds_seen = rec.received.get(node, {})
             received = []
             for i in range(1, p.rounds + 1):
                 if i not in rounds_seen:
@@ -197,10 +186,9 @@ def _replay_suite(ix, p, proto, eligible) -> Verdict:
         # Cross-node coherence: what a node consumed must be what the correct
         # sender (itself included) emitted for it in that round, or nothing.
         for v in sorted(parts):
-            mine = ix.rrcv.get((label, v), {})
-            for i, vec in mine.items():
+            for i, vec in rec.received.get(v, {}).items():
                 for u in sorted(parts):
-                    sent = ix.remit.get((label, u), {}).get(i)
+                    sent = rec.emitted.get(u, {}).get(i)
                     expect = sent[1][v] if sent is not None else None
                     if vec[u] != expect:
                         bad.append(("incoherent", label, v, u, i, vec[u], expect))
@@ -209,15 +197,15 @@ def _replay_suite(ix, p, proto, eligible) -> Verdict:
                    counterexample=bad[:12] or None)
 
 
-def _agreement_suite(ix, correct, eligible) -> Verdict:
+def _agreement_suite(judged, correct) -> Verdict:
     bad = []
     checked = nonzero = 0
     call = set(correct)
-    for label, parts in sorted(ix.participates.items()):
-        if not parts or not eligible(label):
+    for label, rec in judged:
+        parts, outs = rec.parts, rec.outs
+        if not parts:
             continue
         checked += 1
-        outs = ix.outputs.get(label, {})
         vals = {}
         for node in parts:
             if node not in outs:
@@ -229,7 +217,7 @@ def _agreement_suite(ix, correct, eligible) -> Verdict:
         distinct = set(vals.values())
         if len(distinct) > 1:
             bad.append(("agreement", label, sorted(vals.items())))
-        inputs = {rec[2] for rec in parts.values()}
+        inputs = {part[2] for part in parts.values()}
         if set(parts) == call and len(inputs) == 1:
             b = inputs.pop()
             if distinct != {b}:
@@ -239,7 +227,7 @@ def _agreement_suite(ix, correct, eligible) -> Verdict:
             nonzero += 1
             if set(parts) != call:
                 bad.append(("safety_participation", label, sorted(parts)))
-            if not any(rec[3] == out_val for rec in parts.values()):
+            if not any(part[3] == out_val for part in parts.values()):
                 bad.append(("safety_input_origin", label, out_val))
     return Verdict("agreement-validity-safety", not bad,
                    {"instances": checked, "nonzero_outputs": nonzero,
@@ -247,7 +235,7 @@ def _agreement_suite(ix, correct, eligible) -> Verdict:
                    counterexample=bad[:12] or None)
 
 
-def _timing_suite(ix, p, correct, eligible) -> Verdict:
+def _timing_suite(judged, p, correct) -> Verdict:
     bad = []
     d = p.d
     # The initiation machinery paces at d_clk (= d unless the reduced-update-
@@ -258,13 +246,21 @@ def _timing_suite(ix, p, correct, eligible) -> Verdict:
     dur_lo = None
     dur_hi = Fraction(0)
     call = set(correct)
-    for label, (t0, initiator) in sorted(ix.inits.items()):
-        if initiator not in call or not eligible(label):
+    for label, rec in judged:
+        parts = rec.parts
+        everyone = set(parts) == call
+        if rec.nonzero:
+            if everyone:
+                ts = [part[0] for part in parts.values()]
+                k4 = max(k4, (max(ts) - min(ts)) / dc)
+            else:
+                bad.append(("join_missing", label, sorted(parts)))
+        if rec.init is None:
             continue
-        parts = ix.participates.get(label, {})
-        if set(parts) != call:
+        if not everyone:
             bad.append(("missing_participant", label, sorted(parts)))
             continue
+        t0 = rec.init[0]
         for node, (t, conf, input_bit, oracle_val) in parts.items():
             dt = (t - t0) / dc
             k2 = max(k2, dt)
@@ -274,26 +270,14 @@ def _timing_suite(ix, p, correct, eligible) -> Verdict:
                 bad.append(("confidence", label, node, conf))
             if input_bit != oracle_val:
                 bad.append(("input_not_oracle", label, node))
-        outs = ix.outputs.get(label, {})
-        if set(outs) == call:
-            times = [t for t, _, _ in outs.values()]
+        if set(rec.outs) == call:
+            times = [t for t, _, _ in rec.outs.values()]
             k5 = max(k5, (max(times) - min(times)) / d)
             dur = (max(times) - t0) / d
             dur_hi = max(dur_hi, dur)
             dur_lo = dur if dur_lo is None else min(dur_lo, dur)
-        echoes = ix.echo_sends.get(label, [])
-        if echoes:
-            ts = [t for t, _ in echoes]
-            k3 = max(k3, (max(ts) - min(ts)) / dc)
-    for label in _nonzero_labels(ix):
-        if not eligible(label):
-            continue
-        parts = ix.participates[label]
-        if set(parts) != call:
-            bad.append(("join_missing", label, sorted(parts)))
-            continue
-        ts = [rec[0] for rec in parts.values()]
-        k4 = max(k4, (max(ts) - min(ts)) / dc)
+        if rec.echo_times:
+            k3 = max(k3, (max(rec.echo_times) - min(rec.echo_times)) / dc)
     lo_ok = dur_lo is None or dur_lo >= CEILINGS["dur_lo"] * p.rounds
     hi_ok = dur_hi <= dur_cap
     passed = (not bad and k2 <= CEILINGS["K2"] and k3 <= CEILINGS["K3"]
@@ -308,19 +292,16 @@ def _timing_suite(ix, p, correct, eligible) -> Verdict:
                    counterexample=bad[:12] or None)
 
 
-def _silence_suite(ix, correct, eligible) -> Verdict:
+def _silence_suite(judged) -> Verdict:
     bad = []
     checked = 0
-    for label, parts in sorted(ix.participates.items()):
-        if not parts or not eligible(label):
-            continue
-        if any(rec[2] != 0 for rec in parts.values()):
+    for label, rec in judged:
+        if not rec.parts or rec.nonzero:
             continue
         checked += 1
-        leaked = ix.round_payload.get(label, 0)
-        if leaked:
-            bad.append(("payload_bits", label, leaked))
-        for node, (t, value, reason) in ix.outputs.get(label, {}).items():
+        if rec.round_payload:
+            bad.append(("payload_bits", label, rec.round_payload))
+        for node, (t, value, reason) in rec.outs.items():
             if value != 0:
                 bad.append(("nonzero_output", label, node, value))
     return Verdict("silence", not bad,
@@ -400,8 +381,19 @@ def _bits_suite(ix, p, correct, cutoff, duration) -> Verdict:
 
 
 def _envelope_suite(ix, p, correct, cutoff) -> Verdict:
-    """Measured envelope constant; float arithmetic is ample for a <= 16 check."""
-    byz = [u for u in range(p.n) if u not in set(correct)]
+    """K1 over every pair of estimates of one byzantine clock, by any correct
+    nodes, taken at most `cap` apart.
+
+    One pass over each time-ordered series unwrapped off the clock circle:
+    for a pair a <= b, diff - rate_hi*dt = x_b - x_a with x = e - rate_hi*t,
+    and rate_lo*dt - diff = y_b - y_a with y = rate_lo*t - e, so a monotone
+    min-queue of each over the window gives the worst pair ending at b.
+    Unwrapping is exact unless some pair within `cap` differs by a quarter of
+    the modulus, which fails the check either way.  Float arithmetic is ample
+    for a <= 16 check.
+    """
+    cset = set(correct)
+    byz = [u for u in range(p.n) if u not in cset]
     if not byz:
         return Verdict("byzantine-clock-envelope", True, {"pairs": 0})
     grid, mod = p.grid, p.clock_modulus
@@ -413,38 +405,39 @@ def _envelope_suite(ix, p, correct, cutoff) -> Verdict:
     k1 = 0.0
     pairs = 0
     for u in byz:
-        series = []
-        for v in correct:
-            for t, ests in ix.est.get(v, []):
-                if ests[u] is not None and t >= horizon:
-                    series.append((float(t), v, ests[u]))
-        series.sort()
-        if len(series) > 420:
-            series = series[:: len(series) // 420 + 1]
-        for a in range(len(series)):
-            t_v, _, e_v = series[a]
-            for b in range(a, len(series)):
-                t_w, _, e_w = series[b]
-                dt = t_w - t_v
-                if dt > cap:
-                    break
-                pairs += 1
-                diff = mod_signed(e_w - e_v, mod) * unit
-                k1 = max(k1, (diff - rate_hi * dt) / d,
-                         (rate_lo * dt - diff) / d)
+        series = sorted((float(t), v, ests[u]) for v in correct
+                        for t, ests in ix.est.get(v, [])
+                        if ests[u] is not None and t >= horizon)
+        queues = (deque(), deque())   # (index, key), keys increasing
+        lo = 0
+        e = series[0][2] if series else 0
+        for b, (t, _, e_b) in enumerate(series):
+            e += mod_signed(e_b - e, mod)   # unwrapped estimate
+            while t - series[lo][0] > cap:
+                lo += 1
+            pairs += b - lo + 1
+            for q, key in zip(queues, (e * unit - rate_hi * t,
+                                       rate_lo * t - e * unit)):
+                while q and q[-1][1] >= key:
+                    q.pop()
+                q.append((b, key))
+                while q[0][0] < lo:
+                    q.popleft()
+                k1 = max(k1, (key - q[0][1]) / d)
     passed = pairs == 0 or k1 <= CEILINGS["K1"]
     return Verdict("byzantine-clock-envelope", passed,
                    {"K1": round(k1, 4), "pairs": pairs})
 
 
-def _rarity_suite(ix, p, correct, cutoff) -> Verdict:
+def _rarity_suite(ix, p, cutoff) -> Verdict:
     """Per initiator, nonzero-input instances are at least one window apart."""
     window = p.grid.from_units(p.overload_window) / p.theta
     firsts: Dict[int, list] = {}
-    for label in _nonzero_labels(ix):
-        times = [t for t, *_ in ix.participates[label].values()]
-        if min(times) >= cutoff:
-            firsts.setdefault(label[0], []).append(min(times))
+    for label, rec in ix.instances.items():
+        if rec.nonzero:
+            first = min(part[0] for part in rec.parts.values())
+            if first >= cutoff:
+                firsts.setdefault(label[0], []).append(first)
     bad = []
     for initiator, times in sorted(firsts.items()):
         times.sort()
@@ -468,9 +461,8 @@ def _hygiene_suite(ix) -> Verdict:
                    {"violations": len(bad)}, counterexample=bad or None)
 
 
-def _stabilization_suite(ix, correct, eligible, cutoff, suite_verdicts) -> Verdict:
-    post = [label for label, parts in ix.participates.items()
-            if parts and eligible(label)]
+def _stabilization_suite(ix, judged, cutoff, suite_verdicts) -> Verdict:
+    post = sum(1 for _, rec in judged if rec.parts)
     per_instance = {v.name: v.passed for v in suite_verdicts
                     if v.name in ("oracle-equivalence",
                                   "agreement-validity-safety",
@@ -480,9 +472,9 @@ def _stabilization_suite(ix, correct, eligible, cutoff, suite_verdicts) -> Verdi
     # unreachable) and fabricated gates may never admit an underflow join.
     nodes_q = [rec[2] for rec in ix.quarantines]
     repeat = len(nodes_q) != len(set(nodes_q))
-    passed = ok and bool(post) and not repeat
+    passed = ok and post > 0 and not repeat
     return Verdict("self-stabilization", passed,
-                   {"post_horizon_instances": len(post),
+                   {"post_horizon_instances": post,
                     "cutoff": float(cutoff),
                     "quarantines": len(nodes_q),
                     "repeat_quarantine": repeat})

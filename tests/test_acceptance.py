@@ -168,7 +168,7 @@ def bits_results():
         sc_probe = Scenario(n=n, f=f, theta=theta, duration="10")
         p = harness.build_params(sc_probe)
         t_val = p.T
-        s_real = 10 * (p.rounds * p.d + t_val)
+        s_real = p.judging_horizon
         duration = s_real + 20 * t_val + 10
         for seed, script in [(0, [{"t": str(s_real + 2), "node": 0,
                                    "action": "initiate"},

@@ -97,8 +97,5 @@ def test_stale_wipe_alarm_ignored(ctx):
 
 def test_metrics_shape(ctx):
     p, guard, alarms, trace, wiped = ctx
-    guard.charge_infra(100)
-    guard.charge_instance(40, 2)
     m = guard.metrics()
-    assert m == {"node": 0, "infra_bits": 100, "instance_bits": 40,
-                 "payload_bits": 2, "instances_joined": 0, "quarantines": 0}
+    assert m == {"node": 0, "instances_joined": 0, "quarantines": 0}

@@ -115,6 +115,17 @@ def test_metrics_exported_per_correct_node():
     assert all(m["quarantines"] == 0 for m in res.metrics)
 
 
+def test_metrics_bit_totals_are_the_sums_of_the_send_records():
+    res = harness.run(clean_scenario())
+    for m in res.metrics:
+        sends = [r for r in res.trace if r[0] == "send" and r[2] == m["node"]]
+        rounds = [r for r in sends if r[4] == "RoundMsg"]
+        assert m["infra_bits"] == sum(r[5] + r[6] for r in sends
+                                      if r[4] != "RoundMsg")
+        assert m["instance_bits"] == sum(r[5] + r[6] for r in rounds) > 0
+        assert m["payload_bits"] == sum(r[6] for r in rounds) > 0
+
+
 def test_reduced_update_frequency_mode():
     sc = clean_scenario(T="3", clock_update_period="3", duration="260",
                         script=[{"t": "20", "node": 0, "action": "initiate"}])

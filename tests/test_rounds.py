@@ -30,9 +30,6 @@ class StubGuard:
     def suppressed(self, now):
         return self.suppress
 
-    def charge_instance(self, bits, payload):
-        pass
-
 
 @pytest.fixture
 def ctx():
