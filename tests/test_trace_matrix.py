@@ -1,0 +1,80 @@
+"""Determinism contract over every adversary: committed trace digests.
+
+The matrix holds the acceptance sweep's shape for each byzantine strategy at
+n=4 and n=7 (seed 0, 110 d) and two corrupted n=4 boots of 1100 d.  A change
+that keeps the protocol's behaviour keeps every digest; a digest that moves
+means some run now produces a different trace.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from noclock import harness
+from noclock.scenario import Scenario
+from noclock.verdicts import trace_to_jsonl
+
+STRATEGIES = [
+    ("silent", {"kind": "const", "value": 0}, None),
+    ("noise", {"kind": "const", "value": 1}, None),
+    ("split_echo", {"kind": "mixed"}, None),
+    ("equivocate_rounds", {"kind": "const", "value": 1}, None),
+    ("clock_skew", {"kind": "mixed"}, "alternating"),
+]
+
+DIGESTS = {
+    "silent-n4": "d90fe9a5d3fe0742eb5bb41563c751ed5491b34d9aa7faa8b6484ccf92165c1f",
+    "noise-n4": "3fc4f95b0d5f3b814401dd1c423d20d4cbe20f6243003226b67f5fe80cee344f",
+    "split_echo-n4": "5aec650da68fd45debcb81f092ee553f19da3d388fabf8efcdd777f68c209201",
+    "equivocate_rounds-n4": "f3138c3693ae8029b38e497cbb48ed99e4ec6b74e6502c7d1ad7b2c8d60f5252",
+    "clock_skew-n4": "be005a3f0ece42004dd3e082e9b8407bcfc4e1bb52e97c711466535619cbda27",
+    "silent-n7": "0f0fe69d418a495529ba792abf31e03ea183e32b952074ecde269c516d7bf614",
+    "noise-n7": "143c345678e918b3654df5428b52b30dbd054f2b1341d5fbd1ab8d6c4f5ab474",
+    "split_echo-n7": "e76787c24c41a4b1aa189fb1d710a6d00f7d17d19d2ef65eed3ae6f30dd5b9e5",
+    "equivocate_rounds-n7": "db53bf1358c42d3824e670520b59be61202153f719735caaf992796e35e2dede",
+    "clock_skew-n7": "2f8ecf3f8eed572d8dc9ec21e0c85489ccdbcef53cd0d8d28b5c50281b1bc558",
+    "corrupted-noise-split": "20111c041d376aefd48c8ef8e36a396def57de976a56e7fd9a0072becbfc78f3",
+    "corrupted-equivocate": "db0ee95547005e341eb63f3bd6b116a1e4569aa83a13574dd672cdb6231e4e22",
+}
+
+
+def sweep_scenario(n, adv, oracle, mode) -> Scenario:
+    f = (n - 1) // 3
+    byz = sorted(random.Random(9000).sample(range(2, n), f))
+    script = [{"t": "6", "node": 0, "action": "initiate"},
+              {"t": "13", "node": 1, "action": "initiate"}]
+    if adv == "split_echo":
+        script.append({"t": "10", "node": byz[0], "action": "initiate"})
+    advd = {"byzantine": adv, "delays": "uniform", "byzantine_set": byz}
+    if mode:
+        advd["mode"] = mode
+    return Scenario(n=n, f=f, theta="1.1", duration="110", seed=0,
+                    adversary=advd, oracle=dict(oracle), script=script)
+
+
+def corrupted_scenario(seed, adv, delays) -> Scenario:
+    return Scenario(n=4, f=1, theta="1.1", duration="1100", seed=seed,
+                    adversary={"byzantine": adv, "delays": delays,
+                               "byzantine_set": [2 + seed % 2]},
+                    corruption={"kind": "random"},
+                    script=[{"t": "1000", "node": 0, "action": "initiate"},
+                            {"t": "1004", "node": 1, "action": "initiate"}])
+
+
+MATRIX = (
+    [(f"{adv}-n{n}", sweep_scenario(n, adv, oracle, mode))
+     for n in (4, 7) for adv, oracle, mode in STRATEGIES]
+    + [("corrupted-noise-split", corrupted_scenario(1, "noise", "split")),
+       ("corrupted-equivocate",
+        corrupted_scenario(2, "equivocate_rounds", "uniform"))])
+
+
+def trace_digest(sc: Scenario) -> str:
+    trace = harness.run(sc, evaluate=False).trace
+    return hashlib.sha256(trace_to_jsonl(trace).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,sc", MATRIX, ids=[name for name, _ in MATRIX])
+def test_trace_digest_is_unchanged(name, sc):
+    assert trace_digest(sc) == DIGESTS[name]
