@@ -1,14 +1,18 @@
 """Adversary machinery: delay policies, byzantine node strategies, clock-rate
-schedules, and corrupted-boot state generation.
+schedules, input oracles, and boot states.
 
 Byzantine nodes are ordinary event handlers with full control over what they
 send (and, since the adversary also owns the delay policy, when it arrives).
 Strategies that need to stay trusted by the clock-estimate layer run an honest
 copy of it and misbehave one layer up.
+
+Every name a scenario may give is a key of one table here, which both the
+constructors below and `Scenario.validate` read.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -18,64 +22,88 @@ from .node import NodeRuntime
 from .params import Params
 from .rounds import Instance
 
+
+def pick(table: dict, what: str, name):
+    """The entry of `table` named `name`; ValueError for an unknown name."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown {what} {name!r}") from None
+
+
 # -- delay policies -----------------------------------------------------------
+
+_LO, _HI = 17, 1007         # (d/64, d - d/64) open band, in 1024ths
+
+
+def _split(receiver, rng):
+    # Fast to the even ids, slow to the odd ones.
+    jitter = rng.randint(0, 32)
+    return _LO + jitter if receiver % 2 == 0 else _HI - jitter
+
+
+def _boundary(receiver, rng):
+    edge = rng.randint(1, 4)
+    return edge if rng.random() < 0.5 else 1024 - edge
+
+
+# Each policy draws a message delay in 1024ths of d.
+DELAYS = {
+    "uniform": lambda receiver, rng: rng.randint(_LO, _HI),
+    "fast": lambda receiver, rng: rng.randint(_LO, _LO + 48),
+    "slow": lambda receiver, rng: rng.randint(_HI - 48, _HI),
+    "split": _split,
+    "boundary": _boundary,
+}
 
 
 def make_delay_policy(name: str, d: Fraction):
-    lo, hi = 17, 1007         # (d/64, d - d/64) open band, in 1024ths
-    if name == "uniform":
-        def policy(sender, receiver, envelope, t, rng):
-            return Fraction(rng.randint(lo, hi), 1024) * d
-    elif name == "fast":
-        def policy(sender, receiver, envelope, t, rng):
-            return Fraction(rng.randint(lo, lo + 48), 1024) * d
-    elif name == "slow":
-        def policy(sender, receiver, envelope, t, rng):
-            return Fraction(rng.randint(hi - 48, hi), 1024) * d
-    elif name == "split":
-        # Fast to the lower half of the ids, slow to the upper half.
-        def policy(sender, receiver, envelope, t, rng):
-            jitter = rng.randint(0, 32)
-            if receiver % 2 == 0:
-                return Fraction(lo + jitter, 1024) * d
-            return Fraction(hi - jitter, 1024) * d
-    elif name == "boundary":
-        def policy(sender, receiver, envelope, t, rng):
-            edge = rng.randint(1, 4)
-            return Fraction(edge if rng.random() < 0.5 else 1024 - edge, 1024) * d
-    else:
-        raise ValueError(f"unknown delay policy {name!r}")
+    draw = pick(DELAYS, "delay policy", name)
+
+    def policy(sender, receiver, envelope, t, rng):
+        return Fraction(draw(receiver, rng), 1024) * d
     return policy
 
 
 # -- clock-rate schedules -------------------------------------------------------
 
 
+def _random_steps(theta: Fraction, duration: Fraction, rng):
+    segs = []
+    t = Fraction(0)
+    while t < duration:
+        step = Fraction(rng.randint(0, 8), 8)
+        segs.append((t, 1 + step * (theta - 1)))
+        t += rng.randint(2, 12)
+    return segs
+
+
+RATE_SCHEDULES = {
+    "fixed_min": lambda theta, duration, rng: [(0, Fraction(1))],
+    "fixed_max": lambda theta, duration, rng: [(0, theta)],
+    "random_steps": _random_steps,
+}
+
+
 def make_rate_schedule(kind: str, theta: Fraction, duration: Fraction, rng):
     """Piecewise-constant rates in [1, theta]."""
-    if kind == "fixed_min" or theta == 1:
+    schedule = pick(RATE_SCHEDULES, "rate schedule", kind)
+    if theta == 1:
         return [(0, Fraction(1))]
-    if kind == "fixed_max":
-        return [(0, theta)]
-    if kind == "random_steps":
-        segs = []
-        t = Fraction(0)
-        while t < duration:
-            step = Fraction(rng.randint(0, 8), 8)
-            segs.append((t, 1 + step * (theta - 1)))
-            t += rng.randint(2, 12)
-        return segs
-    raise ValueError(f"unknown rate schedule {kind!r}")
+    return schedule(theta, duration, rng)
 
 
 # -- byzantine strategies ----------------------------------------------------------
 
 
 class SilentNode:
-    """Sends nothing, ever."""
+    """Sends nothing, ever.  The handlers that do not run the honest node
+    stack inherit its no-op event methods."""
 
-    def __init__(self, sim, node, p, proto=None, oracle=None):
-        pass
+    def __init__(self, sim, node, p: Params, proto=None, oracle=None):
+        self.sim = sim
+        self.node = node
+        self.p = p
 
     def start(self):
         pass
@@ -110,20 +138,14 @@ def random_envelope(p: Params, rng):
     return msg.Garbage(tuple(rng.randrange(256) for _ in range(rng.randint(1, 8))))
 
 
-class NoiseNode:
+class NoiseNode(SilentNode):
     """Broadcasts random well-formed and malformed envelopes at tick pace."""
-
-    def __init__(self, sim, node, p: Params, proto=None, oracle=None):
-        self.sim = sim
-        self.node = node
-        self.p = p
 
     def start(self):
         self._next_wake()
 
     def _next_wake(self):
-        clock = self.sim.clocks[self.node]
-        units = self.p.grid.floor_units(clock.value(self.sim.now))
+        units = self.sim.local_units(self.node)
         self.sim.alarm(self.node, units + self.p.update_period, ("wake",))
 
     def on_threshold(self, node, units, tag):
@@ -134,12 +156,6 @@ class NoiseNode:
                 self.sim.send(self.node, w, env, env.frame_bits(self.p),
                               env.payload_bits())
         self._next_wake()
-
-    def on_deliver(self, node, sender, envelope):
-        pass
-
-    def on_action(self, node, payload):
-        pass
 
 
 class SplitEchoNode(NodeRuntime):
@@ -153,7 +169,7 @@ class SplitEchoNode(NodeRuntime):
         if payload[0] != "initiate":
             return
         p = self.p
-        now = self._reading()
+        now = self.sim.reading(self.node)
         base = now % p.clock_modulus
         frame = msg.Init(base).frame_bits(p)
         for w in range(p.n):
@@ -176,17 +192,17 @@ class SplitEchoNode(NodeRuntime):
 class EquivocatingRoundsNode(NodeRuntime):
     """Participates like a correct node but equivocates round payloads."""
 
-    def _send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:
+    def send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:
         payload = envelope.payload
         if payload is not None and receiver % 2:
             payload = tuple(1 - b for b in payload)
             envelope = msg.RoundMsg(envelope.label, envelope.round, payload)
         elif payload is None and receiver % 2 and envelope.round <= 2:
             envelope = msg.RoundMsg(envelope.label, envelope.round, (1,))
-        super()._send_round(receiver, envelope)
+        super().send_round(receiver, envelope)
 
 
-class ClockSkewNode:
+class ClockSkewNode(SilentNode):
     """Announces legally-timed clock updates at an adversarial pace.
 
     Claims advance by exactly one update period per broadcast, but broadcasts
@@ -195,33 +211,28 @@ class ClockSkewNode:
     allow.  Other nodes' rows are relayed honestly to keep everyone's trust.
     """
 
+    # Mode -> the cycle of spacings between broadcasts (True: fastest legal).
+    PACES = {"fastest": (True,), "slowest": (False,),
+             "alternating": (True, False)}
+
     def __init__(self, sim, node, p: Params, proto=None, oracle=None,
                  mode: str = "fastest"):
-        self.sim = sim
-        self.node = node
-        self.p = p
-        self.mode = mode
+        super().__init__(sim, node, p)
+        self.pace = itertools.cycle(pick(self.PACES, "clock_skew mode", mode))
         self.clocksync = ClockSync(p, node)
         self.claim_units = 0          # unbounded claim counter, period grid
-        self.flip = False
 
     def start(self):
-        clock = self.sim.clocks[self.node]
-        h0 = self.p.grid.floor_units(clock.value(self.sim.now))
+        h0 = self.sim.local_units(self.node)
         period = self.p.update_period
         self.claim_units = (h0 // period) * period
         self.sim.alarm(self.node, (h0 // period + 1) * period, ("tick",))
 
     def _spacing(self) -> Fraction:
         p = self.p
-        fast = p.d + 2 * p.grid.quantum
-        slow = 3 * p.d_clk
-        if self.mode == "fastest":
-            return fast
-        if self.mode == "slowest":
-            return slow
-        self.flip = not self.flip
-        return fast if self.flip else slow
+        if next(self.pace):
+            return p.d + 2 * p.grid.quantum
+        return 3 * p.d_clk
 
     def on_threshold(self, node, units, tag):
         p = self.p
@@ -241,11 +252,8 @@ class ClockSkewNode:
 
     def on_deliver(self, node, sender, envelope):
         if isinstance(envelope, msg.Update) and msg.well_formed(envelope, self.p):
-            now = self.p.grid.floor_units(self.sim.clocks[self.node].value(self.sim.now))
+            now = self.sim.local_units(self.node)
             self.clocksync.on_update(sender, list(envelope.values), now)
-
-    def on_action(self, node, payload):
-        pass
 
 
 STRATEGIES = {
@@ -259,15 +267,57 @@ STRATEGIES = {
 
 def make_byzantine(name: str, sim, node: int, p: Params, proto, oracle,
                    mode: Optional[str] = None):
-    cls = STRATEGIES.get(name)
-    if cls is None:
-        raise ValueError(f"unknown byzantine strategy {name!r}")
+    cls = pick(STRATEGIES, "byzantine strategy", name)
     if cls is ClockSkewNode:
         return cls(sim, node, p, proto, oracle, mode=mode or "fastest")
     return cls(sim, node, p, proto, oracle)
 
 
-# -- corrupted boot states ---------------------------------------------------------
+# -- input oracles ------------------------------------------------------------------
+
+
+def _const_oracle(config: dict, seed: int):
+    value = int(config.get("value", 1))
+    return lambda label, node, now: value
+
+
+def _mixed_oracle(config: dict, seed: int):
+    def oracle(label, node, now):
+        x = (label[0] * 1000003 + label[1] * 7919 + node * 104729 + seed)
+        return (x * 2654435761 >> 7) & 1
+    return oracle
+
+
+ORACLES = {"const": _const_oracle, "mixed": _mixed_oracle}
+
+
+def make_oracle(config: dict, seed: int):
+    """The input bit of each correct node in each instance it joins."""
+    return pick(ORACLES, "oracle kind", config.get("kind", "const"))(config, seed)
+
+
+# -- boot states ---------------------------------------------------------------------
+
+
+def clean_boot(sim, p: Params, rng, offsets, runtimes) -> None:
+    """Every handler that keeps clock estimates, byzantine ones included,
+    starts knowing everyone's claim."""
+    claims = [(p.grid.to_units(offsets[w]) // p.update_period)
+              * p.update_period % p.clock_modulus for w in range(p.n)]
+    for v, handler in sim.handlers.items():
+        if hasattr(handler, "clocksync"):
+            handler.clocksync.boot_clean(claims, p.grid.to_units(offsets[v]))
+
+
+def corrupted_boot(sim, p: Params, rng, offsets, runtimes) -> None:
+    """Arbitrary correct-node registers and channel contents."""
+    horizon = 4 * p.stall_after
+    for rt in runtimes.values():
+        corrupt_runtime(rt, rng, horizon)
+    random_garbage(sim, p, rng)
+
+
+BOOTS = {"none": clean_boot, "random": corrupted_boot}
 
 
 def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
@@ -279,7 +329,7 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
     """
     p = rt.p
     n = p.n
-    now = p.grid.floor_units(rt.sim.clocks[rt.node].value(rt.sim.now))
+    now = rt.sim.local_units(rt.node)
     span = 2 * p.trust_regain
 
     cs = rt.clocksync
@@ -297,14 +347,14 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
     for _ in range(rng.randint(0, 3 * n)):
         label = (rng.randrange(n), rng.randrange(p.clock_modulus))
         senders = set(rng.sample(range(n), rng.randint(1, n)))
-        ini.stored[label] = senders
-        ini.stored_at[label] = {u: now + rng.randint(-2 * p.echo_ttl, 2 * p.echo_ttl)
-                                for u in senders}
+        ini.stored[label] = {u: now + rng.randint(-2 * p.echo_ttl,
+                                                  2 * p.echo_ttl)
+                             for u in senders}
         if rng.random() < 0.5:
             deadline = now + rng.randint(-p.gate_hold, 4 * p.gate_hold)
             ini.gate_deadline[label] = deadline
             if now < deadline <= now + horizon_units:
-                rt._alarm(deadline, ("gate", label))
+                rt.alarm(deadline, ("gate", label))
     for w in range(n):
         ini.last_init_rx[w] = (None if rng.random() < 0.5
                                else now + rng.randint(-span, span))
@@ -323,16 +373,20 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
         label = (initiator, rng.randrange(p.clock_modulus))
         if label in rounds.instances:
             continue
-        inst = Instance(label, rng.randrange(2), rng.choice((1, 2)),
-                        rng.randrange(2), now + rng.randint(-p.instance_ttl,
-                                                            p.instance_ttl),
+        input_bit = rng.randrange(2)
+        # A corrupted confidence and oracle value: nothing stores them, but
+        # their draws are part of the seeded stream the trace digests fix.
+        rng.choice((1, 2))
+        rng.randrange(2)
+        inst = Instance(label, input_bit,
+                        now + rng.randint(-p.instance_ttl, p.instance_ttl),
                         rounds.proto, rt.node)
         for i in range(1, rounds.proto.rounds + 2):
             if rng.random() < 0.3:
                 t = now + rng.randint(-p.stall_after, 2 * p.stall_after)
                 inst.thresholds[i] = t
                 if now < t <= now + horizon_units:
-                    rt._alarm(t, ("round", label, i))
+                    rt.alarm(t, ("round", label, i))
         for u in range(n):
             for i in range(1, rounds.proto.rounds + 1):
                 if rng.random() < 0.1:

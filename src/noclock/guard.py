@@ -2,7 +2,7 @@
 
 Stored-tuple garbage collection lives with the tables it guards (initiation
 and rounds expose `sweep`); this module owns the per-initiator instance
-counters, the inconsistency verdicts and the quarantine-and-wipe sequence.
+counters, the overload check and the quarantine-and-wipe sequence.
 Bits sent are counted from the trace's `send` records, not here.
 """
 
@@ -11,22 +11,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional
 
-from .params import Params
-
-OK, INCONSISTENT = "OK", "INCONSISTENT"
-
 
 class Guard:
-    def __init__(self, p: Params, node: int, trace: list, set_alarm, clock):
-        self.p = p
-        self.node = node
-        self.trace = trace
-        self.set_alarm = set_alarm
-        self.clock = clock
-        self.joins: Dict[int, deque] = {v: deque() for v in range(p.n)}
-        self.busy: Dict[int, set] = {v: set() for v in range(p.n)}
+    def __init__(self, rt):
+        self.rt = rt                      # the node's port to the kernel
+        self.p = rt.p
+        self.node = rt.node
+        self.joins: Dict[int, deque] = {v: deque() for v in range(self.p.n)}
+        self.busy: Dict[int, set] = {v: set() for v in range(self.p.n)}
         self.suppress_until: Optional[int] = None
-        self.wipe_cb = None               # set by the runtime
         self.quarantines = 0
         self.instances_joined = 0
 
@@ -42,10 +35,8 @@ class Guard:
     def note_busy(self, label) -> None:
         self.busy[label[0]].add(label)
 
-    def note_terminate(self, label) -> None:
-        self.busy[label[0]].discard(label)
-
-    def note_forget(self, label) -> None:
+    def note_done(self, label) -> None:
+        """The instance terminated or was forgotten: it is busy no more."""
         self.busy[label[0]].discard(label)
 
     def _prune(self, q: deque, now: int) -> None:
@@ -55,25 +46,23 @@ class Guard:
 
     # -- overload detection -----------------------------------------------------
 
-    def detect_overload(self, initiator: int, now: int) -> str:
+    def overloaded(self, initiator: int, now: int) -> bool:
+        """Too many busy instances, or too many joins in the window."""
         self._prune(self.joins[initiator], now)
-        if len(self.busy[initiator]) > self.p.max_busy_instances:
-            return INCONSISTENT
-        if len(self.joins[initiator]) > self.p.max_total_instances:
-            return INCONSISTENT
-        return OK
+        return (len(self.busy[initiator]) > self.p.max_busy_instances
+                or len(self.joins[initiator]) > self.p.max_total_instances)
 
     def _check(self, initiator: int, now: int) -> None:
         if self.suppress_until is not None and now < self.suppress_until:
             return   # already in quarantine
-        if self.detect_overload(initiator, now) == INCONSISTENT:
+        if self.overloaded(initiator, now):
             self.quarantine(now)
 
     def sweep(self, now: int) -> None:
         if (self.suppress_until is not None
                 and self.suppress_until > now + self.p.quarantine_hold):
             self.suppress_until = now + self.p.quarantine_hold   # corrupted register
-            self.set_alarm(self.suppress_until, ("wipe",))
+            self.rt.alarm(self.suppress_until, ("wipe",))
         for v in range(self.p.n):
             self._check(v, now)
 
@@ -82,22 +71,21 @@ class Guard:
     def quarantine(self, now: int) -> None:
         self.suppress_until = now + self.p.quarantine_hold
         self.quarantines += 1
-        self.trace.append(("quarantine", self.clock(), self.node))
-        self.set_alarm(self.suppress_until, ("wipe",))
+        self.rt.log("quarantine")
+        self.rt.alarm(self.suppress_until, ("wipe",))
 
     def suppressed(self, now: int) -> bool:
         return self.suppress_until is not None and now < self.suppress_until
 
-    def on_wipe(self, units: int, now: int) -> None:
-        if self.suppress_until != units:
+    def on_wipe(self, now: int) -> None:
+        if self.suppress_until != now:
             return
         self.suppress_until = None
         for v in range(self.p.n):
             self.joins[v].clear()
             self.busy[v].clear()
-        self.trace.append(("wipe", self.clock(), self.node))
-        if self.wipe_cb is not None:
-            self.wipe_cb()
+        self.rt.log("wipe")
+        self.rt.wipe()
 
     def metrics(self) -> dict:
         return {"node": self.node,

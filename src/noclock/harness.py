@@ -41,22 +41,6 @@ class RunResult:
         raise KeyError(name)
 
 
-def make_oracle(config: dict, seed: int):
-    kind = config.get("kind", "const")
-    if kind == "const":
-        value = int(config.get("value", 1))
-
-        def oracle(label, node, now):
-            return value
-    elif kind == "mixed":
-        def oracle(label, node, now):
-            x = (label[0] * 1000003 + label[1] * 7919 + node * 104729 + seed)
-            return (x * 2654435761 >> 7) & 1
-    else:
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    return oracle
-
-
 def build_params(sc: Scenario) -> Params:
     proto = protocols.make_protocol(sc.protocol["name"], sc.n, sc.f)
     return derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds, proto.bit_bound,
@@ -97,10 +81,10 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     delay_policy = adversary.make_delay_policy(
         sc.adversary.get("delays", "uniform"), p.d)
     handlers: Dict[int, object] = {}
-    sim = Simulator(sc.n, clocks, handlers, delay_policy, p.grid, rng, p.d)
+    sim = Simulator(p, clocks, handlers, delay_policy, rng)
 
     proto = protocols.make_protocol(sc.protocol["name"], sc.n, sc.f)
-    oracle = make_oracle(sc.oracle, sc.seed)
+    oracle = adversary.make_oracle(sc.oracle, sc.seed)
     runtimes = {}
     for v in range(sc.n):
         if v in byz:
@@ -110,23 +94,9 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
         else:
             handlers[v] = runtimes[v] = NodeRuntime(sim, v, p, proto, oracle)
 
-    corruption = sc.corruption.get("kind", "none")
-    if corruption == "none":
-        # Every handler that keeps clock estimates, byzantine ones included,
-        # boots knowing everyone's claim.
-        claims = [(p.grid.to_units(offsets[w]) // p.update_period)
-                  * p.update_period % p.clock_modulus for w in range(sc.n)]
-        for v, handler in handlers.items():
-            if hasattr(handler, "clocksync"):
-                handler.clocksync.boot_clean(claims,
-                                             p.grid.to_units(offsets[v]))
-    elif corruption == "random":
-        horizon = 4 * p.stall_after
-        for v, rt in runtimes.items():
-            adversary.corrupt_runtime(rt, rng, horizon)
-        adversary.random_garbage(sim, p, rng)
-    else:
-        raise ValueError(f"unknown corruption kind {corruption!r}")
+    boot = adversary.pick(adversary.BOOTS, "corruption kind",
+                          sc.corruption.get("kind", "none"))
+    boot(sim, p, rng, offsets, runtimes)
 
     for handler in handlers.values():
         handler.start()

@@ -10,29 +10,24 @@ will also participate), and with input 0 otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from .messages import Echo, Init, Label
-from .params import Params
 from .timebase import mod_near
 
 
 class Initiation:
-    def __init__(self, p: Params, node: int, clocksync, rounds, oracle,
-                 trace: list, broadcast, set_alarm, clock):
-        self.p = p
-        self.node = node
+    def __init__(self, rt, clocksync, rounds, oracle):
+        self.rt = rt                      # the node's port to the kernel
+        self.p = rt.p
+        self.node = rt.node
         self.clocksync = clocksync
         self.rounds = rounds
         self.oracle = oracle              # (label, node, now) -> bit
-        self.trace = trace
-        self.broadcast = broadcast        # (msg) -> None, infra accounting
-        self.set_alarm = set_alarm
-        self.clock = clock
-        self.stored: Dict[Label, Set[int]] = {}
-        self.stored_at: Dict[Label, Dict[int, int]] = {}
+        # label -> {sender: local reading when its echo was stored}
+        self.stored: Dict[Label, Dict[int, int]] = {}
         self.gate_deadline: Dict[Label, int] = {}
-        self.last_init_rx: list = [None] * p.n
+        self.last_init_rx: list = [None] * self.p.n
         self.last_own_init: Optional[int] = None
 
     # -- own initiations ------------------------------------------------------
@@ -41,13 +36,13 @@ class Initiation:
         """Start an instance, unless rate-limited; returns its label."""
         if (self.last_own_init is not None
                 and now - self.last_own_init <= self.p.rate_limit):
-            self.trace.append(("refuse_init", self.clock(), self.node))
+            self.rt.log("refuse_init")
             return None
         self.last_own_init = now
         stamp = now % self.p.clock_modulus
         label = (self.node, stamp)
-        self.trace.append(("init", self.clock(), self.node, label))
-        self.broadcast(Init(stamp))
+        self.rt.log("init", label)
+        self.rt.broadcast(Init(stamp))
         self.on_init(self.node, stamp, now)   # own init echoes like any other
         return label
 
@@ -58,16 +53,14 @@ class Initiation:
         prev_rx = self.last_init_rx[sender]
         self.last_init_rx[sender] = now
         if prev_rx is not None and now - prev_rx < p.init_accept_gap:
-            self.trace.append(("drop", self.clock(), self.node, "init_rate",
-                               sender, stamp))
+            self.rt.log("drop", "init_rate", sender, stamp)
             return
         est = self.clocksync.estimate(sender, now)
         if est is None or not mod_near(stamp, est, p.init_band, p.clock_modulus):
-            self.trace.append(("drop", self.clock(), self.node, "init_stamp",
-                               sender, stamp))
+            self.rt.log("drop", "init_stamp", sender, stamp)
             return
         label = (sender, stamp)
-        self.broadcast(Echo(label))
+        self.rt.broadcast(Echo(label))
         self.on_echo(self.node, label, now)   # the broadcast includes ourselves
 
     def on_echo(self, sender: int, label: Label, now: int) -> None:
@@ -75,18 +68,16 @@ class Initiation:
         initiator, stamp = label
         est = self.clocksync.estimate(initiator, now)
         if est is None or not mod_near(stamp, est, p.echo_band, p.clock_modulus):
-            self.trace.append(("drop", self.clock(), self.node, "echo_stamp",
-                               sender, label))
+            self.rt.log("drop", "echo_stamp", sender, label)
             return
-        seen = self.stored.setdefault(label, set())
+        seen = self.stored.setdefault(label, {})
         if sender in seen:
             return
-        seen.add(sender)
-        self.stored_at.setdefault(label, {})[sender] = now
+        seen[sender] = now
         if len(seen) >= p.f + 1 and self._gate_expired(label, now):
             deadline = now + p.gate_hold
             self.gate_deadline[label] = deadline
-            self.set_alarm(deadline, ("gate", label))
+            self.rt.alarm(deadline, ("gate", label))
 
     def _gate_expired(self, label: Label, now: int) -> bool:
         deadline = self.gate_deadline.get(label)
@@ -94,14 +85,14 @@ class Initiation:
 
     # -- participation gate -------------------------------------------------------
 
-    def on_gate(self, label: Label, units: int, now: int) -> None:
-        if self.gate_deadline.get(label) != units:
+    def on_gate(self, label: Label, now: int) -> None:
+        if self.gate_deadline.get(label) != now:
             return
         count = len(self.stored.get(label, ()))
         if count <= self.p.f:
             # Unreachable from a clean boot (the gate is only armed at f+1);
             # a corrupted gate register can get here, and joining would be unsafe.
-            self.trace.append(("gate_underflow", self.clock(), self.node, label))
+            self.rt.log("gate_underflow", label)
             return
         oracle_val = self.oracle(label, self.node, now)
         if count >= self.p.n - self.p.f:
@@ -115,16 +106,14 @@ class Initiation:
     def sweep(self, now: int) -> None:
         p = self.p
         dead = []
-        for label, ats in self.stored_at.items():
+        for label, ats in self.stored.items():
             stale = [u for u, at in ats.items()
                      if at > now or now - at > p.echo_ttl]
             for u in stale:
                 del ats[u]
-                self.stored[label].discard(u)
             if not ats:
                 dead.append(label)
         for label in dead:
-            del self.stored_at[label]
             del self.stored[label]
             self.gate_deadline.pop(label, None)
         for w in range(p.n):
@@ -137,5 +126,4 @@ class Initiation:
     def clear_all(self) -> None:
         """Quarantine wipe: drop echo memory and force all gates expired."""
         self.stored.clear()
-        self.stored_at.clear()
         self.gate_deadline.clear()

@@ -58,15 +58,14 @@ class HardwareClock:
 
 
 class Simulator:
-    def __init__(self, n: int, clocks, handlers, delay_policy, grid, rng,
-                 d: Fraction, trace: Optional[list] = None):
-        self.n = n
+    def __init__(self, p, clocks, handlers, delay_policy, rng,
+                 trace: Optional[list] = None):
         self.clocks = clocks            # node -> HardwareClock
         self.handlers = handlers        # node -> handler object
         self.delay_policy = delay_policy
-        self.grid = grid
+        self.grid = p.grid
         self.rng = rng
-        self.d = frac(d)
+        self.d = p.d
         self.now: Fraction = Fraction(0)
         self.trace = trace if trace is not None else []
         self._queue: list = []
@@ -119,8 +118,9 @@ class Simulator:
 
     # -- clock access -------------------------------------------------------
 
-    def local_clock(self, node: int, t: Optional[Fraction] = None) -> Fraction:
-        return self.clocks[node].value(self.now if t is None else frac(t))
+    def local_units(self, node: int) -> int:
+        """Current local clock, floored to grid units."""
+        return self.grid.floor_units(self.clocks[node].value(self.now))
 
     def reading(self, node: int) -> int:
         """Current quantized local clock, in grid units."""

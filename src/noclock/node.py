@@ -1,10 +1,21 @@
-"""Correct-node runtime: event dispatch and wiring between the state machines.
+"""Correct-node runtime: event dispatch, and the one port to the kernel.
 
 All protocol state transitions happen inside kernel event handlers; local
 computation takes zero simulated time.  The runtime converts the kernel's
 exact clock to the integer readings the protocol layer works with, routes
 envelopes, and drives the periodic tick (clock-update broadcast plus all
 garbage-collection sweeps).
+
+The layers above the clock estimates (`Initiation`, `Rounds`, `Guard`) reach
+the kernel only through the runtime they are built with, which is their port:
+
+- `log(kind, *fields)` appends the trace record `(kind, now, node, *fields)`;
+- `alarm(units, tag)` sets a local-clock timer, once per `(units, tag)`;
+- `broadcast(envelope)` sends to every other node;
+- `send_round(receiver, envelope)` sends one round message;
+- `wipe()` drops all instance memory after a quarantine.
+
+Timer handlers receive the local time the timer was set for.
 """
 
 from __future__ import annotations
@@ -22,52 +33,42 @@ class NodeRuntime:
         self.sim = sim
         self.node = node
         self.p = p
-        trace = sim.trace
-        self.clocksync = ClockSync(p, node)
-        self.guard = Guard(p, node, trace, self._alarm, self._now)
-        self.rounds = Rounds(p, node, proto, self.guard, trace,
-                             self._send_round, self._alarm, self._now)
-        self.initiation = Initiation(p, node, self.clocksync, self.rounds,
-                                     oracle, trace, self._broadcast_infra,
-                                     self._alarm, self._now)
-        self.guard.wipe_cb = self._wipe_instance_memory
         self._pending_alarms = set()
+        self.clocksync = ClockSync(p, node)
+        self.guard = Guard(self)
+        self.rounds = Rounds(self, proto, self.guard)
+        self.initiation = Initiation(self, self.clocksync, self.rounds, oracle)
 
     def start(self) -> None:
         """Schedule the first clock-update tick (strictly after boot)."""
-        h0 = self.sim.clocks[self.node].value(self.sim.now)
-        units0 = self.p.grid.floor_units(h0)
         period = self.p.update_period
-        first = (units0 // period + 1) * period
+        first = (self.sim.local_units(self.node) // period + 1) * period
         self.sim.alarm(self.node, first, ("tick",))
 
-    # -- helpers the state machines use ----------------------------------------
+    # -- the port the layers use ------------------------------------------------
 
-    def _now(self):
-        return self.sim.now
+    def log(self, kind: str, *fields) -> None:
+        self.sim.trace.append((kind, self.sim.now, self.node) + fields)
 
-    def _alarm(self, local_units: int, tag) -> None:
+    def alarm(self, local_units: int, tag) -> None:
         key = (local_units, tag)
         if key in self._pending_alarms:
             return
         self._pending_alarms.add(key)
         self.sim.alarm(self.node, local_units, tag)
 
-    def _reading(self) -> int:
-        return self.sim.reading(self.node)
-
-    def _broadcast_infra(self, envelope) -> None:
+    def broadcast(self, envelope) -> None:
         frame = envelope.frame_bits(self.p)
         for w in range(self.p.n):
             if w != self.node:
                 self.sim.send(self.node, w, envelope, frame, 0)
 
-    def _send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:
+    def send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:
         frame = envelope.frame_bits(self.p)
         self.sim.send(self.node, receiver, envelope, frame,
                       envelope.payload_bits())
 
-    def _wipe_instance_memory(self) -> None:
+    def wipe(self) -> None:
         self.rounds.clear_all()
         self.initiation.clear_all()
 
@@ -79,18 +80,16 @@ class NodeRuntime:
         if kind == "tick":
             self._tick(units)
         elif kind == "gate":
-            self.initiation.on_gate(tag[1], units, units)
+            self.initiation.on_gate(tag[1], units)
         elif kind == "round":
-            self.rounds.on_alarm(tag[1], tag[2], units, units)
+            self.rounds.on_alarm(tag[1], tag[2], units)
         elif kind == "wipe":
-            self.guard.on_wipe(units, units)
+            self.guard.on_wipe(units)
 
     def on_deliver(self, node: int, sender: int, envelope) -> None:
-        now = self._reading()
-        p = self.p
-        if not msg.well_formed(envelope, p):
-            self.sim.trace.append(("drop", self.sim.now, self.node,
-                                   "malformed", sender))
+        now = self.sim.reading(self.node)
+        if not msg.well_formed(envelope, self.p):
+            self.log("drop", "malformed", sender)
             return
         if isinstance(envelope, msg.Update):
             self.clocksync.on_update(sender, list(envelope.values), now)
@@ -102,22 +101,21 @@ class NodeRuntime:
             self.rounds.on_round_msg(sender, envelope.label, envelope.round,
                                      envelope.payload, now)
         else:
-            self.sim.trace.append(("drop", self.sim.now, self.node,
-                                   "unknown_kind", sender))
+            self.log("drop", "unknown_kind", sender)
 
     def on_action(self, node: int, payload) -> None:
         if payload[0] == "initiate":
-            self.initiation.initiate(self._reading())
+            self.initiation.initiate(self.sim.reading(self.node))
 
     # -- the periodic tick --------------------------------------------------------
 
     def _tick(self, units: int) -> None:
         vec = self.clocksync.on_tick(units)
-        self._broadcast_infra(msg.Update(tuple(vec)))
+        self.broadcast(msg.Update(tuple(vec)))
         ests = tuple(self.clocksync.estimate(w, units) for w in range(self.p.n))
-        self.sim.trace.append(("est", self.sim.now, self.node, ests))
+        self.log("est", ests)
         self.clocksync.sanitize(units)
         self.initiation.sweep(units)
         self.rounds.sweep(units)
         self.guard.sweep(units)
-        self._alarm(units + self.p.update_period, ("tick",))
+        self.alarm(units + self.p.update_period, ("tick",))

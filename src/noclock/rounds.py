@@ -16,29 +16,22 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .messages import Label, Payload, RoundMsg
-from .params import Params
 
 
 class Instance:
-    __slots__ = ("label", "input", "confidence", "oracle_val", "joined_at",
-                 "state", "thresholds", "inbox", "counts", "fired",
-                 "output", "out_reason", "last_progress", "bits", "nontrivial",
+    __slots__ = ("label", "joined_at", "state", "thresholds", "inbox",
+                 "counts", "fired", "last_progress", "bits", "nontrivial",
                  "done")
 
-    def __init__(self, label: Label, input_bit: int, confidence: int,
-                 oracle_val: int, joined_at: int, proto, node: int):
+    def __init__(self, label: Label, input_bit: int, joined_at: int, proto,
+                 node: int):
         self.label = label
-        self.input = input_bit
-        self.confidence = confidence
-        self.oracle_val = oracle_val
         self.joined_at = joined_at
         self.state = proto.fresh(input_bit, node)
         self.thresholds: List[Optional[int]] = [None] * (proto.rounds + 2)
         self.inbox: Dict[Tuple[int, int], Optional[Payload]] = {}
         self.counts: List[int] = [0] * (proto.rounds + 2)
         self.fired: Set[int] = set()
-        self.output: Optional[int] = None
-        self.out_reason = ""
         self.last_progress = joined_at
         self.bits = 0
         self.nontrivial = False
@@ -46,16 +39,12 @@ class Instance:
 
 
 class Rounds:
-    def __init__(self, p: Params, node: int, proto, guard, trace: list,
-                 send_round, set_alarm, clock):
-        self.p = p
-        self.node = node
+    def __init__(self, rt, proto, guard):
+        self.rt = rt                      # the node's port to the kernel
+        self.p = rt.p
+        self.node = rt.node
         self.proto = proto
         self.guard = guard
-        self.trace = trace
-        self.send_round = send_round      # (receiver, RoundMsg) -> None
-        self.set_alarm = set_alarm        # (local_units, tag) -> None
-        self.clock = clock                # () -> real now, for trace records
         self.instances: Dict[Label, Instance] = {}
 
     # -- joining ------------------------------------------------------------
@@ -64,14 +53,12 @@ class Rounds:
              oracle_val: int, now: int) -> None:
         if label in self.instances:
             return
-        inst = Instance(label, input_bit, confidence, oracle_val, now,
-                        self.proto, self.node)
+        inst = Instance(label, input_bit, now, self.proto, self.node)
         self.instances[label] = inst
         inst.thresholds[1] = now + self.p.first_round_lead
-        self.set_alarm(inst.thresholds[1], ("round", label, 1))
+        self.rt.alarm(inst.thresholds[1], ("round", label, 1))
         self.guard.note_join(label[0], now)
-        self.trace.append(("participate", self.clock(), self.node, label,
-                           confidence, input_bit, oracle_val))
+        self.rt.log("participate", label, confidence, input_bit, oracle_val)
 
     # -- message path ---------------------------------------------------------
 
@@ -79,14 +66,12 @@ class Rounds:
                      payload: Optional[Payload], now: int) -> None:
         inst = self.instances.get(label)
         if inst is None:
-            self.trace.append(("drop", self.clock(), self.node, "round_unjoined",
-                               sender, label, i))
+            self.rt.log("drop", "round_unjoined", sender, label, i)
             return
         if inst.done:
             return
         if not (1 <= i <= self.proto.rounds):
-            self.trace.append(("drop", self.clock(), self.node, "round_range",
-                               sender, label, i))
+            self.rt.log("drop", "round_range", sender, label, i)
             return
         key = (sender, i)
         if key in inst.inbox:
@@ -97,17 +82,17 @@ class Rounds:
         p = self.p
         if cnt >= p.n - p.f and inst.thresholds[i + 1] is None:
             inst.thresholds[i + 1] = now + p.round_gap
-            self.set_alarm(inst.thresholds[i + 1], ("round", label, i + 1))
+            self.rt.alarm(inst.thresholds[i + 1], ("round", label, i + 1))
         if cnt >= p.f + 1 and (inst.thresholds[i] is None
                                or inst.thresholds[i] > now):
             inst.thresholds[i] = now
             self._fire(inst, i, now)
 
-    def on_alarm(self, label: Label, i: int, units: int, now: int) -> None:
+    def on_alarm(self, label: Label, i: int, now: int) -> None:
         inst = self.instances.get(label)
         if inst is None or inst.done or i in inst.fired:
             return
-        if not 1 <= i < len(inst.thresholds) or inst.thresholds[i] != units:
+        if not 1 <= i < len(inst.thresholds) or inst.thresholds[i] != now:
             return   # catch-up moved this threshold, or the alarm is stale
         self._fire(inst, i, now)
 
@@ -120,27 +105,22 @@ class Rounds:
         inst.last_progress = now
         p = self.p
         if self.guard.suppressed(now):
-            self.trace.append(("suppressed", self.clock(), self.node,
-                               inst.label, i))
+            self.rt.log("suppressed", inst.label, i)
             return
         rounds = self.proto.rounds
         received = None
         if i > 1:
             prev = inst.inbox
             received = [prev.get((u, i - 1)) for u in range(p.n)]
-            self.trace.append(("rrcv", self.clock(), self.node, inst.label,
-                               i - 1, tuple(received)))
+            self.rt.log("rrcv", inst.label, i - 1, tuple(received))
         if i == rounds + 1:
-            inst.output = self.proto.finish(inst.state, received)
-            inst.out_reason = "ok"
+            output = self.proto.finish(inst.state, received)
             inst.done = True
-            self.trace.append(("output", self.clock(), self.node, inst.label,
-                               inst.output, "ok"))
-            self.guard.note_terminate(inst.label)
+            self.rt.log("output", inst.label, output, "ok")
+            self.guard.note_done(inst.label)
             return
         inst.state, sends = self.proto.step(inst.state, i, received)
-        self.trace.append(("remit", self.clock(), self.node, inst.label, i,
-                           tuple(sends)))
+        self.rt.log("remit", inst.label, i, tuple(sends))
         if i >= 3 or any(m is not None for m in sends):
             if not inst.nontrivial:
                 inst.nontrivial = True
@@ -155,7 +135,7 @@ class Rounds:
                 self.abort(inst.label, now, "bit_budget")
                 return
             inst.bits += cost
-            self.send_round(w, RoundMsg(inst.label, i, payload))
+            self.rt.send_round(w, RoundMsg(inst.label, i, payload))
         # Own message is local state, stored through the same quorum path.
         self.on_round_msg(self.node, inst.label, i, sends[self.node], now)
 
@@ -163,11 +143,9 @@ class Rounds:
         inst = self.instances.get(label)
         if inst is None or inst.done:
             return
-        inst.output = 0
-        inst.out_reason = reason
         inst.done = True
-        self.trace.append(("output", self.clock(), self.node, label, 0, reason))
-        self.guard.note_terminate(label)
+        self.rt.log("output", label, 0, reason)
+        self.guard.note_done(label)
 
     # -- housekeeping ---------------------------------------------------------
 
@@ -183,11 +161,11 @@ class Rounds:
             if not inst.done and now - inst.last_progress > p.stall_after:
                 self.abort(label, now, "stall")
         for label in dead:
-            self.guard.note_forget(label)
-            self.trace.append(("gc_instance", self.clock(), self.node, label))
+            self.guard.note_done(label)
+            self.rt.log("gc_instance", label)
             del self.instances[label]
 
     def clear_all(self) -> None:
         for label in self.instances:
-            self.guard.note_forget(label)
+            self.guard.note_done(label)
         self.instances.clear()

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import List, Optional
 
+from . import adversary
 from .protocols import PROTOCOLS
 from .timebase import frac
 
@@ -77,8 +78,25 @@ class Scenario:
                 problems.append(f"malformed script entry {entry!r}")
             if not (0 <= entry.get("node", -1) < self.n):
                 problems.append(f"script node {entry.get('node')} invalid")
-        if self.protocol.get("name") not in PROTOCOLS:
-            problems.append(f"unknown protocol {self.protocol.get('name')!r}")
+        # Each name the run looks up, checked against the table it reads.
+        # Only the protocol's name has no default.
+        name = self.protocol.get("name")
+        if not (isinstance(name, str) and name in PROTOCOLS):
+            problems.append(f"unknown protocol {name!r}")
+        for config, key, table, what in (
+                (self.adversary, "byzantine", adversary.STRATEGIES,
+                 "byzantine strategy"),
+                (self.adversary, "mode", adversary.ClockSkewNode.PACES,
+                 "clock_skew mode"),
+                (self.adversary, "delays", adversary.DELAYS, "delay policy"),
+                (self.clocks, "rates", adversary.RATE_SCHEDULES,
+                 "rate schedule"),
+                (self.oracle, "kind", adversary.ORACLES, "oracle kind"),
+                (self.corruption, "kind", adversary.BOOTS, "corruption kind")):
+            name = config.get(key)
+            if name is not None and not (isinstance(name, str)
+                                         and name in table):
+                problems.append(f"unknown {what} {name!r}")
         if problems:
             raise ScenarioError(problems)
 

@@ -59,6 +59,14 @@ def test_invalid_scenario_exits_two(tmp_path, capsys):
     assert "f < n/3" in capsys.readouterr().err
 
 
+def test_unknown_strategy_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"adversary": {"byzantine": "silnt"}}))
+    rc = cli.main(["run", "--scenario", str(bad)])
+    assert rc == 2
+    assert "unknown byzantine strategy 'silnt'" in capsys.readouterr().err
+
+
 def test_sweep_axes(scenario_file, capsys):
     rc = cli.main(["sweep", "--scenario", str(scenario_file),
                    "--axis", "seed=3,4"])

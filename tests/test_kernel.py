@@ -31,8 +31,8 @@ def make_sim(rates=None, n=2):
     clocks = {v: HardwareClock(0, rates) for v in range(n)}
     rec = Recorder()
     handlers = {v: rec for v in range(n)}
-    sim = Simulator(n, clocks, handlers, lambda *a: Fraction(1, 2), p.grid,
-                    random.Random(0), Fraction(1))
+    sim = Simulator(p, clocks, handlers, lambda *a: Fraction(1, 2),
+                    random.Random(0))
     return sim, rec
 
 
@@ -114,6 +114,12 @@ def test_threshold_inversion_at_max_rate():
     # threshold 2.2*theta*d with theta=1.1, d=1 is local 2.42, real 2.2
     clock = HardwareClock(0, [(0, frac("1.1"))])
     assert clock.invert(frac("2.42")) == frac("2.2")
+
+
+def test_local_units_floor_the_clock_to_the_grid():
+    sim, _ = make_sim(rates=[(0, frac("1.1"))])
+    sim.run_until(frac("2.75"))         # clock 3.025, grid unit 1/20
+    assert sim.local_units(0) == 60
 
 
 def test_threshold_already_passed_is_a_bug():

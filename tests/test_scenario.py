@@ -1,5 +1,7 @@
 import pytest
 
+from noclock.adversary import ClockSkewNode
+from noclock.params import derive
 from noclock.scenario import Scenario, ScenarioError
 
 
@@ -45,6 +47,32 @@ def test_byzantine_set_validation():
 def test_unknown_protocol_rejected():
     with pytest.raises(ScenarioError):
         Scenario(protocol={"name": "raft"}).validate()
+    with pytest.raises(ScenarioError):       # a JSON list is no name
+        Scenario(protocol={"name": ["phase-king-silent"]}).validate()
+
+
+def test_clock_skew_mode_typo_rejected():
+    with pytest.raises(ScenarioError) as err:
+        Scenario(adversary={"byzantine": "clock_skew",
+                            "mode": "fastets"}).validate()
+    assert err.value.problems == ["unknown clock_skew mode 'fastets'"]
+
+
+@pytest.mark.parametrize("name", ["typo", ["silent"]])
+@pytest.mark.parametrize("field,key", [
+    ("adversary", "byzantine"), ("adversary", "delays"), ("clocks", "rates"),
+    ("oracle", "kind"), ("corruption", "kind")])
+def test_unknown_names_rejected(field, key, name):
+    sc = Scenario()
+    getattr(sc, field)[key] = name
+    with pytest.raises(ScenarioError):
+        sc.validate()
+
+
+def test_clock_skew_node_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        ClockSkewNode(None, 0, derive(4, 1, "1.1", "1", 8, 38),
+                      mode="fastets")
 
 
 def test_error_lists_every_problem():
