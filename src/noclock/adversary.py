@@ -58,11 +58,9 @@ DELAYS = {
 
 
 def make_delay_policy(name: str, d: Fraction):
+    """The kernel's `delay_policy(receiver, rng)` for a named draw."""
     draw = pick(DELAYS, "delay policy", name)
-
-    def policy(sender, receiver, envelope, t, rng):
-        return Fraction(draw(receiver, rng), 1024) * d
-    return policy
+    return lambda receiver, rng: Fraction(draw(receiver, rng), 1024) * d
 
 
 # -- clock-rate schedules -------------------------------------------------------
@@ -108,13 +106,13 @@ class SilentNode:
     def start(self):
         pass
 
-    def on_threshold(self, node, units, tag):
+    def on_threshold(self, units, tag):
         pass
 
-    def on_deliver(self, node, sender, envelope):
+    def on_deliver(self, sender, envelope):
         pass
 
-    def on_action(self, node, payload):
+    def on_action(self, payload):
         pass
 
 
@@ -148,13 +146,11 @@ class NoiseNode(SilentNode):
         units = self.sim.local_units(self.node)
         self.sim.alarm(self.node, units + self.p.update_period, ("wake",))
 
-    def on_threshold(self, node, units, tag):
+    def on_threshold(self, units, tag):
         rng = self.sim.rng
         for w in range(self.p.n):
             if w != self.node and rng.random() < 0.7:
-                env = random_envelope(self.p, rng)
-                self.sim.send(self.node, w, env, env.frame_bits(self.p),
-                              env.payload_bits())
+                self.sim.send(self.node, w, random_envelope(self.p, rng))
         self._next_wake()
 
 
@@ -165,13 +161,9 @@ class SplitEchoNode(NodeRuntime):
     correct nodes' trust while it tries to split instance initiation.
     """
 
-    def on_action(self, node, payload):
-        if payload[0] != "initiate":
-            return
+    def initiate(self):
         p = self.p
-        now = self.sim.reading(self.node)
-        base = now % p.clock_modulus
-        frame = msg.Init(base).frame_bits(p)
+        base = self.sim.reading(self.node) % p.clock_modulus
         for w in range(p.n):
             if w == self.node:
                 continue
@@ -179,14 +171,13 @@ class SplitEchoNode(NodeRuntime):
             # clean; some instances will assemble only partial echo support.
             skew = (p.init_band - p.quantum) if w % 2 else 0
             stamp = (base + skew) % p.clock_modulus
-            self.sim.send(self.node, w, msg.Init(stamp), frame, 0)
+            self.sim.send(self.node, w, msg.Init(stamp))
         # Echo a pair of conflicting labels ourselves.
         for w in range(p.n):
             if w == self.node:
                 continue
             stamp = (base + (p.quantum if w % 2 else 0)) % p.clock_modulus
-            env = msg.Echo((self.node, stamp))
-            self.sim.send(self.node, w, env, env.frame_bits(p), 0)
+            self.sim.send(self.node, w, msg.Echo((self.node, stamp)))
 
 
 class EquivocatingRoundsNode(NodeRuntime):
@@ -228,29 +219,22 @@ class ClockSkewNode(SilentNode):
         self.claim_units = (h0 // period) * period
         self.sim.alarm(self.node, (h0 // period + 1) * period, ("tick",))
 
-    def _spacing(self) -> Fraction:
-        p = self.p
-        if next(self.pace):
-            return p.d + 2 * p.grid.quantum
-        return 3 * p.d_clk
-
-    def on_threshold(self, node, units, tag):
+    def on_threshold(self, units, tag):
         p = self.p
         self.claim_units += p.update_period
         vec = list(self.clocksync.on_tick(units))
         vec[self.node] = self.claim_units % p.clock_modulus
         env = msg.Update(tuple(vec))
-        frame = env.frame_bits(p)
         for w in range(p.n):
             if w != self.node:
-                self.sim.send(self.node, w, env, frame, 0, delay=p.d / 2)
+                self.sim.send(self.node, w, env, delay=p.d / 2)
         # Next broadcast at an adversarial real-time spacing, expressed as a
         # local alarm through this node's own clock.
-        clock = self.sim.clocks[self.node]
-        target = clock.value(self.sim.now + self._spacing())
+        spacing = p.d + 2 * p.grid.quantum if next(self.pace) else 3 * p.d_clk
+        target = self.sim.clocks[self.node].value(self.sim.now + spacing)
         self.sim.alarm(self.node, p.grid.ceil_units(target), ("tick",))
 
-    def on_deliver(self, node, sender, envelope):
+    def on_deliver(self, sender, envelope):
         if isinstance(envelope, msg.Update) and msg.well_formed(envelope, self.p):
             now = self.sim.local_units(self.node)
             self.clocksync.on_update(sender, list(envelope.values), now)

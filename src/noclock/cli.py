@@ -90,7 +90,11 @@ def _cmd_check_trace(args) -> int:
     from . import protocols
     sc = Scenario.load(os.path.join(args.dir, "scenario.json"))
     with open(os.path.join(args.dir, "trace.jsonl")) as fh:
-        trace = verdicts.trace_from_jsonl(fh.read())
+        try:
+            trace = verdicts.trace_from_jsonl(fh.read())
+        except ValueError as exc:
+            print(f"trace unreadable: {exc}", file=sys.stderr)
+            return 2
     _rng, p, _byz, correct, _offsets, clocks = harness.build_env(sc)
     vds = verdicts.evaluate(trace, sc, p, clocks, correct,
                             lambda: protocols.make_protocol(

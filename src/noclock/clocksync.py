@@ -19,11 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .params import Params
-from .timebase import mod_signed
-
-
-def _expired(deadline: Optional[int], now: int) -> bool:
-    return deadline is None or now >= deadline
+from .timebase import expired, mod_signed
 
 
 class ClockSync:
@@ -61,7 +57,7 @@ class ClockSync:
                 continue
             if now - self.last_update_at[w] > p.max_update_gap:
                 self._flag(w, now)
-            out[w] = self.rows[w][w] if _expired(self.report_hold_until[w], now) else None
+            out[w] = self.rows[w][w] if expired(self.report_hold_until[w], now) else None
         out[v] = now % p.clock_modulus
         self.rows[v] = list(out)
         return out
@@ -111,7 +107,7 @@ class ClockSync:
         """Trusted clock estimate of w (modular), or None while distrusted."""
         if w == self.node:
             return now % self.p.clock_modulus
-        if _expired(self.trust_hold_until[w], now):
+        if expired(self.trust_hold_until[w], now):
             return self.rows[w][w]
         return None
 

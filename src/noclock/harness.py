@@ -16,7 +16,7 @@ from . import adversary, protocols, verdicts
 from .kernel import ACTION, HardwareClock, Simulator
 from .node import NodeRuntime
 from .params import Params, derive
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .timebase import frac
 
 
@@ -130,19 +130,21 @@ def _bits_sent(trace, nodes) -> Dict[int, dict]:
 
 
 def sweep(base: Scenario, axes: Dict[str, list], evaluate: bool = True):
-    """Cross-product of scenario overrides; returns the list of RunResults."""
+    """RunResults of a cross-product of overrides, all validated before any run."""
     combos: List[dict] = [{}]
     for key, values in axes.items():
         combos = [dict(c, **{key: v}) for c in combos for v in values]
-    results = []
+    scenarios = []
     for combo in combos:
         data = base.to_dict()
         for key, value in combo.items():
-            if "." in key:
-                outer, inner = key.split(".", 1)
+            outer, dot, inner = key.partition(".")
+            if not dot:
+                data[key] = value
+            elif isinstance(data.get(outer), dict):
                 data[outer] = dict(data[outer], **{inner: value})
             else:
-                data[key] = value
-        results.append(run(Scenario.from_dict(data), evaluate=evaluate,
-                           keep_trace=False))
-    return results
+                raise ScenarioError([f"sweep axis {key!r}: the scenario has "
+                                     f"no section {outer!r}"])
+        scenarios.append(Scenario.from_dict(data))
+    return [run(sc, evaluate=evaluate, keep_trace=False) for sc in scenarios]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .messages import Echo, Init, Label
-from .timebase import mod_near
+from .timebase import expired, mod_near
 
 
 class Initiation:
@@ -74,14 +74,10 @@ class Initiation:
         if sender in seen:
             return
         seen[sender] = now
-        if len(seen) >= p.f + 1 and self._gate_expired(label, now):
+        if len(seen) >= p.f + 1 and expired(self.gate_deadline.get(label), now):
             deadline = now + p.gate_hold
             self.gate_deadline[label] = deadline
             self.rt.alarm(deadline, ("gate", label))
-
-    def _gate_expired(self, label: Label, now: int) -> bool:
-        deadline = self.gate_deadline.get(label)
-        return deadline is None or now >= deadline
 
     # -- participation gate -------------------------------------------------------
 

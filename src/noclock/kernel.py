@@ -58,16 +58,18 @@ class HardwareClock:
 
 
 class Simulator:
-    def __init__(self, p, clocks, handlers, delay_policy, rng,
-                 trace: Optional[list] = None):
+    """Each node's handler gets `on_threshold(units, tag)`,
+    `on_deliver(sender, envelope)` and `on_action(payload)`.  `send` prices
+    the envelope; the delay is `delay_policy(receiver, rng)` unless given."""
+
+    def __init__(self, p, clocks, handlers, delay_policy, rng):
+        self.p = p
         self.clocks = clocks            # node -> HardwareClock
         self.handlers = handlers        # node -> handler object
         self.delay_policy = delay_policy
-        self.grid = p.grid
         self.rng = rng
-        self.d = p.d
         self.now: Fraction = Fraction(0)
-        self.trace = trace if trace is not None else []
+        self.trace: list = []
         self._queue: list = []
         self._seq = 0
         self._actions_this_event = 0
@@ -87,44 +89,45 @@ class Simulator:
 
     def alarm(self, node: int, local_units: int, tag) -> None:
         """Fire a THRESHOLD event when `node`'s clock reaches local_units."""
-        local = self.grid.from_units(local_units)
+        local = self.p.grid.from_units(local_units)
         clock = self.clocks[node]
         if local <= clock.value(self.now):
             raise SimulatorBug(f"alarm for node {node} at local {local} already passed")
         self.schedule(clock.invert(local), THRESHOLD, node, (local_units, tag))
 
-    def send(self, sender: int, receiver: int, msg, frame_bits: int,
-             payload_bits: int, delay: Optional[Fraction] = None) -> None:
+    def send(self, sender: int, receiver: int, envelope,
+             delay: Optional[Fraction] = None) -> None:
         if sender == receiver:
             raise SimulatorBug("self-delivery is local state, not a channel send")
         if delay is None:
-            delay = self.delay_policy(sender, receiver, msg, self.now, self.rng)
-        if not (0 < delay < self.d):
-            raise SimulatorBug(f"delay {delay} outside (0, {self.d})")
+            delay = self.delay_policy(receiver, self.rng)
+        if not (0 < delay < self.p.d):
+            raise SimulatorBug(f"delay {delay} outside (0, {self.p.d})")
         self.trace.append(("send", self.now, sender, receiver,
-                           type(msg).__name__, frame_bits, payload_bits, msg))
-        self.schedule(self.now + delay, DELIVERY, receiver, (sender, msg))
+                           type(envelope).__name__, envelope.frame_bits(self.p),
+                           envelope.payload_bits(), envelope))
+        self.schedule(self.now + delay, DELIVERY, receiver, (sender, envelope))
 
-    def inject_garbage(self, sender: int, receiver: int, msg, deliver_at) -> None:
+    def inject_garbage(self, sender: int, receiver: int, envelope, deliver_at) -> None:
         """Queue a pre-existing in-flight envelope; only legal before time d."""
         deliver_at = frac(deliver_at)
         if self.now != 0:
             raise SimulatorBug("initial-state injection only at time 0")
-        if not (0 < deliver_at < self.d):
-            raise ValueError(f"garbage delivery time {deliver_at} outside (0, {self.d})")
+        if not (0 < deliver_at < self.p.d):
+            raise ValueError(f"garbage delivery time {deliver_at} outside (0, {self.p.d})")
         self.trace.append(("garbage", deliver_at, sender, receiver,
-                           type(msg).__name__, 0, 0, msg))
-        self.schedule(deliver_at, DELIVERY, receiver, (sender, msg))
+                           type(envelope).__name__, 0, 0, envelope))
+        self.schedule(deliver_at, DELIVERY, receiver, (sender, envelope))
 
     # -- clock access -------------------------------------------------------
 
     def local_units(self, node: int) -> int:
         """Current local clock, floored to grid units."""
-        return self.grid.floor_units(self.clocks[node].value(self.now))
+        return self.p.grid.floor_units(self.clocks[node].value(self.now))
 
     def reading(self, node: int) -> int:
         """Current quantized local clock, in grid units."""
-        return self.grid.read(self.clocks[node].value(self.now))
+        return self.p.grid.read(self.clocks[node].value(self.now))
 
     # -- main loop ----------------------------------------------------------
 
@@ -140,12 +143,11 @@ class Simulator:
             self._actions_this_event = 0
             handler = self.handlers[node]
             if kind == THRESHOLD:
-                local_units, tag = payload
-                handler.on_threshold(node, local_units, tag)
+                handler.on_threshold(*payload)
             elif kind == DELIVERY:
-                sender, msg = payload
-                self.trace.append(("recv", t, node, sender, type(msg).__name__))
-                handler.on_deliver(node, sender, msg)
+                sender, envelope = payload
+                self.trace.append(("recv", t, node, sender, type(envelope).__name__))
+                handler.on_deliver(sender, envelope)
             else:
-                handler.on_action(node, payload)
+                handler.on_action(payload)
         self.now = deadline

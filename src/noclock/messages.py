@@ -1,8 +1,9 @@
-"""Protocol envelopes and their wire-size accounting.
+"""Protocol envelopes and their wire sizes.
 
 Payloads are tuples of bits.  `frame_bits` counts everything except protocol
 payload bits; the split matters because instance bit budgets and the silence
 property are stated over payload bits, while amortized totals count both.
+The kernel prices every send with these two methods.
 """
 
 from __future__ import annotations
@@ -14,64 +15,66 @@ from .params import Params
 
 Label = Tuple[int, int]          # (initiator, stamp)
 Payload = Tuple[int, ...]        # protocol payload bits
+MSG_TAG_BITS = 3                 # which of the envelope kinds this is
+
+
+class _Envelope:
+    __slots__ = ()
+
+    def payload_bits(self) -> int:
+        return 0
 
 
 @dataclass(frozen=True, slots=True)
-class Update:
+class Update(_Envelope):
     values: tuple      # one clock value or None per node
 
     def frame_bits(self, p: Params) -> int:
-        return p.update_msg_bits()
-
-    def payload_bits(self) -> int:
-        return 0
+        # One presence bit and one value per node.
+        return MSG_TAG_BITS + p.n * (1 + p.value_bits)
 
 
 @dataclass(frozen=True, slots=True)
-class Init:
+class Init(_Envelope):
     stamp: int
 
     def frame_bits(self, p: Params) -> int:
-        return p.init_msg_bits()
-
-    def payload_bits(self) -> int:
-        return 0
+        return MSG_TAG_BITS + p.value_bits
 
 
 @dataclass(frozen=True, slots=True)
-class Echo:
+class Echo(_Envelope):
     label: Label
 
     def frame_bits(self, p: Params) -> int:
-        return p.echo_msg_bits()
-
-    def payload_bits(self) -> int:
-        return 0
+        return MSG_TAG_BITS + p.id_bits + p.value_bits
 
 
 @dataclass(frozen=True, slots=True)
-class RoundMsg:
+class RoundMsg(_Envelope):
     label: Label
     round: int
     payload: Optional[Payload]   # None is the explicit non-message
 
     def frame_bits(self, p: Params) -> int:
-        return p.round_frame_bits()
+        # Label, round index and one presence bit.
+        return MSG_TAG_BITS + p.id_bits + p.value_bits + p.round_bits + 1
 
     def payload_bits(self) -> int:
         return 0 if self.payload is None else len(self.payload)
 
 
 @dataclass(frozen=True, slots=True)
-class Garbage:
+class Garbage(_Envelope):
     """Arbitrary junk the network may deliver before time d."""
     blob: tuple
 
     def frame_bits(self, p: Params) -> int:
         return 8 * len(self.blob)
 
-    def payload_bits(self) -> int:
-        return 0
+
+# Every envelope kind, the only classes a stored trace may name.
+ENVELOPES = (Update, Init, Echo, RoundMsg, Garbage)
 
 
 def well_formed(msg, p: Params) -> bool:

@@ -27,6 +27,9 @@ from .initiation import Initiation
 from .params import Params
 from .rounds import Rounds
 
+# Script action a scenario may give -> the handler method that carries it out.
+ACTIONS = {"initiate": "initiate"}
+
 
 class NodeRuntime:
     def __init__(self, sim, node: int, p: Params, proto, oracle):
@@ -58,15 +61,12 @@ class NodeRuntime:
         self.sim.alarm(self.node, local_units, tag)
 
     def broadcast(self, envelope) -> None:
-        frame = envelope.frame_bits(self.p)
         for w in range(self.p.n):
             if w != self.node:
-                self.sim.send(self.node, w, envelope, frame, 0)
+                self.sim.send(self.node, w, envelope)
 
     def send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:
-        frame = envelope.frame_bits(self.p)
-        self.sim.send(self.node, receiver, envelope, frame,
-                      envelope.payload_bits())
+        self.sim.send(self.node, receiver, envelope)
 
     def wipe(self) -> None:
         self.rounds.clear_all()
@@ -74,7 +74,7 @@ class NodeRuntime:
 
     # -- kernel handler interface ------------------------------------------------
 
-    def on_threshold(self, node: int, units: int, tag) -> None:
+    def on_threshold(self, units: int, tag) -> None:
         self._pending_alarms.discard((units, tag))
         kind = tag[0]
         if kind == "tick":
@@ -86,7 +86,7 @@ class NodeRuntime:
         elif kind == "wipe":
             self.guard.on_wipe(units)
 
-    def on_deliver(self, node: int, sender: int, envelope) -> None:
+    def on_deliver(self, sender: int, envelope) -> None:
         now = self.sim.reading(self.node)
         if not msg.well_formed(envelope, self.p):
             self.log("drop", "malformed", sender)
@@ -103,9 +103,11 @@ class NodeRuntime:
         else:
             self.log("drop", "unknown_kind", sender)
 
-    def on_action(self, node: int, payload) -> None:
-        if payload[0] == "initiate":
-            self.initiation.initiate(self.sim.reading(self.node))
+    def on_action(self, payload) -> None:
+        getattr(self, ACTIONS[payload[0]])()
+
+    def initiate(self) -> None:
+        self.initiation.initiate(self.sim.reading(self.node))
 
     # -- the periodic tick --------------------------------------------------------
 

@@ -29,7 +29,6 @@ RUN_SLACK = 4
 # Per-round, per-receiver carrier-frame allowance multiplier in the instance
 # bit budget (covers tag + label + round index + presence framing).
 HDR_BUDGET = 32
-MSG_TAG_BITS = 3
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,7 @@ class Params:
     T: Fraction                  # min local time between own initiations
     d_clk: Fraction              # base interval of clock-update machinery
     judging_horizon: Fraction    # S: corrupted-boot instances judged after it
+    bits_window: Fraction        # real-time window of the amortized-bits totals
 
     grid: LocalGrid
 
@@ -77,18 +77,6 @@ class Params:
 
     def clock_value_ok(self, v: object) -> bool:
         return v is None or (isinstance(v, int) and 0 <= v < self.clock_modulus)
-
-    def update_msg_bits(self) -> int:
-        return MSG_TAG_BITS + self.n * (1 + self.value_bits)
-
-    def init_msg_bits(self) -> int:
-        return MSG_TAG_BITS + self.value_bits
-
-    def echo_msg_bits(self) -> int:
-        return MSG_TAG_BITS + self.id_bits + self.value_bits
-
-    def round_frame_bits(self) -> int:
-        return MSG_TAG_BITS + self.id_bits + self.value_bits + self.round_bits + 1
 
     def instance_budget(self, r: int) -> int:
         """Cumulative per-node bit allowance for one instance through round r."""
@@ -144,7 +132,8 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
     value_bits = max(1, ceil(log2(modulus)))
     p = Params(
         n=n, f=f, theta=theta, d=d, rounds=rounds, bit_bound=bit_bound, T=T,
-        d_clk=d_clk, judging_horizon=10 * (rounds * d + T), grid=grid,
+        d_clk=d_clk, judging_horizon=10 * (rounds * d + T), bits_window=10 * T,
+        grid=grid,
         quantum=grid.q_units,
         update_period=period_u,
         max_update_gap=grid.floor_units((2 * theta * theta + theta) * d_clk + q),

@@ -46,7 +46,6 @@ class PhaseKing:
         self.f = f
         self.rounds = 3 * (f + 1)
         self.bit_bound = 4 * (f + 1) * n
-        self.name = f"phase-king(n={n},f={f})"
 
     def fresh(self, input_bit: int, index: int) -> dict:
         return {"self": index, "value": 1 if input_bit else 0,
@@ -118,7 +117,6 @@ class SilentWrapper:
         self.inner = inner
         self.rounds = inner.rounds + 2
         self.bit_bound = inner.bit_bound + 2 * (n - 1)
-        self.name = f"silent[{inner.name}]"
 
     def fresh(self, input_bit: int, index: int) -> dict:
         return {"self": index, "input": 1 if input_bit else 0,
@@ -171,11 +169,8 @@ class SilentWrapper:
         return state, list(sends)
 
     def finish(self, state: dict, received: Sequence[Optional[Payload]]) -> int:
-        if not state["inner_active"] or state["aborted"]:
-            return 0
-        if state["r2_ones"] <= self.f:
-            return 0
-        if state["inner"] is None:
+        if (not state["inner_active"] or state["aborted"]
+                or state["r2_ones"] <= self.f or state["inner"] is None):
             return 0
         last = self._canonical(self.inner.rounds, received)
         return self.inner.finish(state["inner"], last)

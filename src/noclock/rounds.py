@@ -125,17 +125,16 @@ class Rounds:
             if not inst.nontrivial:
                 inst.nontrivial = True
                 self.guard.note_busy(inst.label)
-        frame = p.round_frame_bits()
         for w in range(p.n):
             if w == self.node:
                 continue
-            payload = sends[w]
-            cost = frame + (0 if payload is None else len(payload))
+            envelope = RoundMsg(inst.label, i, sends[w])
+            cost = envelope.frame_bits(p) + envelope.payload_bits()
             if inst.bits + cost > p.instance_budget(i):
                 self.abort(inst.label, now, "bit_budget")
                 return
             inst.bits += cost
-            self.rt.send_round(w, RoundMsg(inst.label, i, payload))
+            self.rt.send_round(w, envelope)
         # Own message is local state, stored through the same quorum path.
         self.on_round_msg(self.node, inst.label, i, sends[self.node], now)
 

@@ -11,8 +11,14 @@ from dataclasses import dataclass, field, asdict
 from typing import List, Optional
 
 from . import adversary
+from .node import ACTIONS
 from .protocols import PROTOCOLS
 from .timebase import frac
+
+# The type every field but the exact numbers must have; bools are not ints.
+FIELD_TYPES = {"n": int, "f": int, "seed": int, "protocol": dict,
+               "adversary": dict, "oracle": dict, "clocks": dict,
+               "corruption": dict, "script": list}
 
 
 class ScenarioError(ValueError):
@@ -40,11 +46,16 @@ class Scenario:
     clock_update_period: Optional[str] = None
 
     def validate(self) -> None:
-        problems = []
-        theta = d = None
+        problems = [f"{key}: expected {kind.__name__}, got {getattr(self, key)!r}"
+                    for key, kind in FIELD_TYPES.items()
+                    if type(getattr(self, key)) is not kind]
+        if problems:
+            raise ScenarioError(problems)   # the checks below rely on these
+        theta = d = T = None
         try:
             theta = frac(self.theta)
             d = frac(self.d)
+            T = None if self.T is None else frac(self.T)
         except (TypeError, ValueError) as exc:
             problems.append(str(exc))
         if self.n < 2:
@@ -54,9 +65,8 @@ class Scenario:
                             f"got n={self.n}, f={self.f}")
         if theta is not None and theta < 1:
             problems.append(f"theta={theta} below 1")
-        if theta is not None and d is not None and self.T is not None:
-            if frac(self.T) < 2 * theta * theta * d:
-                problems.append(f"T={self.T} below 2*theta^2*d={2*theta*theta*d}")
+        if T is not None and T < 2 * theta * theta * d:
+            problems.append(f"T={self.T} below 2*theta^2*d={2*theta*theta*d}")
         try:
             duration = frac(self.duration)
             if duration <= 0:
@@ -65,19 +75,27 @@ class Scenario:
             duration = None
             problems.append(str(exc))
         byz = self.adversary.get("byzantine_set")
-        if byz is not None and len(byz) > self.f:
-            problems.append(f"byzantine_set larger than f={self.f}")
-        if byz is not None and any(not (0 <= v < self.n) for v in byz):
+        if byz is not None and not (isinstance(byz, (list, tuple)) and all(
+                type(v) is int and 0 <= v < self.n for v in byz)):
             problems.append("byzantine_set contains invalid node ids")
+        elif byz is not None and len(byz) > self.f:
+            problems.append(f"byzantine_set larger than f={self.f}")
         for entry in self.script:
+            if not isinstance(entry, dict):
+                problems.append(f"malformed script entry {entry!r}")
+                continue
             try:
                 t = frac(entry["t"])
                 if duration is not None and not (0 < t < duration):
                     problems.append(f"script time {entry['t']} outside run")
             except (KeyError, TypeError, ValueError):
                 problems.append(f"malformed script entry {entry!r}")
-            if not (0 <= entry.get("node", -1) < self.n):
-                problems.append(f"script node {entry.get('node')} invalid")
+            node = entry.get("node")
+            if not (type(node) is int and 0 <= node < self.n):
+                problems.append(f"script node {node!r} invalid")
+            action = entry.get("action", "initiate")
+            if not (isinstance(action, str) and action in ACTIONS):
+                problems.append(f"unknown script action {action!r}")
         # Each name the run looks up, checked against the table it reads.
         # Only the protocol's name has no default.
         name = self.protocol.get("name")

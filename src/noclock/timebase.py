@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 
 def frac(x) -> Fraction:
@@ -21,7 +22,7 @@ def frac(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:           # not a bool, which is an int to Python
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -74,6 +75,11 @@ class LocalGrid:
         """Quantize an exact local-clock value to the read grid, in units."""
         q = self.q_units
         return (self.floor_units(local) // q) * q
+
+
+def expired(deadline: Optional[int], now: int) -> bool:
+    """Whether a local-time deadline register is unset or has passed."""
+    return deadline is None or now >= deadline
 
 
 def mod_signed(delta: int, modulus: int) -> int:

@@ -241,7 +241,8 @@ def _timing_suite(judged, p, correct) -> Verdict:
     # The initiation machinery paces at d_clk (= d unless the reduced-update-
     # frequency knob stretches it); the round runner always paces at d.
     dc = p.d_clk
-    dur_cap = CEILINGS["dur_hi"] * p.rounds + 22 * p.theta * (dc - d) / d
+    lead = p.grid.from_units(p.first_round_lead)
+    dur_cap = CEILINGS["dur_hi"] * p.rounds + lead * (dc - d) / (dc * d)
     k2 = k3 = k4 = k5 = Fraction(0)
     dur_lo = None
     dur_hi = Fraction(0)
@@ -362,7 +363,7 @@ def _window_bits(sends, start, window, count) -> List[List[int]]:
 
 def _bits_suite(ix, p, correct, cutoff, duration) -> Verdict:
     from math import log2
-    window = 10 * p.T
+    window = p.bits_window
     denom_all = (p.n ** 2 * max(1.0, log2(p.n))
                  + p.n * p.bit_bound * p.rounds / float(p.T))
     denom_infra = p.n ** 2 * max(1.0, log2(p.n))
@@ -482,7 +483,7 @@ def _stabilization_suite(ix, judged, cutoff, suite_verdicts) -> Verdict:
 
 def bit_windows(trace, sc, p: Params, correct, metrics) -> List[dict]:
     """Per-node, per-window bit totals for the metrics export."""
-    window = 10 * p.T
+    window = p.bits_window
     count = max(1, int(frac(sc.duration) / window))
     sends = _Index(trace, correct).sends
     by_node = {m["node"]: m for m in metrics}
@@ -522,7 +523,7 @@ def _enc(obj):
         return {"_t": [_enc(x) for x in obj]}
     if isinstance(obj, list):
         return [_enc(x) for x in obj]
-    if isinstance(obj, (msg.Update, msg.Init, msg.Echo, msg.RoundMsg, msg.Garbage)):
+    if isinstance(obj, msg.ENVELOPES):
         return {"_m": type(obj).__name__,
                 "v": _enc(tuple(getattr(obj, f) for f in obj.__dataclass_fields__))}
     return obj
@@ -535,8 +536,10 @@ def _dec(obj):
         if "_t" in obj:
             return tuple(_dec(x) for x in obj["_t"])
         if "_m" in obj:
-            cls = getattr(msg, obj["_m"])
-            return cls(*_dec(obj["v"]))
+            for cls in msg.ENVELOPES:
+                if cls.__name__ == obj["_m"]:
+                    return cls(*_dec(obj["v"]))
+            raise ValueError(f"trace names an unknown envelope {obj['_m']!r}")
     if isinstance(obj, list):
         return [_dec(x) for x in obj]
     return obj

@@ -72,3 +72,47 @@ def test_sweep_axes(scenario_file, capsys):
                    "--axis", "seed=3,4"])
     assert rc == 0
     assert "2/2 runs fully passed" in capsys.readouterr().out
+
+
+def test_unknown_script_action_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"script": [{"t": "8", "node": 0,
+                                           "action": "initate"}]}))
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    assert "unknown script action 'initate'" in capsys.readouterr().err
+
+
+def test_string_size_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": "4"}))
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    assert "n: expected int, got '4'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("seed=3,a", "seed: expected int, got 'a'"),
+    ("foo.bar=1", "sweep axis 'foo.bar'"),
+    ("seed.x=1", "sweep axis 'seed.x'"),
+])
+def test_bad_sweep_axis_exits_two_before_any_run(scenario_file, capsys,
+                                                 axis, message):
+    rc = cli.main(["sweep", "--scenario", str(scenario_file),
+                   "--axis", axis])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert out.out == ""
+
+
+def test_check_trace_rejects_a_non_envelope_name(scenario_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trace.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({"_t": ["send", {"_m": "Params", "v": {"_t": []}}]})
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-trace", "--dir", str(out)]) == 2
+    assert "unknown envelope 'Params'" in capsys.readouterr().err

@@ -53,6 +53,13 @@ def test_trace_serialization_roundtrip():
     assert back == [tuple(r) for r in res.trace]
 
 
+@pytest.mark.parametrize("name", ["Params", "Label", "well_formed", "Fraction"])
+def test_trace_decoding_accepts_only_envelopes(name):
+    line = '{"_t": ["send", {"_m": "%s", "v": {"_t": []}}]}' % name
+    with pytest.raises(ValueError, match=f"unknown envelope '{name}'"):
+        verdicts.trace_from_jsonl(line)
+
+
 def test_rate_limited_second_initiation_refused():
     sc = clean_scenario(script=[{"t": "8", "node": 0, "action": "initiate"},
                                 {"t": "9", "node": 0, "action": "initiate"}])

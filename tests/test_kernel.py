@@ -6,34 +6,36 @@ from hypothesis import given, settings, strategies as st
 
 from noclock.kernel import (ACTION, DELIVERY, THRESHOLD, HardwareClock,
                             Simulator, SimulatorBug)
-from noclock.messages import Init
+from noclock.messages import Init, RoundMsg
 from noclock.params import derive
 from noclock.timebase import frac
 
 
 class Recorder:
-    def __init__(self):
-        self.events = []
+    """One node's handler; the nodes' recorders share one event list."""
 
-    def on_threshold(self, node, units, tag):
-        self.events.append(("thr", node, units, tag))
+    def __init__(self, node, events):
+        self.node = node
+        self.events = events
 
-    def on_deliver(self, node, sender, envelope):
-        self.events.append(("msg", node, sender, envelope))
+    def on_threshold(self, units, tag):
+        self.events.append(("thr", self.node, units, tag))
 
-    def on_action(self, node, payload):
-        self.events.append(("act", node, payload))
+    def on_deliver(self, sender, envelope):
+        self.events.append(("msg", self.node, sender, envelope))
+
+    def on_action(self, payload):
+        self.events.append(("act", self.node, payload))
 
 
-def make_sim(rates=None, n=2):
+def make_sim(rates=None, n=2, delay_policy=lambda *a: Fraction(1, 2)):
     p = derive(4, 1, "1.1", "1", 8, 38)
     rates = rates or [(0, 1)]
     clocks = {v: HardwareClock(0, rates) for v in range(n)}
-    rec = Recorder()
-    handlers = {v: rec for v in range(n)}
-    sim = Simulator(p, clocks, handlers, lambda *a: Fraction(1, 2),
-                    random.Random(0))
-    return sim, rec
+    events = []
+    handlers = {v: Recorder(v, events) for v in range(n)}
+    sim = Simulator(p, clocks, handlers, delay_policy, random.Random(0))
+    return sim, handlers[0]
 
 
 def test_schedule_into_empty_queue_becomes_head():
@@ -132,9 +134,27 @@ def test_threshold_already_passed_is_a_bug():
 def test_send_rejects_delays_outside_open_interval():
     sim, _ = make_sim()
     with pytest.raises(SimulatorBug):
-        sim.send(0, 1, Init(0), 1, 0, delay=Fraction(1))
+        sim.send(0, 1, Init(0), delay=Fraction(1))
     with pytest.raises(SimulatorBug):
-        sim.send(0, 1, Init(0), 1, 0, delay=Fraction(0))
+        sim.send(0, 1, Init(0), delay=Fraction(0))
+
+
+def test_send_prices_the_envelope_and_asks_the_policy_per_receiver():
+    asked = []
+
+    def policy(receiver, rng):
+        asked.append(receiver)
+        return Fraction(1, 4)
+    sim, rec = make_sim(delay_policy=policy)
+    env = RoundMsg((0, 0), 1, (1, 0, 1))
+    sim.send(0, 1, env)
+    sim.send(1, 0, Init(0))
+    assert asked == [1, 0]
+    assert sim.trace == [
+        ("send", 0, 0, 1, "RoundMsg", env.frame_bits(sim.p), 3, env),
+        ("send", 0, 1, 0, "Init", Init(0).frame_bits(sim.p), 0, Init(0))]
+    sim.run_until(1)
+    assert [e[:3] for e in rec.events] == [("msg", 0, 1), ("msg", 1, 0)]
 
 
 def test_garbage_injection_window():

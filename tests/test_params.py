@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from noclock.messages import RoundMsg
 from noclock.params import derive
 
 
@@ -85,6 +86,16 @@ def test_reduced_update_frequency_scales_clock_side_only():
 
 def test_instance_budget_covers_healthy_traffic(p):
     # A full healthy instance sends one frame per peer per round.
-    per_round = (p.n - 1) * (p.round_frame_bits() + 2)
+    per_round = (p.n - 1) * (RoundMsg((0, 0), 1, None).frame_bits(p) + 2)
     for r in range(1, p.rounds + 1):
         assert r * per_round < p.instance_budget(r)
+
+
+@pytest.mark.parametrize("period", [None, "3"])
+def test_verdict_windows_derive_from_the_params(period):
+    q = derive(4, 1, "1.1", "1", 8, 38, T="3", clock_update_period=period)
+    assert q.bits_window == 10 * q.T
+    # timing-windows stretches its duration cap by the lead's extra length.
+    lead = q.grid.from_units(q.first_round_lead)
+    assert lead * (q.d_clk - q.d) / (q.d_clk * q.d) \
+        == 22 * q.theta * (q.d_clk - q.d) / q.d

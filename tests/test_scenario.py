@@ -79,3 +79,40 @@ def test_error_lists_every_problem():
     with pytest.raises(ScenarioError) as err:
         Scenario(n=6, f=2, T="1", duration="-5").validate()
     assert len(err.value.problems) >= 3
+
+
+def test_unknown_script_action_rejected():
+    with pytest.raises(ScenarioError) as err:
+        Scenario(script=[{"t": "10", "node": 0, "action": "initate"}]).validate()
+    assert err.value.problems == ["unknown script action 'initate'"]
+
+
+def test_every_script_action_names_a_handler_method():
+    from noclock.adversary import SplitEchoNode
+    from noclock.node import ACTIONS, NodeRuntime
+    for method in ACTIONS.values():
+        assert callable(getattr(NodeRuntime, method))
+        assert callable(getattr(SplitEchoNode, method))
+
+
+@pytest.mark.parametrize("data", [{"n": "4"}, {"f": "1"}, {"seed": "a"},
+                                  {"seed": True}, {"n": True},
+                                  {"adversary": "silent"}, {"script": {}}])
+def test_mistyped_fields_rejected(data):
+    key = next(iter(data))
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(data)
+    assert err.value.problems[0].startswith(f"{key}: expected ")
+
+
+@pytest.mark.parametrize("key", ["theta", "d", "T", "duration"])
+def test_bool_times_rejected(key):
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict({key: True})
+
+
+@pytest.mark.parametrize("byz", [["1"], [True, 2], 3])
+def test_mistyped_byzantine_set_rejected(byz):
+    with pytest.raises(ScenarioError) as err:
+        Scenario(adversary={"byzantine_set": byz}).validate()
+    assert err.value.problems == ["byzantine_set contains invalid node ids"]
