@@ -1,7 +1,9 @@
 """Determinism contract over every adversary: committed trace digests.
 
 The matrix holds the acceptance sweep's shape for each byzantine strategy at
-n=4 and n=7 (seed 0, 110 d) and two corrupted n=4 boots of 1100 d.  A change
+n=4 and n=7 (seed 0, 110 d), a shorter n=16 `clock_skew` run (60 d, where
+the clock-estimate upkeep does the most work) and two corrupted n=4 boots of
+1100 d.  A change
 that keeps the protocol's behaviour keeps every digest; a digest that moves
 means some run now produces a different trace.
 """
@@ -34,12 +36,13 @@ DIGESTS = {
     "split_echo-n7": "e76787c24c41a4b1aa189fb1d710a6d00f7d17d19d2ef65eed3ae6f30dd5b9e5",
     "equivocate_rounds-n7": "db53bf1358c42d3824e670520b59be61202153f719735caaf992796e35e2dede",
     "clock_skew-n7": "2f8ecf3f8eed572d8dc9ec21e0c85489ccdbcef53cd0d8d28b5c50281b1bc558",
+    "clock_skew-n16": "f3a3b8e43ca31ff322300167b52a71db644b9210ba9a7bf2413573312bdb6852",
     "corrupted-noise-split": "20111c041d376aefd48c8ef8e36a396def57de976a56e7fd9a0072becbfc78f3",
     "corrupted-equivocate": "db0ee95547005e341eb63f3bd6b116a1e4569aa83a13574dd672cdb6231e4e22",
 }
 
 
-def sweep_scenario(n, adv, oracle, mode) -> Scenario:
+def sweep_scenario(n, adv, oracle, mode, duration="110") -> Scenario:
     f = (n - 1) // 3
     byz = sorted(random.Random(9000).sample(range(2, n), f))
     script = [{"t": "6", "node": 0, "action": "initiate"},
@@ -49,7 +52,7 @@ def sweep_scenario(n, adv, oracle, mode) -> Scenario:
     advd = {"byzantine": adv, "delays": "uniform", "byzantine_set": byz}
     if mode:
         advd["mode"] = mode
-    return Scenario(n=n, f=f, theta="1.1", duration="110", seed=0,
+    return Scenario(n=n, f=f, theta="1.1", duration=duration, seed=0,
                     adversary=advd, oracle=dict(oracle), script=script)
 
 
@@ -65,6 +68,8 @@ def corrupted_scenario(seed, adv, delays) -> Scenario:
 MATRIX = (
     [(f"{adv}-n{n}", sweep_scenario(n, adv, oracle, mode))
      for n in (4, 7) for adv, oracle, mode in STRATEGIES]
+    + [("clock_skew-n16", sweep_scenario(16, "clock_skew", {"kind": "mixed"},
+                                         "alternating", duration="60"))]
     + [("corrupted-noise-split", corrupted_scenario(1, "noise", "split")),
        ("corrupted-equivocate",
         corrupted_scenario(2, "equivocate_rounds", "uniform"))])
