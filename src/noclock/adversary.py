@@ -60,7 +60,9 @@ DELAYS = {
 def make_delay_policy(name: str, d: Fraction):
     """The kernel's `delay_policy(receiver, rng)` for a named draw."""
     draw = pick(DELAYS, "delay policy", name)
-    return lambda receiver, rng: Fraction(draw(receiver, rng), 1024) * d
+    # draw/1024 * d as one Fraction: sends are the kernel's commonest call.
+    num, den = d.numerator, 1024 * d.denominator
+    return lambda receiver, rng: Fraction(draw(receiver, rng) * num, den)
 
 
 # -- clock-rate schedules -------------------------------------------------------
@@ -318,9 +320,8 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
 
     cs = rt.clocksync
     for u in range(n):
-        for w in range(n):
-            cs.rows[u][w] = (None if rng.random() < 0.25
-                             else rng.randrange(p.clock_modulus))
+        cs.load_row(u, [None if rng.random() < 0.25
+                        else rng.randrange(p.clock_modulus) for _ in range(n)])
         cs.last_update_at[u] = now + rng.randint(-span, span)
         cs.report_hold_until[u] = (None if rng.random() < 0.5
                                    else now + rng.randint(-span, span))

@@ -10,6 +10,12 @@ Inconsistencies start two hold timers: while the report hold runs the value
 is relayed as unknown, and while the trust hold runs the node is not trusted.
 Consistent behavior therefore regains trust after a fixed quiet period.
 
+The corroboration count is maintained, not recomputed: `support[x]` is the
+number of stored rows whose value for x lies within `relay_band` of x's own
+claim.  Every whole-row write goes through `load_row`, which adjusts only the
+replaced row's contribution to the other columns and recounts the replaced
+node's own column, so one update costs O(n) instead of O(n^2).
+
 All message-borne clock values are modular; registers indexed by local time
 are unbounded node memory.
 """
@@ -29,6 +35,8 @@ class ClockSync:
         n = p.n
         # rows[u][w]: the clock value u most recently relayed for w (mod), or None.
         self.rows: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+        # support[x]: how many rows hold a value for x near x's claim.
+        self.support: List[int] = [0] * n
         self.last_update_at: List[int] = [0] * n     # local time of last update from w
         self.report_hold_until: List[Optional[int]] = [None] * n
         self.trust_hold_until: List[Optional[int]] = [None] * n
@@ -37,7 +45,8 @@ class ClockSync:
 
     def boot_clean(self, claims_mod: List[int], now: int) -> None:
         """Idealized warm start: everyone agrees on everyone's claim already."""
-        self.rows = [list(claims_mod) for _ in range(self.p.n)]
+        for u in range(self.p.n):
+            self.load_row(u, claims_mod)
         self.last_update_at = [now] * self.p.n
         self.report_hold_until = [None] * self.p.n
         self.trust_hold_until = [None] * self.p.n
@@ -59,7 +68,7 @@ class ClockSync:
                 self._flag(w, now)
             out[w] = self.rows[w][w] if expired(self.report_hold_until[w], now) else None
         out[v] = now % p.clock_modulus
-        self.rows[v] = list(out)
+        self.load_row(v, out)
         return out
 
     def on_update(self, sender: int, values: list, now: int) -> None:
@@ -72,33 +81,63 @@ class ClockSync:
                    mod_signed(values[w] - prev, p.clock_modulus) == p.update_period)
         if stale < p.min_update_gap or not step_ok:
             self._flag(w, now)
-        self.rows[w] = list(values)
+        self.load_row(w, values)
         need = p.n - p.f
-        for x in range(p.n):
-            if x == v:
-                continue
-            if self._support(x, need) < need:
-                self.trust_hold_until[x] = now + p.trust_regain
+        regain = now + p.trust_regain
+        hold = self.trust_hold_until
+        for x, count in enumerate(self.support):
+            if count < need and x != v:
+                hold[x] = regain
         self.last_update_at[w] = now
 
     def _flag(self, w: int, now: int) -> None:
         self.report_hold_until[w] = now + self.p.report_hold
         self.trust_hold_until[w] = now + self.p.trust_regain
 
-    def _support(self, x: int, enough: Optional[int] = None) -> int:
+    # -- stored rows ------------------------------------------------------------
+
+    def load_row(self, w: int, values) -> None:
+        """Store a copy of `values` as row w and keep `support` exact.
+
+        Row w's value for a column x != w counts toward x's support when it
+        lies within `relay_band` of x's claim, which row w does not hold; so
+        only the entries that changed move a count.  Column w's claim is the
+        row's own entry, so that column is recounted in full.
+        """
+        rows = self.rows
+        old = rows[w]
+        rows[w] = new = list(values)
+        band, width, mod = self._band()
+        support = self.support
+        for x, (val, was, row) in enumerate(zip(new, old, rows)):
+            if val == was or x == w:
+                continue
+            claim = row[x]
+            if claim is None:
+                continue
+            if was is not None and (claim - was + band) % mod <= width:
+                support[x] -= 1
+            if val is not None and (claim - val + band) % mod <= width:
+                support[x] += 1
+        support[w] = self._count(w)
+
+    def _band(self):
+        """(band, 2 band, modulus): a value v is near a claim c on the clock
+        circle iff (c - v + band) % modulus <= 2 band, as 2 band < modulus."""
+        band = self.p.relay_band
+        return band, 2 * band, self.p.clock_modulus
+
+    def _count(self, x: int) -> int:
+        """From-scratch support of x's claim: rows within `relay_band` of it."""
         claim = self.rows[x][x]
         if claim is None:
             return 0
-        band, mod = self.p.relay_band, self.p.clock_modulus
-        half = mod // 2
+        band, width, mod = self._band()
         count = 0
         for row in self.rows:
             val = row[x]
-            if val is not None and \
-                    abs((claim - val + half - 1) % mod - half + 1) <= band:
+            if val is not None and (claim - val + band) % mod <= width:
                 count += 1
-                if count == enough:
-                    return count
         return count
 
     # -- queries --------------------------------------------------------------

@@ -16,7 +16,6 @@ class Guard:
     def __init__(self, rt):
         self.rt = rt                      # the node's port to the kernel
         self.p = rt.p
-        self.node = rt.node
         self.joins: Dict[int, deque] = {v: deque() for v in range(self.p.n)}
         self.busy: Dict[int, set] = {v: set() for v in range(self.p.n)}
         self.suppress_until: Optional[int] = None
@@ -88,6 +87,5 @@ class Guard:
         self.rt.wipe()
 
     def metrics(self) -> dict:
-        return {"node": self.node,
-                "instances_joined": self.instances_joined,
+        return {"instances_joined": self.instances_joined,
                 "quarantines": self.quarantines}

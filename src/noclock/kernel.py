@@ -5,6 +5,10 @@ rate schedules with rates in [1, theta]; threshold scheduling inverts the rate
 schedule exactly, so an alarm set for a local clock value fires at the unique
 real time where the clock reaches it.
 
+Clock reads on the delivery path go through a `GridReader` per node, which
+gives the floored grid reading in exact integer arithmetic: no `Fraction` is
+built per read, and a segment cursor replaces the search of the rate schedule.
+
 Event order is total: (time, kind rank, node, sequence number); the
 deterministic tie-break realizes the modeling assumption that no two events
 coincide.  Handlers run atomically at zero simulated time.
@@ -57,6 +61,46 @@ class HardwareClock:
         return self.starts[i] + (local - self.h_starts[i]) / self.rates[i]
 
 
+class GridReader:
+    """`grid.floor_units(clock.value(t))` of one clock, in plain integers.
+
+    On rate segment i the clock over the grid unit is a*t + b with rational
+    a and b, so for t = tn/td the floored reading is (A*tn + B*td) // (C*td)
+    with integers A, B, C fixed per segment.  The segment of the last read is
+    kept as a cursor, since simulated time never decreases; a read before the
+    cursor's segment falls back to a search of the schedule.
+    """
+
+    def __init__(self, clock: HardwareClock, unit: Fraction):
+        self.clock = clock
+        self.bounds = [(s.numerator, s.denominator) for s in clock.starts]
+        self.coef = []
+        for start, h, rate in zip(clock.starts, clock.h_starts, clock.rates):
+            a = rate / unit
+            b = (h - rate * start) / unit
+            self.coef.append((a.numerator * b.denominator,
+                              b.numerator * a.denominator,
+                              a.denominator * b.denominator))
+        self.last = len(self.bounds) - 1
+        self.i = 0
+
+    def floor_units(self, t: Fraction) -> int:
+        tn, td = t.numerator, t.denominator
+        i = self.i
+        sn, sd = self.bounds[i]
+        if tn * sd < sn * td:
+            i = bisect_right(self.clock.starts, t) - 1
+        else:
+            while i < self.last:
+                sn, sd = self.bounds[i + 1]
+                if tn * sd < sn * td:
+                    break
+                i += 1
+        self.i = i
+        a, b, c = self.coef[i]
+        return (a * tn + b * td) // (c * td)
+
+
 class Simulator:
     """Each node's handler gets `on_threshold(units, tag)`,
     `on_deliver(sender, envelope)` and `on_action(payload)`.  `send` prices
@@ -65,6 +109,7 @@ class Simulator:
     def __init__(self, p, clocks, handlers, delay_policy, rng):
         self.p = p
         self.clocks = clocks            # node -> HardwareClock
+        self.readers = {v: GridReader(c, p.grid.unit) for v, c in clocks.items()}
         self.handlers = handlers        # node -> handler object
         self.delay_policy = delay_policy
         self.rng = rng
@@ -90,10 +135,10 @@ class Simulator:
     def alarm(self, node: int, local_units: int, tag) -> None:
         """Fire a THRESHOLD event when `node`'s clock reaches local_units."""
         local = self.p.grid.from_units(local_units)
-        clock = self.clocks[node]
-        if local <= clock.value(self.now):
+        if local_units <= self.local_units(node):
             raise SimulatorBug(f"alarm for node {node} at local {local} already passed")
-        self.schedule(clock.invert(local), THRESHOLD, node, (local_units, tag))
+        self.schedule(self.clocks[node].invert(local), THRESHOLD, node,
+                      (local_units, tag))
 
     def send(self, sender: int, receiver: int, envelope,
              delay: Optional[Fraction] = None) -> None:
@@ -123,11 +168,12 @@ class Simulator:
 
     def local_units(self, node: int) -> int:
         """Current local clock, floored to grid units."""
-        return self.p.grid.floor_units(self.clocks[node].value(self.now))
+        return self.readers[node].floor_units(self.now)
 
     def reading(self, node: int) -> int:
-        """Current quantized local clock, in grid units."""
-        return self.p.grid.read(self.clocks[node].value(self.now))
+        """Current quantized local clock, in grid units: `grid.read` of it."""
+        q = self.p.grid.q_units
+        return self.readers[node].floor_units(self.now) // q * q
 
     # -- main loop ----------------------------------------------------------
 

@@ -51,13 +51,18 @@ class Scenario:
                     if type(getattr(self, key)) is not kind]
         if problems:
             raise ScenarioError(problems)   # the checks below rely on these
-        theta = d = T = None
+        theta = d = T = period = None
         try:
             theta = frac(self.theta)
             d = frac(self.d)
             T = None if self.T is None else frac(self.T)
         except (TypeError, ValueError) as exc:
             problems.append(str(exc))
+        try:
+            period = (None if self.clock_update_period is None
+                      else frac(self.clock_update_period))
+        except (TypeError, ValueError) as exc:
+            problems.append(f"clock_update_period: {exc}")
         if self.n < 2:
             problems.append(f"n={self.n} too small")
         if not (0 <= self.f and 3 * self.f < self.n):
@@ -65,6 +70,11 @@ class Scenario:
                             f"got n={self.n}, f={self.f}")
         if theta is not None and theta < 1:
             problems.append(f"theta={theta} below 1")
+        if d is not None and d <= 0:
+            problems.append(f"d={self.d} must be positive")
+        if period is not None and d is not None and period < d:
+            problems.append(f"clock_update_period={self.clock_update_period} "
+                            f"below d={self.d}")
         if T is not None and T < 2 * theta * theta * d:
             problems.append(f"T={self.T} below 2*theta^2*d={2*theta*theta*d}")
         try:

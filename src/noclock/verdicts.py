@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import messages as msg
+from .kernel import GridReader
 from .params import Params
 from .protocols import replay
 from .timebase import frac, mod_signed
@@ -317,6 +318,8 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
     t0 = Fraction(0)
     samples = tail = 0
     worst = None
+    true_units = {w: GridReader(clocks[w], grid.unit).floor_units
+                  for w in correct}
     for v in correct:
         for t, ests in ix.est.get(v, []):
             for w in correct:
@@ -328,8 +331,7 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
                     t0 = max(t0, t)
                     worst = ("bot", t, v, w)
                     continue
-                true_units = grid.floor_units(clocks[w].value(t))
-                diff = mod_signed(val - true_units % mod, mod)
+                diff = mod_signed(val - true_units[w](t) % mod, mod)
                 if not (-low <= diff <= 0):
                     t0 = max(t0, t)
                     worst = ("band", t, v, w, diff)
@@ -485,11 +487,14 @@ def bit_windows(trace, sc, p: Params, correct, metrics) -> List[dict]:
     """Per-node, per-window bit totals for the metrics export."""
     window = p.bits_window
     count = max(1, int(frac(sc.duration) / window))
-    sends = _Index(trace, correct).sends
+    sends = {v: [] for v in correct}
+    for rec in trace:
+        if rec[0] == "send" and rec[2] in sends:
+            sends[rec[2]].append((rec[1], rec[4], rec[5] + rec[6]))
     by_node = {m["node"]: m for m in metrics}
     rows = []
     for v in correct:
-        totals = _window_bits(sends.get(v, []), Fraction(0), window, count)
+        totals = _window_bits(sends[v], Fraction(0), window, count)
         for k, (infra, inst) in enumerate(totals):
             rows.append({"node": v, "window": k, "infra_bits": infra,
                          "instance_bits": inst,
@@ -538,7 +543,12 @@ def _dec(obj):
         if "_m" in obj:
             for cls in msg.ENVELOPES:
                 if cls.__name__ == obj["_m"]:
-                    return cls(*_dec(obj["v"]))
+                    fields = _dec(obj.get("v"))
+                    if not (isinstance(fields, tuple) and
+                            len(fields) == len(cls.__dataclass_fields__)):
+                        raise ValueError(f"trace gives {cls.__name__} the "
+                                         f"fields {fields!r}")
+                    return cls(*fields)
             raise ValueError(f"trace names an unknown envelope {obj['_m']!r}")
     if isinstance(obj, list):
         return [_dec(x) for x in obj]

@@ -82,6 +82,18 @@ def test_unknown_script_action_exits_two(tmp_path, capsys):
     assert "unknown script action 'initate'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"d": "0"}, "d=0 must be positive"),
+    ({"clock_update_period": "0.5"}, "clock_update_period=0.5 below d=1"),
+])
+def test_bad_delay_bound_or_update_period_exits_two(tmp_path, capsys, data,
+                                                    message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_string_size_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": "4"}))
@@ -116,3 +128,17 @@ def test_check_trace_rejects_a_non_envelope_name(scenario_file, tmp_path,
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["check-trace", "--dir", str(out)]) == 2
     assert "unknown envelope 'Params'" in capsys.readouterr().err
+
+
+def test_check_trace_rejects_a_wrong_field_count(scenario_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trace.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({"_m": "Init", "v": {"_t": [1, 2]}})
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-trace", "--dir", str(out)]) == 2
+    assert "trace gives Init the fields (1, 2)" in capsys.readouterr().err

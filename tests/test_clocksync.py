@@ -4,10 +4,18 @@ Values are in grid units of 1/20 (theta=1.1, d=1): the update period 2.2 is
 44 units, readings sit on the 0.25 grid (5 units).
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from noclock import adversary, harness, protocols
 from noclock.clocksync import ClockSync
+from noclock.kernel import Simulator
+from noclock.node import NodeRuntime
 from noclock.params import derive
+from noclock.scenario import Scenario
+from noclock.timebase import mod_near
 
 
 @pytest.fixture
@@ -21,11 +29,18 @@ def healthy(p, node=0, now=0):
     return cs
 
 
+def put(cs, u, w, value):
+    """Store `value` as u's relayed value for w, through the row API."""
+    row = list(cs.rows[u])
+    row[w] = value
+    cs.load_row(u, row)
+
+
 def test_tick_keeps_responsive_peer(p):
     # last update 3.0 ago; the too-slow bound (3.52 + one quantum slack,
     # floored to 3.75) is not crossed, so the peer's value is reported.
     cs = healthy(p)
-    cs.rows[1][1] = 440
+    put(cs, 1, 1, 440)
     cs.last_update_at[1] = 880 - 60          # 3.0 local ago
     vec = cs.on_tick(880)
     assert vec[1] == 440
@@ -34,7 +49,7 @@ def test_tick_keeps_responsive_peer(p):
 
 def test_tick_flags_too_slow_peer(p):
     cs = healthy(p)
-    cs.rows[1][1] = 440
+    put(cs, 1, 1, 440)
     cs.last_update_at[1] = 880 - 80          # 4.0 local ago
     vec = cs.on_tick(880)
     assert vec[1] is None                    # report hold active
@@ -45,7 +60,7 @@ def test_tick_flags_too_slow_peer(p):
 def test_tick_healthy_broadcast_has_no_gaps(p):
     cs = healthy(p)
     for w in range(4):
-        cs.rows[w][w] = 44
+        put(cs, w, w, 44)
         cs.last_update_at[w] = 40
     vec = cs.on_tick(88)
     assert all(v is not None for v in vec)
@@ -55,7 +70,7 @@ def test_tick_healthy_broadcast_has_no_gaps(p):
 def test_update_with_exact_step_accepted(p):
     cs = healthy(p)
     for u in range(4):
-        cs.rows[u][1] = 2000                 # everyone relays the 100.0 claim
+        put(cs, u, 1, 2000)                  # everyone relays the 100.0 claim
     cs.last_update_at[1] = 0
     incoming = [0, 2044, 0, 0]               # 102.2 = +2.2 exactly
     cs.on_update(1, incoming, 40)            # arrives 2.0 local later
@@ -66,7 +81,7 @@ def test_update_with_exact_step_accepted(p):
 
 def test_update_with_wrong_step_flags(p):
     cs = healthy(p)
-    cs.rows[1][1] = 2000
+    put(cs, 1, 1, 2000)
     cs.last_update_at[1] = 0
     cs.on_update(1, [2060, 2060, 2060, 2060], 40)   # 103.0: step 3.0 != 2.2
     assert cs.trust_hold_until[1] == 40 + p.trust_regain
@@ -75,7 +90,7 @@ def test_update_with_wrong_step_flags(p):
 
 def test_update_arriving_too_soon_flags(p):
     cs = healthy(p)
-    cs.rows[1][1] = 2000
+    put(cs, 1, 1, 2000)
     cs.last_update_at[1] = 40
     cs.on_update(1, [2044, 2044, 2044, 2044], 55)   # 0.75 local < d
     assert cs.trust_hold_until[1] is not None
@@ -84,25 +99,25 @@ def test_update_arriving_too_soon_flags(p):
 def test_support_three_of_four_within_band_keeps_trust(p):
     # Rows for target 2 agree within (2 theta^2 + 4 theta) d = 6.82.
     cs = healthy(p)
-    cs.rows[0][2] = 1000
-    cs.rows[2][2] = 1000
-    cs.rows[3][2] = None
+    put(cs, 0, 2, 1000)
+    put(cs, 2, 2, 1000)
+    put(cs, 3, 2, None)
     cs.on_update(1, [0, 0, 1056, 0], 40)     # 1056: 2.8 away, within band
     assert cs.trust_hold_until[2] is None
 
 
 def test_support_two_of_four_resets_trust(p):
     cs = healthy(p)
-    cs.rows[0][2] = None
-    cs.rows[2][2] = 1000
-    cs.rows[3][2] = None
+    put(cs, 0, 2, None)
+    put(cs, 2, 2, 1000)
+    put(cs, 3, 2, None)
     cs.on_update(1, [0, 0, 5000, 0], 40)     # far from the claim: no support
     assert cs.trust_hold_until[2] == 40 + p.trust_regain
 
 
 def test_estimate_definitions(p):
     cs = healthy(p)
-    cs.rows[1][1] = 1144                     # 57.2
+    put(cs, 1, 1, 1144)                      # 57.2
     assert cs.estimate(1, 100) == 1144
     cs.trust_hold_until[1] = 100 + p.trust_regain
     assert cs.estimate(1, 120) is None       # held 1 local-time ago
@@ -112,7 +127,7 @@ def test_estimate_definitions(p):
 def test_estimate_modular_wraparound(p):
     cs = healthy(p)
     big = p.clock_modulus - p.update_period
-    cs.rows[1][1] = big
+    put(cs, 1, 1, big)
     cs.last_update_at[1] = 0
     vec = [0] * 4
     vec[1] = 0                               # wraps around to zero
@@ -159,3 +174,66 @@ def test_sanitize_clamps_future_registers(p):
     assert cs.last_update_at[2] == 1000
     assert cs.trust_hold_until[2] == 1000 + p.trust_regain
     assert cs.report_hold_until[2] == 1000 + p.report_hold
+
+
+# -- maintained support counts -------------------------------------------------
+
+
+def recount(cs, x):
+    """Support of x's claim from scratch, by the circle-distance definition."""
+    p = cs.p
+    claim = cs.rows[x][x]
+    if claim is None:
+        return 0
+    return sum(1 for row in cs.rows if row[x] is not None and
+               mod_near(row[x], claim, p.relay_band, p.clock_modulus))
+
+
+def values(p):
+    """Clock values that sit on the band's edges around a few shared anchors,
+    one of them just below the wrap-around of the modulus."""
+    band, mod = p.relay_band, p.clock_modulus
+    anchors = st.sampled_from([0, mod - band // 2, mod // 2])
+    offsets = st.sampled_from([0, 1, -1, band, -band, band + 1, -band - 1])
+    near = st.builds(lambda a, o: (a + o) % mod, anchors, offsets)
+    return st.one_of(st.none(), near, st.integers(0, mod - 1))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.sampled_from([4, 7]))
+def test_support_counts_equal_a_recount(data, n):
+    p = derive(n, (n - 1) // 3, "1.1", "1", 8, 38)
+    node = data.draw(st.integers(0, n - 1))
+    cs = ClockSync(p, node)
+    rows = st.lists(values(p), min_size=n, max_size=n)
+    now = 0
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["boot", "tick", "update", "corrupt"]))
+        now += data.draw(st.integers(0, 3 * p.update_period))
+        if op == "boot":
+            claims = data.draw(st.lists(values(p).filter(lambda v: v is not None),
+                                        min_size=n, max_size=n))
+            cs.boot_clean(claims, now)
+        elif op == "tick":
+            # The tick's own entry is the unbounded local time, so it wraps.
+            cs.on_tick(now + data.draw(st.integers(0, 2)) * p.clock_modulus)
+        elif op == "update":
+            sender = data.draw(st.integers(0, n - 1).filter(lambda w: w != node))
+            cs.on_update(sender, data.draw(rows), now)
+        else:
+            cs.load_row(data.draw(st.integers(0, n - 1)), data.draw(rows))
+        assert cs.support == [recount(cs, x) for x in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_corrupted_boot_leaves_exact_support_counts(seed):
+    sc = Scenario(n=7, f=2, corruption={"kind": "random"}, seed=seed)
+    _, p, _, _, _, clocks = harness.build_env(sc)
+    sim = Simulator(p, clocks, {}, lambda receiver, rng: p.d / 2,
+                    random.Random(seed))
+    proto = protocols.make_protocol("phase-king-silent", 7, 2)
+    rt = sim.handlers[0] = NodeRuntime(sim, 0, p, proto, lambda *a: 1)
+    adversary.corrupt_runtime(rt, random.Random(seed), 4 * p.stall_after)
+    cs = rt.clocksync
+    assert any(v is None for row in cs.rows for v in row)
+    assert cs.support == [recount(cs, x) for x in range(7)]

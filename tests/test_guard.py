@@ -88,4 +88,4 @@ def test_stale_wipe_alarm_ignored(ctx):
 def test_metrics_shape(ctx):
     p, guard, rt = ctx
     m = guard.metrics()
-    assert m == {"node": 0, "instances_joined": 0, "quarantines": 0}
+    assert m == {"instances_joined": 0, "quarantines": 0}

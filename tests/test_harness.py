@@ -60,6 +60,16 @@ def test_trace_decoding_accepts_only_envelopes(name):
         verdicts.trace_from_jsonl(line)
 
 
+@pytest.mark.parametrize("name,fields", [
+    ("Init", '{"_t": [1, 2]}'), ("Init", '{"_t": []}'),
+    ("RoundMsg", '{"_t": [{"_t": [0, 5]}, 1]}'), ("Update", "7"),
+    ("Echo", "null")])
+def test_trace_decoding_rejects_a_wrong_field_count(name, fields):
+    line = '{"_t": ["send", {"_m": "%s", "v": %s}]}' % (name, fields)
+    with pytest.raises(ValueError, match=f"trace gives {name} the fields"):
+        verdicts.trace_from_jsonl(line)
+
+
 def test_rate_limited_second_initiation_refused():
     sc = clean_scenario(script=[{"t": "8", "node": 0, "action": "initiate"},
                                 {"t": "9", "node": 0, "action": "initiate"}])
@@ -118,8 +128,30 @@ def test_byzantine_initiator_split_echo():
 def test_metrics_exported_per_correct_node():
     res = harness.run(clean_scenario())
     assert [m["node"] for m in res.metrics] == [0, 1, 2]
+    assert all(list(m) == ["node", "infra_bits", "instance_bits",
+                           "payload_bits", "instances_joined", "quarantines"]
+               for m in res.metrics)
     assert all(m["infra_bits"] > 0 for m in res.metrics)
     assert all(m["quarantines"] == 0 for m in res.metrics)
+
+
+def test_bit_windows_sum_the_send_records_per_window():
+    res = harness.run(clean_scenario())
+    window = res.params.bits_window
+    rows = verdicts.bit_windows(res.trace, res.scenario, res.params,
+                                res.correct, res.metrics)
+    count = int(110 / window)
+    assert [(r["node"], r["window"]) for r in rows] == \
+        [(v, k) for v in res.correct for k in range(count)]
+    for r in rows:
+        lo, hi = r["window"] * window, (r["window"] + 1) * window
+        sends = [s for s in res.trace if s[0] == "send"
+                 and s[2] == r["node"] and lo <= s[1] < hi]
+        assert r["infra_bits"] == sum(s[5] + s[6] for s in sends
+                                      if s[4] != "RoundMsg")
+        assert r["instance_bits"] == sum(s[5] + s[6] for s in sends
+                                         if s[4] == "RoundMsg")
+        assert r["instances_joined"] == res.metrics[r["node"]]["instances_joined"]
 
 
 def test_metrics_bit_totals_are_the_sums_of_the_send_records():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noclock.kernel import (ACTION, DELIVERY, THRESHOLD, HardwareClock,
-                            Simulator, SimulatorBug)
+from noclock.kernel import (ACTION, DELIVERY, THRESHOLD, GridReader,
+                            HardwareClock, Simulator, SimulatorBug)
 from noclock.messages import Init, RoundMsg
 from noclock.params import derive
 from noclock.timebase import frac
@@ -190,3 +190,40 @@ def test_drift_bound_holds_for_random_schedules(data):
     assert b - a <= hi - lo <= theta * (b - a)
     # strict monotonicity and exact inversion
     assert clock.invert(hi) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grid_reader_equals_the_floored_exact_clock(data):
+    p = derive(4, 1, "1.1", "1", 8, 38)
+    rates = st.fractions(min_value=1, max_value=2, max_denominator=40)
+    segs = [(0, data.draw(rates))]
+    for _ in range(data.draw(st.integers(0, 6))):
+        step = data.draw(st.fractions(min_value=Fraction(1, 16), max_value=9,
+                                      max_denominator=16))
+        segs.append((segs[-1][0] + step, data.draw(rates)))
+    offset = data.draw(st.fractions(min_value=0, max_value=50,
+                                    max_denominator=20))
+    clock = HardwareClock(offset, segs)
+    reader = GridReader(clock, p.grid.unit)
+    last = segs[-1][0]
+    starts = [s for s, _ in segs]
+    # Segment starts and the instants just before them, times past the last
+    # segment, and any order: the cursor must also go back.
+    times = st.one_of(
+        st.sampled_from(starts),
+        st.sampled_from(starts).map(lambda s: max(0, s - Fraction(1, 1024))),
+        st.fractions(min_value=0, max_value=int(last) + 20,
+                     max_denominator=1024))
+    for t in data.draw(st.lists(times, min_size=1, max_size=40)):
+        t = frac(t)
+        assert reader.floor_units(t) == p.grid.floor_units(clock.value(t))
+
+
+def test_reading_is_the_quantized_grid_reading():
+    sim, _ = make_sim(rates=[(0, 1), (2, frac("1.1"))])
+    for t in ("0.3", "2", "2.75", "9.99"):
+        sim.run_until(frac(t))
+        value = sim.clocks[0].value(sim.now)
+        assert sim.local_units(0) == sim.p.grid.floor_units(value)
+        assert sim.reading(0) == sim.p.grid.read(value)

@@ -116,3 +116,22 @@ def test_mistyped_byzantine_set_rejected(byz):
     with pytest.raises(ScenarioError) as err:
         Scenario(adversary={"byzantine_set": byz}).validate()
     assert err.value.problems == ["byzantine_set contains invalid node ids"]
+
+
+@pytest.mark.parametrize("data,problem", [
+    ({"d": "0"}, "d=0 must be positive"),
+    ({"d": "-1"}, "d=-1 must be positive"),
+    ({"clock_update_period": "x"}, "clock_update_period: "),
+    ({"clock_update_period": True}, "clock_update_period: "),
+    ({"clock_update_period": "0.5"}, "clock_update_period=0.5 below d=1"),
+])
+def test_bad_delay_bound_or_update_period_rejected(data, problem):
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(data)
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith(problem)
+
+
+@pytest.mark.parametrize("period", ["1", "2", 3])
+def test_update_period_at_or_above_d_accepted(period):
+    Scenario.from_dict({"clock_update_period": period})
