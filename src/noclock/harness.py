@@ -110,6 +110,12 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     bits = _bits_sent(sim.trace, runtimes)
     metrics = [{"node": v, **bits[v], **runtimes[v].guard.metrics()}
                for v in sorted(runtimes)]
+    # Each runtime and its layers form a reference cycle, so the instance and
+    # echo tables would outlive the run until the next full collection; free
+    # them now, before the verdicts allocate.
+    for handler in handlers.values():
+        if isinstance(handler, NodeRuntime):
+            handler.wipe()
     vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
                             lambda: proto) if evaluate else []
     return RunResult(sc, p, sim.trace if keep_trace else [], metrics, vds,

@@ -72,7 +72,7 @@ class GridReader:
     """
 
     def __init__(self, clock: HardwareClock, unit: Fraction):
-        self.clock = clock
+        self.starts = clock.starts
         self.bounds = [(s.numerator, s.denominator) for s in clock.starts]
         self.coef = []
         for start, h, rate in zip(clock.starts, clock.h_starts, clock.rates):
@@ -89,7 +89,7 @@ class GridReader:
         i = self.i
         sn, sd = self.bounds[i]
         if tn * sd < sn * td:
-            i = bisect_right(self.clock.starts, t) - 1
+            i = bisect_right(self.starts, t) - 1
         else:
             while i < self.last:
                 sn, sd = self.bounds[i + 1]
