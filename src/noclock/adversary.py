@@ -239,7 +239,7 @@ class ClockSkewNode(SilentNode):
     def on_deliver(self, sender, envelope):
         if isinstance(envelope, msg.Update) and msg.well_formed(envelope, self.p):
             now = self.sim.local_units(self.node)
-            self.clocksync.on_update(sender, list(envelope.values), now)
+            self.clocksync.on_update(sender, envelope.values, now)
 
 
 STRATEGIES = {

@@ -71,7 +71,10 @@ class ClockSync:
         self.load_row(v, out)
         return out
 
-    def on_update(self, sender: int, values: list, now: int) -> None:
+    def on_update(self, sender: int, values, now: int) -> None:
+        """Check an update's pace and step, store a copy of `values` as the
+        sender's row, and distrust every column left with fewer than n - f
+        supporting rows."""
         p = self.p
         v = self.node
         w = sender

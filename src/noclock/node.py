@@ -92,7 +92,7 @@ class NodeRuntime:
             self.log("drop", "malformed", sender)
             return
         if isinstance(envelope, msg.Update):
-            self.clocksync.on_update(sender, list(envelope.values), now)
+            self.clocksync.on_update(sender, envelope.values, now)
         elif isinstance(envelope, msg.Init):
             self.initiation.on_init(sender, envelope.stamp, now)
         elif isinstance(envelope, msg.Echo):
