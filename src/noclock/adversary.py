@@ -386,7 +386,6 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
         guard.joins[label[0]].append(inst.joined_at)
         if inst.nontrivial:
             guard.busy[label[0]].add(label)
-        guard.instances_joined += 1
     if rng.random() < 0.1:
         guard.suppress_until = now + rng.randint(0, 4 * p.quarantine_hold)
 

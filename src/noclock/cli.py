@@ -37,19 +37,15 @@ def _report(result) -> str:
 
 def _write_outputs(result, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "trace.log"), "w") as fh:
-        fh.write("\n".join(verdicts.trace_lines(result.trace)))
-        fh.write("\n")
     with open(os.path.join(outdir, "trace.jsonl"), "w") as fh:
         fh.write(verdicts.trace_to_jsonl(result.trace))
     with open(os.path.join(outdir, "verdicts.json"), "w") as fh:
         json.dump([_verdict_json(v) for v in result.verdicts], fh, indent=2)
         fh.write("\n")
     with open(os.path.join(outdir, "metrics.json"), "w") as fh:
-        rows = verdicts.bit_windows(result.trace, result.scenario,
-                                    result.params, result.correct,
-                                    result.metrics)
-        json.dump({"totals": result.metrics, "windows": rows}, fh, indent=2)
+        json.dump(verdicts.run_metrics(result.trace, result.scenario,
+                                       result.params, result.correct),
+                  fh, indent=2)
         fh.write("\n")
     result.scenario.dump(os.path.join(outdir, "scenario.json"))
 

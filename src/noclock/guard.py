@@ -3,7 +3,7 @@
 Stored-tuple garbage collection lives with the tables it guards (initiation
 and rounds expose `sweep`); this module owns the per-initiator instance
 counters, the overload check and the quarantine-and-wipe sequence.
-Bits sent are counted from the trace's `send` records, not here.
+Joins, quarantines and bits sent are counted from the trace, not here.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ class Guard:
         self.joins: Dict[int, deque] = {v: deque() for v in range(self.p.n)}
         self.busy: Dict[int, set] = {v: set() for v in range(self.p.n)}
         self.suppress_until: Optional[int] = None
-        self.quarantines = 0
-        self.instances_joined = 0
 
     # -- counters -------------------------------------------------------------
 
@@ -28,7 +26,6 @@ class Guard:
         q = self.joins[initiator]
         q.append(now)
         self._prune(q, now)
-        self.instances_joined += 1
         self._check(initiator, now)
 
     def note_busy(self, label) -> None:
@@ -69,7 +66,6 @@ class Guard:
 
     def quarantine(self, now: int) -> None:
         self.suppress_until = now + self.p.quarantine_hold
-        self.quarantines += 1
         self.rt.log("quarantine")
         self.rt.alarm(self.suppress_until, ("wipe",))
 
@@ -85,7 +81,3 @@ class Guard:
             self.busy[v].clear()
         self.rt.log("wipe")
         self.rt.wipe()
-
-    def metrics(self) -> dict:
-        return {"instances_joined": self.instances_joined,
-                "quarantines": self.quarantines}

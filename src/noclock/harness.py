@@ -25,7 +25,6 @@ class RunResult:
     scenario: Scenario
     params: Params
     trace: list
-    metrics: List[dict]
     verdicts: list
     correct: List[int]
     byzantine: List[int]
@@ -107,9 +106,6 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
 
     sim.run_until(duration)
 
-    bits = _bits_sent(sim.trace, runtimes)
-    metrics = [{"node": v, **bits[v], **runtimes[v].guard.metrics()}
-               for v in sorted(runtimes)]
     # Each runtime and its layers form a reference cycle, so the instance and
     # echo tables would outlive the run until the next full collection; free
     # them now, before the verdicts allocate.
@@ -118,24 +114,10 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
             handler.wipe()
     vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
                             lambda: proto) if evaluate else []
-    return RunResult(sc, p, sim.trace if keep_trace else [], metrics, vds,
-                     correct, byz)
+    return RunResult(sc, p, sim.trace if keep_trace else [], vds, correct, byz)
 
 
-def _bits_sent(trace, nodes) -> Dict[int, dict]:
-    """Per-node bit totals of the trace's `send` records."""
-    totals = {v: dict.fromkeys(("infra_bits", "instance_bits", "payload_bits"), 0)
-              for v in nodes}
-    for rec in trace:
-        if rec[0] == "send" and rec[2] in totals:
-            row = totals[rec[2]]
-            kind = "infra_bits" if rec[4] in verdicts.INFRA_KINDS else "instance_bits"
-            row[kind] += rec[5] + rec[6]
-            row["payload_bits"] += rec[6]
-    return totals
-
-
-def sweep(base: Scenario, axes: Dict[str, list], evaluate: bool = True):
+def sweep(base: Scenario, axes: Dict[str, list]):
     """RunResults of a cross-product of overrides, all validated before any run."""
     combos: List[dict] = [{}]
     for key, values in axes.items():
@@ -153,4 +135,4 @@ def sweep(base: Scenario, axes: Dict[str, list], evaluate: bool = True):
                 raise ScenarioError([f"sweep axis {key!r}: the scenario has "
                                      f"no section {outer!r}"])
         scenarios.append(Scenario.from_dict(data))
-    return [run(sc, evaluate=evaluate, keep_trace=False) for sc in scenarios]
+    return [run(sc, keep_trace=False) for sc in scenarios]

@@ -80,8 +80,8 @@ ENVELOPES = (Update, Init, Echo, RoundMsg, Garbage)
 def well_formed(msg, p: Params) -> bool:
     """Structural validity; senders of malformed envelopes are trace-marked."""
     if isinstance(msg, Update):
-        # `Params.clock_value_ok` per value, inlined: updates are the bulk
-        # of all traffic.
+        # Each value is None or passes `Params.clock_value_ok`, inlined:
+        # updates are the bulk of all traffic.
         if len(msg.values) != p.n:
             return False
         mod = p.clock_modulus
@@ -90,13 +90,13 @@ def well_formed(msg, p: Params) -> bool:
                 return False
         return True
     if isinstance(msg, Init):
-        return p.clock_value_ok(msg.stamp) and msg.stamp is not None
+        return p.clock_value_ok(msg.stamp)
     if isinstance(msg, Echo):
         ini, stamp = msg.label
-        return 0 <= ini < p.n and p.clock_value_ok(stamp) and stamp is not None
+        return 0 <= ini < p.n and p.clock_value_ok(stamp)
     if isinstance(msg, RoundMsg):
         ini, stamp = msg.label
-        if not (0 <= ini < p.n and p.clock_value_ok(stamp) and stamp is not None):
+        if not (0 <= ini < p.n and p.clock_value_ok(stamp)):
             return False
         if msg.payload is not None and not all(b in (0, 1) for b in msg.payload):
             return False

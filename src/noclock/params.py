@@ -76,7 +76,7 @@ class Params:
     round_bits: int
 
     def clock_value_ok(self, v: object) -> bool:
-        return v is None or (isinstance(v, int) and 0 <= v < self.clock_modulus)
+        return isinstance(v, int) and 0 <= v < self.clock_modulus
 
     def instance_budget(self, r: int) -> int:
         """Cumulative per-node bit allowance for one instance through round r."""

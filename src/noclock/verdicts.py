@@ -14,7 +14,6 @@ earlier instances may do anything.  Unfinished instances still active within
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ from .timebase import frac, mod_signed
 
 CEILINGS = {"K1": 16, "K2": 8, "K3": 6, "K4": 10, "K5": 8,
             "dur_lo": 1, "dur_hi": 12, "c_bits": 64}
-INFRA_KINDS = ("Update", "Init", "Echo")
 
 
 @dataclass
@@ -349,6 +347,7 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
 def _window_bits(sends, start, window, count) -> List[List[int]]:
     """[infra, instance] bit totals of one node's time-ordered (t, kind, bits)
     sends in the windows [start + k*window, start + (k+1)*window), k < count.
+    `RoundMsg` sends are instance traffic; every other kind is infrastructure.
     """
     totals = [[0, 0] for _ in range(count)]
     k, edge = -1, start
@@ -359,7 +358,7 @@ def _window_bits(sends, start, window, count) -> List[List[int]]:
                 return totals
             edge += window
         if k >= 0:
-            totals[k][kind not in INFRA_KINDS] += bits
+            totals[k][kind == "RoundMsg"] += bits
     return totals
 
 
@@ -483,42 +482,46 @@ def _stabilization_suite(ix, judged, cutoff, suite_verdicts) -> Verdict:
                     "repeat_quarantine": repeat})
 
 
-def bit_windows(trace, sc, p: Params, correct, metrics) -> List[dict]:
-    """Per-node, per-window bit totals for the metrics export."""
-    window = p.bits_window
-    count = max(1, int(frac(sc.duration) / window))
+def run_metrics(trace, sc, p: Params, correct) -> dict:
+    """Every number of the metrics export, read from the trace in one pass.
+
+    Per correct node: bits sent by layer (`send` records), instances joined
+    (`participate` records) and quarantines (`quarantine` records); then the
+    same node's bits per `bits_window`, each row carrying the node's counts.
+    """
+    totals = {v: {"node": v, "infra_bits": 0, "instance_bits": 0,
+                  "payload_bits": 0, "instances_joined": 0, "quarantines": 0}
+              for v in correct}
     sends = {v: [] for v in correct}
     for rec in trace:
-        if rec[0] == "send" and rec[2] in sends:
-            sends[rec[2]].append((rec[1], rec[4], rec[5] + rec[6]))
-    by_node = {m["node"]: m for m in metrics}
-    rows = []
+        kind = rec[0]
+        if kind == "send":
+            _, t, sender, _, mkind, frame, payload, _ = rec
+            if sender in totals:
+                row = totals[sender]
+                layer = "instance_bits" if mkind == "RoundMsg" else "infra_bits"
+                row[layer] += frame + payload
+                row["payload_bits"] += payload
+                sends[sender].append((t, mkind, frame + payload))
+        elif kind == "participate" and rec[2] in totals:
+            totals[rec[2]]["instances_joined"] += 1
+        elif kind == "quarantine" and rec[2] in totals:
+            totals[rec[2]]["quarantines"] += 1
+    window = p.bits_window
+    count = max(1, int(frac(sc.duration) / window))
+    windows = []
     for v in correct:
-        totals = _window_bits(sends[v], Fraction(0), window, count)
-        for k, (infra, inst) in enumerate(totals):
-            rows.append({"node": v, "window": k, "infra_bits": infra,
-                         "instance_bits": inst,
-                         "instances_joined": by_node[v]["instances_joined"],
-                         "quarantines": by_node[v]["quarantines"]})
-    return rows
+        row = totals[v]
+        for k, (infra, inst) in enumerate(
+                _window_bits(sends[v], Fraction(0), window, count)):
+            windows.append({"node": v, "window": k, "infra_bits": infra,
+                            "instance_bits": inst,
+                            "instances_joined": row["instances_joined"],
+                            "quarantines": row["quarantines"]})
+    return {"totals": [totals[v] for v in correct], "windows": windows}
 
 
 # -- trace serialization -------------------------------------------------------
-
-
-def trace_lines(trace) -> List[str]:
-    """Flat log format: time | node | kind | payload-digest | bits."""
-    lines = []
-    for rec in trace:
-        kind = rec[0]
-        t = rec[1]
-        node = rec[2] if len(rec) > 2 and isinstance(rec[2], int) else -1
-        bits = 0
-        if kind == "send":
-            bits = rec[5] + rec[6]
-        digest = hashlib.sha1(repr(rec[3:]).encode()).hexdigest()[:12]
-        lines.append(f"{t} | {node} | {kind} | {digest} | {bits}")
-    return lines
 
 
 def _enc(obj):
@@ -537,8 +540,14 @@ def _enc(obj):
 def _dec(obj):
     if isinstance(obj, dict):
         if "_f" in obj:
-            return Fraction(obj["_f"])
+            try:
+                return Fraction(obj["_f"])
+            except (TypeError, ZeroDivisionError):
+                raise ValueError(f"trace gives the fraction {obj['_f']!r}") \
+                    from None
         if "_t" in obj:
+            if not isinstance(obj["_t"], list):
+                raise ValueError(f"trace gives the tuple {obj['_t']!r}")
             return tuple(_dec(x) for x in obj["_t"])
         if "_m" in obj:
             for cls in msg.ENVELOPES:
@@ -559,5 +568,24 @@ def trace_to_jsonl(trace) -> str:
     return "\n".join(json.dumps(_enc(tuple(rec))) for rec in trace) + "\n"
 
 
+# Field counts, kind included, of the records that `evaluate` unpacks.
+_RECORD_FIELDS = {"send": 8, "participate": 7, "output": 6, "rrcv": 6,
+                  "remit": 6, "init": 4, "est": 4, "quarantine": 3}
+
+
 def trace_from_jsonl(text: str) -> list:
-    return [_dec(json.loads(line)) for line in text.splitlines() if line.strip()]
+    """The records of a stored trace; `ValueError` if `evaluate` could not
+    read one."""
+    trace = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        rec = _dec(json.loads(line))
+        if not (isinstance(rec, tuple) and rec and isinstance(rec[0], str)):
+            raise ValueError(f"trace record {rec!r} is not a tuple led by "
+                             f"its kind")
+        if len(rec) != _RECORD_FIELDS.get(rec[0], len(rec)):
+            raise ValueError(f"trace gives a {rec[0]} record {len(rec)} "
+                             f"fields, not {_RECORD_FIELDS[rec[0]]}")
+        trace.append(rec)
+    return trace

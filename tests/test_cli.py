@@ -21,13 +21,10 @@ def test_run_writes_outputs_and_exits_zero(scenario_file, tmp_path, capsys):
     out = tmp_path / "results"
     rc = cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)])
     assert rc == 0
-    for name in ("trace.log", "trace.jsonl", "verdicts.json", "metrics.json",
-                 "scenario.json"):
-        assert (out / name).exists()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "metrics.json", "scenario.json", "trace.jsonl", "verdicts.json"]
     stored = json.loads((out / "verdicts.json").read_text())
     assert all(v["passed"] for v in stored)
-    first = (out / "trace.log").read_text().splitlines()[0]
-    assert len(first.split(" | ")) == 5        # time | node | kind | digest | bits
 
 
 def test_check_trace_reevaluates(scenario_file, tmp_path, capsys):
@@ -142,3 +139,22 @@ def test_check_trace_rejects_a_wrong_field_count(scenario_file, tmp_path,
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["check-trace", "--dir", str(out)]) == 2
     assert "trace gives Init the fields (1, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"_t": ["init", 5, 0, {"_f": "1/0"}]}, "trace gives the fraction '1/0'"),
+    (5, "trace record 5 is not a tuple led by its kind"),
+    ({"_t": ["send"]}, "trace gives a send record 1 fields, not 8"),
+])
+def test_check_trace_rejects_a_record_evaluate_cannot_read(
+        scenario_file, tmp_path, capsys, record, message):
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trace.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-trace", "--dir", str(out)]) == 2
+    assert message in capsys.readouterr().err

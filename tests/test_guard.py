@@ -66,7 +66,7 @@ def test_overflow_detected_on_sweep_triggers_quarantine(ctx):
     for k in range(p.max_busy_instances + 1):
         guard.busy[1].add((1, k))
     guard.sweep(500)
-    assert guard.quarantines == 1
+    assert [r[0] for r in rt.trace] == ["quarantine"]
     assert guard.suppress_until == 500 + p.quarantine_hold
 
 
@@ -87,5 +87,5 @@ def test_stale_wipe_alarm_ignored(ctx):
 
 def test_metrics_shape(ctx):
     p, guard, rt = ctx
-    m = guard.metrics()
-    assert m == {"instances_joined": 0, "quarantines": 0}
+    assert not any(guard.overloaded(v, 0) for v in range(p.n))
+    assert rt.trace == []

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from noclock import harness, verdicts
@@ -57,6 +59,19 @@ def test_trace_serialization_roundtrip():
 def test_trace_decoding_accepts_only_envelopes(name):
     line = '{"_t": ["send", {"_m": "%s", "v": {"_t": []}}]}' % name
     with pytest.raises(ValueError, match=f"unknown envelope '{name}'"):
+        verdicts.trace_from_jsonl(line)
+
+
+@pytest.mark.parametrize("line", [
+    '{"_t": ["init", 5, 0, {"_f": "1/0"}]}', '{"_t": ["est", {"_f": [1]}, 0, []]}',
+    '{"_t": 5}', '5', '"send"', '{"_t": []}', '{"_t": [7, 0, 1]}',
+    '{"_t": ["send"]}', '{"_t": ["send", 1, 0, 1, "Init", 3, 0]}',
+    '{"_t": ["participate", 1, 0, {"_t": [0, 5]}, 2, 1]}',
+    '{"_t": ["output", 1, 0, {"_t": [0, 5]}, 1, "ok", 0]}',
+    '{"_t": ["rrcv", 1, 0]}', '{"_t": ["remit", 1, 0, {"_t": [0, 5]}, 1]}',
+    '{"_t": ["init", 1, 0]}', '{"_t": ["est", 1, 0]}', '{"_t": ["quarantine", 1]}'])
+def test_trace_decoding_rejects_a_record_evaluate_cannot_read(line):
+    with pytest.raises(ValueError, match="trace"):
         verdicts.trace_from_jsonl(line)
 
 
@@ -125,21 +140,27 @@ def test_byzantine_initiator_split_echo():
     assert res.passed, [v for v in res.verdicts if not v.passed]
 
 
+def run_metrics(res):
+    return verdicts.run_metrics(res.trace, res.scenario, res.params,
+                                res.correct)
+
+
 def test_metrics_exported_per_correct_node():
     res = harness.run(clean_scenario())
-    assert [m["node"] for m in res.metrics] == [0, 1, 2]
+    totals = run_metrics(res)["totals"]
+    assert [m["node"] for m in totals] == [0, 1, 2]
     assert all(list(m) == ["node", "infra_bits", "instance_bits",
                            "payload_bits", "instances_joined", "quarantines"]
-               for m in res.metrics)
-    assert all(m["infra_bits"] > 0 for m in res.metrics)
-    assert all(m["quarantines"] == 0 for m in res.metrics)
+               for m in totals)
+    assert all(m["infra_bits"] > 0 for m in totals)
+    assert all(m["quarantines"] == 0 for m in totals)
 
 
 def test_bit_windows_sum_the_send_records_per_window():
     res = harness.run(clean_scenario())
     window = res.params.bits_window
-    rows = verdicts.bit_windows(res.trace, res.scenario, res.params,
-                                res.correct, res.metrics)
+    metrics = run_metrics(res)
+    rows = metrics["windows"]
     count = int(110 / window)
     assert [(r["node"], r["window"]) for r in rows] == \
         [(v, k) for v in res.correct for k in range(count)]
@@ -151,12 +172,16 @@ def test_bit_windows_sum_the_send_records_per_window():
                                       if s[4] != "RoundMsg")
         assert r["instance_bits"] == sum(s[5] + s[6] for s in sends
                                          if s[4] == "RoundMsg")
-        assert r["instances_joined"] == res.metrics[r["node"]]["instances_joined"]
+        assert list(r) == ["node", "window", "infra_bits", "instance_bits",
+                           "instances_joined", "quarantines"]
+        total = metrics["totals"][r["node"]]
+        assert r["instances_joined"] == total["instances_joined"]
+        assert r["quarantines"] == total["quarantines"]
 
 
 def test_metrics_bit_totals_are_the_sums_of_the_send_records():
     res = harness.run(clean_scenario())
-    for m in res.metrics:
+    for m in run_metrics(res)["totals"]:
         sends = [r for r in res.trace if r[0] == "send" and r[2] == m["node"]]
         rounds = [r for r in sends if r[4] == "RoundMsg"]
         assert m["infra_bits"] == sum(r[5] + r[6] for r in sends
@@ -192,6 +217,26 @@ def test_corrupted_boot_stabilizes_and_quarantine_path_runs():
         assert sv.measured["post_horizon_instances"] >= 1
         quarantines += sv.measured["quarantines"]
     assert quarantines >= 1          # the overload/quarantine path was hit
+
+
+@pytest.mark.parametrize("seed", [0, 1])   # seed 1: node 3 quarantines
+def test_corrupted_boot_metrics_count_the_trace_records(seed):
+    # corrupt_runtime makes up instances at boot; only the trace's
+    # participate records count as joins.
+    sc = Scenario(n=4, f=1, theta="1.1", d="1", duration="1100", seed=seed,
+                  adversary={"byzantine": "silent", "delays": "uniform",
+                             "byzantine_set": [2]},
+                  corruption={"kind": "random"},
+                  script=[{"t": "1000", "node": 0, "action": "initiate"},
+                          {"t": "1004", "node": 1, "action": "initiate"}])
+    res = harness.run(sc, evaluate=False)
+    totals = run_metrics(res)["totals"]
+    assert [m["node"] for m in totals] == [0, 1, 3]
+    joins = Counter(r[2] for r in res.trace if r[0] == "participate")
+    quarantines = Counter(r[2] for r in res.trace if r[0] == "quarantine")
+    for m in totals:
+        assert m["instances_joined"] == joins[m["node"]] > 0
+        assert m["quarantines"] == quarantines[m["node"]]
 
 
 def test_update_cadence_is_exactly_one_period():

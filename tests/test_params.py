@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from noclock.messages import RoundMsg
+from noclock.messages import Echo, Init, RoundMsg, Update, well_formed
 from noclock.params import derive
 
 
@@ -99,3 +99,16 @@ def test_verdict_windows_derive_from_the_params(period):
     lead = q.grid.from_units(q.first_round_lead)
     assert lead * (q.d_clk - q.d) / (q.d_clk * q.d) \
         == 22 * q.theta * (q.d_clk - q.d) / q.d
+
+
+def test_none_is_no_clock_value_but_an_update_may_carry_it(p):
+    assert not p.clock_value_ok(None)
+    assert p.clock_value_ok(0) and p.clock_value_ok(p.clock_modulus - 1)
+    assert not p.clock_value_ok(p.clock_modulus)
+    assert not well_formed(Init(None), p)
+    assert not well_formed(Echo((0, None)), p)
+    assert not well_formed(RoundMsg((0, None), 1, None), p)
+    assert well_formed(Init(5), p) and well_formed(Echo((0, 5)), p)
+    assert well_formed(RoundMsg((0, 5), 1, None), p)
+    assert well_formed(Update((None,) * p.n), p)
+    assert well_formed(Update((None, 5) + (None,) * (p.n - 2)), p)
