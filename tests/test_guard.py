@@ -1,6 +1,8 @@
 import pytest
 
 from noclock.guard import Guard
+from noclock.protocols import phase_king_silent
+from noclock.rounds import Rounds
 
 
 @pytest.fixture
@@ -89,3 +91,37 @@ def test_metrics_shape(ctx):
     p, guard, rt = ctx
     assert not any(guard.overloaded(v, 0) for v in range(p.n))
     assert rt.trace == []
+
+
+@pytest.mark.parametrize("end", [None, "finish", "abort", "gc"])
+def test_busy_count_follows_the_instance_table(rt, end):
+    # k1+1 instances of initiator 1 send round-1 payloads, so all are busy:
+    # the sweep quarantines, unless one of them has finished, been aborted
+    # or been garbage-collected first.
+    p = rt.p
+    guard = Guard(rt)
+    rt.rounds = rounds = Rounds(rt, phase_king_silent(4, 1), guard)
+    first = 1000
+    later = first + p.instance_ttl + 1 - p.first_round_lead - p.stall_after
+    for k in range(p.max_busy_instances + 1):
+        joined = first if k == 0 else later
+        rounds.join((1, k), 1, 2, 1, joined)
+        rounds.on_alarm((1, k), 1, joined + p.first_round_lead)
+    assert all(inst.nontrivial for inst in rounds.instances.values())
+    now = first + p.instance_ttl + 1
+    inst = rounds.instances[(1, 0)]
+    if end == "finish":
+        last = rounds.proto.rounds + 1
+        inst.thresholds[last] = now
+        rounds.on_alarm((1, 0), last, now)
+        assert inst.done and rt.trace[-1][5] == "ok"
+    elif end == "abort":
+        rounds.abort((1, 0), now, "stall")
+        assert inst.done
+    elif end == "gc":
+        rounds.sweep(now)
+        assert (1, 0) not in rounds.instances
+    assert not any(i.done for i in rounds.instances.values() if i is not inst)
+    guard.sweep(now)
+    quarantines = [r for r in rt.trace if r[0] == "quarantine"]
+    assert len(quarantines) == (1 if end is None else 0)

@@ -2,10 +2,10 @@
 
 The matrix holds the acceptance sweep's shape for each byzantine strategy at
 n=4 and n=7 (seed 0, 110 d), a shorter n=16 `clock_skew` run (60 d, where
-the clock-estimate upkeep does the most work) and two corrupted n=4 boots of
-1100 d.  A change
-that keeps the protocol's behaviour keeps every digest; a digest that moves
-means some run now produces a different trace.
+the clock-estimate upkeep does the most work), two corrupted n=4 boots of
+1100 d and a corrupted n=7 boot of 300 d in which node 1 quarantines by the
+busy-instance rule.  A change that keeps the protocol's behaviour keeps every
+digest; a digest that moves means some run now produces a different trace.
 """
 
 import hashlib
@@ -39,6 +39,7 @@ DIGESTS = {
     "clock_skew-n16": "f3a3b8e43ca31ff322300167b52a71db644b9210ba9a7bf2413573312bdb6852",
     "corrupted-noise-split": "20111c041d376aefd48c8ef8e36a396def57de976a56e7fd9a0072becbfc78f3",
     "corrupted-equivocate": "db0ee95547005e341eb63f3bd6b116a1e4569aa83a13574dd672cdb6231e4e22",
+    "corrupted-n7-noise-split": "3931d41637a82c11145800f860d74e9d3a158a8e1a81cb50179d4756ecda0d87",
 }
 
 
@@ -72,7 +73,13 @@ MATRIX = (
                                          "alternating", duration="60"))]
     + [("corrupted-noise-split", corrupted_scenario(1, "noise", "split")),
        ("corrupted-equivocate",
-        corrupted_scenario(2, "equivocate_rounds", "uniform"))])
+        corrupted_scenario(2, "equivocate_rounds", "uniform")),
+       # The seed draws byzantine nodes [3, 4].
+       ("corrupted-n7-noise-split",
+        Scenario(n=7, f=2, theta="1.1", duration="300", seed=11,
+                 adversary={"byzantine": "noise", "delays": "split"},
+                 corruption={"kind": "random"},
+                 script=[{"t": "250", "node": 0, "action": "initiate"}]))])
 
 
 def trace_digest(sc: Scenario) -> str:
