@@ -171,14 +171,14 @@ class SplitEchoNode(NodeRuntime):
                 continue
             # Half the receivers see a stamp near the band edge, half see it
             # clean; some instances will assemble only partial echo support.
-            skew = (p.init_band - p.quantum) if w % 2 else 0
+            skew = (p.init_band - p.grid.q_units) if w % 2 else 0
             stamp = (base + skew) % p.clock_modulus
             self.sim.send(self.node, w, msg.Init(stamp))
         # Echo a pair of conflicting labels ourselves.
         for w in range(p.n):
             if w == self.node:
                 continue
-            stamp = (base + (p.quantum if w % 2 else 0)) % p.clock_modulus
+            stamp = (base + (p.grid.q_units if w % 2 else 0)) % p.clock_modulus
             self.sim.send(self.node, w, msg.Echo((self.node, stamp)))
 
 
@@ -339,7 +339,7 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
             deadline = now + rng.randint(-p.gate_hold, 4 * p.gate_hold)
             ini.gate_deadline[label] = deadline
             if now < deadline <= now + horizon_units:
-                rt.alarm(deadline, ("gate", label))
+                rt.alarm(deadline, (ini.on_gate, label))
     for w in range(n):
         ini.last_init_rx[w] = (None if rng.random() < 0.5
                                else now + rng.randint(-span, span))
@@ -371,7 +371,7 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
                 t = now + rng.randint(-p.stall_after, 2 * p.stall_after)
                 inst.thresholds[i] = t
                 if now < t <= now + horizon_units:
-                    rt.alarm(t, ("round", label, i))
+                    rt.alarm(t, (rounds.on_alarm, label, i))
         for u in range(n):
             for i in range(1, rounds.proto.rounds + 1):
                 if rng.random() < 0.1:
@@ -384,8 +384,6 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
     guard = rt.guard
     for label, inst in rounds.instances.items():
         guard.joins[label[0]].append(inst.joined_at)
-        if inst.nontrivial:
-            guard.busy[label[0]].add(label)
     if rng.random() < 0.1:
         guard.suppress_until = now + rng.randint(0, 4 * p.quarantine_hold)
 

@@ -1,14 +1,15 @@
 """Self-stabilization machinery: overload detection and quarantine.
 
 Stored-tuple garbage collection lives with the tables it guards (initiation
-and rounds expose `sweep`); this module owns the per-initiator instance
-counters, the overload check and the quarantine-and-wipe sequence.
-Joins, quarantines and bits sent are counted from the trace, not here.
+and rounds expose `sweep`); this module owns the per-initiator join windows,
+the overload check and the quarantine-and-wipe sequence.  Busy instances are
+counted from the rounds layer's instance table, which is the one record of
+them; joins, quarantines and bits sent are counted from the trace, not here.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, Optional
 
 
@@ -17,7 +18,6 @@ class Guard:
         self.rt = rt                      # the node's port to the kernel
         self.p = rt.p
         self.joins: Dict[int, deque] = {v: deque() for v in range(self.p.n)}
-        self.busy: Dict[int, set] = {v: set() for v in range(self.p.n)}
         self.suppress_until: Optional[int] = None
 
     # -- counters -------------------------------------------------------------
@@ -26,14 +26,13 @@ class Guard:
         q = self.joins[initiator]
         q.append(now)
         self._prune(q, now)
-        self._check(initiator, now)
+        self._check(initiator, now, self.busy_counts())
 
-    def note_busy(self, label) -> None:
-        self.busy[label[0]].add(label)
-
-    def note_done(self, label) -> None:
-        """The instance terminated or was forgotten: it is busy no more."""
-        self.busy[label[0]].discard(label)
+    def busy_counts(self) -> Counter:
+        """Initiator -> its instances past the trivial rounds, not yet done."""
+        return Counter(label[0] for label, inst
+                       in self.rt.rounds.instances.items()
+                       if inst.nontrivial and not inst.done)
 
     def _prune(self, q: deque, now: int) -> None:
         floor = now - self.p.overload_window
@@ -42,32 +41,33 @@ class Guard:
 
     # -- overload detection -----------------------------------------------------
 
-    def overloaded(self, initiator: int, now: int) -> bool:
+    def overloaded(self, initiator: int, now: int, busy: Counter) -> bool:
         """Too many busy instances, or too many joins in the window."""
         self._prune(self.joins[initiator], now)
-        return (len(self.busy[initiator]) > self.p.max_busy_instances
+        return (busy[initiator] > self.p.max_busy_instances
                 or len(self.joins[initiator]) > self.p.max_total_instances)
 
-    def _check(self, initiator: int, now: int) -> None:
-        if self.suppress_until is not None and now < self.suppress_until:
+    def _check(self, initiator: int, now: int, busy: Counter) -> None:
+        if self.suppressed(now):
             return   # already in quarantine
-        if self.overloaded(initiator, now):
+        if self.overloaded(initiator, now, busy):
             self.quarantine(now)
 
     def sweep(self, now: int) -> None:
         if (self.suppress_until is not None
                 and self.suppress_until > now + self.p.quarantine_hold):
             self.suppress_until = now + self.p.quarantine_hold   # corrupted register
-            self.rt.alarm(self.suppress_until, ("wipe",))
+            self.rt.alarm(self.suppress_until, (self.on_wipe,))
+        busy = self.busy_counts()
         for v in range(self.p.n):
-            self._check(v, now)
+            self._check(v, now, busy)
 
     # -- quarantine --------------------------------------------------------------
 
     def quarantine(self, now: int) -> None:
         self.suppress_until = now + self.p.quarantine_hold
         self.rt.log("quarantine")
-        self.rt.alarm(self.suppress_until, ("wipe",))
+        self.rt.alarm(self.suppress_until, (self.on_wipe,))
 
     def suppressed(self, now: int) -> bool:
         return self.suppress_until is not None and now < self.suppress_until
@@ -78,6 +78,5 @@ class Guard:
         self.suppress_until = None
         for v in range(self.p.n):
             self.joins[v].clear()
-            self.busy[v].clear()
         self.rt.log("wipe")
         self.rt.wipe()

@@ -77,7 +77,7 @@ class Initiation:
         if len(seen) >= p.f + 1 and expired(self.gate_deadline.get(label), now):
             deadline = now + p.gate_hold
             self.gate_deadline[label] = deadline
-            self.rt.alarm(deadline, ("gate", label))
+            self.rt.alarm(deadline, (self.on_gate, label))
 
     # -- participation gate -------------------------------------------------------
 

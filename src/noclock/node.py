@@ -10,12 +10,15 @@ The layers above the clock estimates (`Initiation`, `Rounds`, `Guard`) reach
 the kernel only through the runtime they are built with, which is their port:
 
 - `log(kind, *fields)` appends the trace record `(kind, now, node, *fields)`;
-- `alarm(units, tag)` sets a local-clock timer, once per `(units, tag)`;
+- `alarm(units, (handler, *args))` sets a local-clock timer, once per
+  `(units, tag)`; when it fires the runtime calls `handler(*args, units)`;
 - `broadcast(envelope)` sends to every other node;
 - `send_round(receiver, envelope)` sends one round message;
 - `wipe()` drops all instance memory after a quarantine.
 
-Timer handlers receive the local time the timer was set for.
+Timer handlers receive the local time the timer was set for as their last
+argument; the tag names the handler, so nothing maps tags back to layers.
+The guard reads the rounds layer's instance table through `rt.rounds`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class NodeRuntime:
         """Schedule the first clock-update tick (strictly after boot)."""
         period = self.p.update_period
         first = (self.sim.local_units(self.node) // period + 1) * period
-        self.sim.alarm(self.node, first, ("tick",))
+        self.sim.alarm(self.node, first, (self._tick,))
 
     # -- the port the layers use ------------------------------------------------
 
@@ -76,15 +79,8 @@ class NodeRuntime:
 
     def on_threshold(self, units: int, tag) -> None:
         self._pending_alarms.discard((units, tag))
-        kind = tag[0]
-        if kind == "tick":
-            self._tick(units)
-        elif kind == "gate":
-            self.initiation.on_gate(tag[1], units)
-        elif kind == "round":
-            self.rounds.on_alarm(tag[1], tag[2], units)
-        elif kind == "wipe":
-            self.guard.on_wipe(units)
+        handler, *args = tag
+        handler(*args, units)
 
     def on_deliver(self, sender: int, envelope) -> None:
         now = self.sim.reading(self.node)
@@ -100,8 +96,6 @@ class NodeRuntime:
         elif isinstance(envelope, msg.RoundMsg):
             self.rounds.on_round_msg(sender, envelope.label, envelope.round,
                                      envelope.payload, now)
-        else:
-            self.log("drop", "unknown_kind", sender)
 
     def on_action(self, payload) -> None:
         getattr(self, ACTIONS[payload[0]])()
@@ -120,4 +114,4 @@ class NodeRuntime:
         self.initiation.sweep(units)
         self.rounds.sweep(units)
         self.guard.sweep(units)
-        self.alarm(units + self.p.update_period, ("tick",))
+        self.alarm(units + self.p.update_period, (self._tick,))

@@ -47,7 +47,6 @@ class Params:
     grid: LocalGrid
 
     # All fields below are ints in grid units unless noted otherwise.
-    quantum: int
     update_period: int           # local time between clock-update broadcasts
     max_update_gap: int          # reading gap above which a sender is too slow
     min_update_gap: int          # reading gap below which a sender is too fast
@@ -134,7 +133,6 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         n=n, f=f, theta=theta, d=d, rounds=rounds, bit_bound=bit_bound, T=T,
         d_clk=d_clk, judging_horizon=10 * (rounds * d + T), bits_window=10 * T,
         grid=grid,
-        quantum=grid.q_units,
         update_period=period_u,
         max_update_gap=grid.floor_units((2 * theta * theta + theta) * d_clk + q),
         min_update_gap=grid.floor_units(d),

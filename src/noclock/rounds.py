@@ -56,7 +56,7 @@ class Rounds:
         inst = Instance(label, input_bit, now, self.proto, self.node)
         self.instances[label] = inst
         inst.thresholds[1] = now + self.p.first_round_lead
-        self.rt.alarm(inst.thresholds[1], ("round", label, 1))
+        self.rt.alarm(inst.thresholds[1], (self.on_alarm, label, 1))
         self.guard.note_join(label[0], now)
         self.rt.log("participate", label, confidence, input_bit, oracle_val)
 
@@ -82,7 +82,7 @@ class Rounds:
         p = self.p
         if cnt >= p.n - p.f and inst.thresholds[i + 1] is None:
             inst.thresholds[i + 1] = now + p.round_gap
-            self.rt.alarm(inst.thresholds[i + 1], ("round", label, i + 1))
+            self.rt.alarm(inst.thresholds[i + 1], (self.on_alarm, label, i + 1))
         if cnt >= p.f + 1 and (inst.thresholds[i] is None
                                or inst.thresholds[i] > now):
             inst.thresholds[i] = now
@@ -117,14 +117,11 @@ class Rounds:
             output = self.proto.finish(inst.state, received)
             inst.done = True
             self.rt.log("output", inst.label, output, "ok")
-            self.guard.note_done(inst.label)
             return
         inst.state, sends = self.proto.step(inst.state, i, received)
         self.rt.log("remit", inst.label, i, tuple(sends))
         if i >= 3 or any(m is not None for m in sends):
-            if not inst.nontrivial:
-                inst.nontrivial = True
-                self.guard.note_busy(inst.label)
+            inst.nontrivial = True
         for w in range(p.n):
             if w == self.node:
                 continue
@@ -144,7 +141,6 @@ class Rounds:
             return
         inst.done = True
         self.rt.log("output", label, 0, reason)
-        self.guard.note_done(label)
 
     # -- housekeeping ---------------------------------------------------------
 
@@ -160,11 +156,8 @@ class Rounds:
             if not inst.done and now - inst.last_progress > p.stall_after:
                 self.abort(label, now, "stall")
         for label in dead:
-            self.guard.note_done(label)
             self.rt.log("gc_instance", label)
             del self.instances[label]
 
     def clear_all(self) -> None:
-        for label in self.instances:
-            self.guard.note_done(label)
         self.instances.clear()

@@ -529,8 +529,6 @@ def _enc(obj):
         return {"_f": f"{obj.numerator}/{obj.denominator}"}
     if isinstance(obj, tuple):
         return {"_t": [_enc(x) for x in obj]}
-    if isinstance(obj, list):
-        return [_enc(x) for x in obj]
     if isinstance(obj, msg.ENVELOPES):
         return {"_m": type(obj).__name__,
                 "v": _enc(tuple(getattr(obj, f) for f in obj.__dataclass_fields__))}
@@ -559,8 +557,9 @@ def _dec(obj):
                                          f"fields {fields!r}")
                     return cls(*fields)
             raise ValueError(f"trace names an unknown envelope {obj['_m']!r}")
+        raise ValueError(f"trace gives the unmarked object {obj!r}")
     if isinstance(obj, list):
-        return [_dec(x) for x in obj]
+        raise ValueError(f"trace gives the list {obj!r}, not a tuple")
     return obj
 
 
@@ -571,6 +570,10 @@ def trace_to_jsonl(trace) -> str:
 # Field counts, kind included, of the records that `evaluate` unpacks.
 _RECORD_FIELDS = {"send": 8, "participate": 7, "output": 6, "rrcv": 6,
                   "remit": 6, "init": 4, "est": 4, "quarantine": 3}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def trace_from_jsonl(text: str) -> list:
@@ -587,5 +590,9 @@ def trace_from_jsonl(text: str) -> list:
         if len(rec) != _RECORD_FIELDS.get(rec[0], len(rec)):
             raise ValueError(f"trace gives a {rec[0]} record {len(rec)} "
                              f"fields, not {_RECORD_FIELDS[rec[0]]}")
+        if not (len(rec) >= 3 and _is_int(rec[2])
+                and (isinstance(rec[1], Fraction) or _is_int(rec[1]))):
+            raise ValueError(f"trace record {rec!r} does not give a time "
+                             f"and a node")
         trace.append(rec)
     return trace

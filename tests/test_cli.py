@@ -145,6 +145,10 @@ def test_check_trace_rejects_a_wrong_field_count(scenario_file, tmp_path,
     ({"_t": ["init", 5, 0, {"_f": "1/0"}]}, "trace gives the fraction '1/0'"),
     (5, "trace record 5 is not a tuple led by its kind"),
     ({"_t": ["send"]}, "trace gives a send record 1 fields, not 8"),
+    ({"_t": ["send", 0, [1], 1, "Init", 3, 0, None]},
+     "trace gives the list [1], not a tuple"),
+    ({"_t": ["init", "x", 0, {"_t": [0, 5]}]},
+     "does not give a time and a node"),
 ])
 def test_check_trace_rejects_a_record_evaluate_cannot_read(
         scenario_file, tmp_path, capsys, record, message):

@@ -2,20 +2,30 @@ import pytest
 
 from noclock.guard import Guard
 from noclock.protocols import phase_king_silent
-from noclock.rounds import Rounds
+from noclock.rounds import Instance, Rounds
 
 
 @pytest.fixture
 def ctx(rt):
-    return rt.p, Guard(rt), rt
+    guard = Guard(rt)
+    rt.rounds = Rounds(rt, phase_king_silent(4, 1), guard)
+    return rt.p, guard, rt
+
+
+def busy(rt, label):
+    """Store a live instance past its trivial rounds in the rounds table."""
+    inst = Instance(label, 1, 100, rt.rounds.proto, rt.node)
+    inst.nontrivial = True
+    rt.rounds.instances[label] = inst
 
 
 def test_clean_steady_state_is_ok(ctx):
     p, guard, rt = ctx
     for v in range(4):
         guard.note_join(v, 100)
-        guard.note_busy((v, 7))
-    assert not any(guard.overloaded(v, 100) for v in range(4))
+        busy(rt, (v, 7))
+    guard.sweep(100)
+    assert rt.trace == []
 
 
 def test_busy_overflow_is_inconsistent(ctx):
@@ -23,9 +33,10 @@ def test_busy_overflow_is_inconsistent(ctx):
     # round 2 or with payload sends.
     p, guard, rt = ctx
     for k in range(p.max_busy_instances + 1):
-        guard.busy[2].add((2, k))
-    assert guard.overloaded(2, 100)
-    assert not guard.overloaded(1, 100)
+        busy(rt, (2, k))
+    counts = guard.busy_counts()
+    assert guard.overloaded(2, 100, counts)
+    assert not guard.overloaded(1, 100, counts)
 
 
 def test_total_overflow_is_inconsistent(ctx):
@@ -33,9 +44,9 @@ def test_total_overflow_is_inconsistent(ctx):
     p, guard, rt = ctx
     for k in range(p.max_total_instances):
         guard.joins[3].append(100)
-    assert not guard.overloaded(3, 100)
+    assert not guard.overloaded(3, 100, guard.busy_counts())
     guard.note_join(3, 100)
-    assert guard.overloaded(3, 100)
+    assert guard.overloaded(3, 100, guard.busy_counts())
 
 
 def test_join_window_slides(ctx):
@@ -43,7 +54,7 @@ def test_join_window_slides(ctx):
     for k in range(p.max_total_instances + 5):
         guard.joins[3].append(0)
     guard.note_join(3, p.overload_window + 1)    # old joins fall out
-    assert not guard.overloaded(3, p.overload_window + 1)
+    assert not guard.overloaded(3, p.overload_window + 1, guard.busy_counts())
 
 
 def test_quarantine_timing_and_wipe(ctx):
@@ -54,19 +65,18 @@ def test_quarantine_timing_and_wipe(ctx):
     assert guard.suppress_until == 1022
     assert guard.suppressed(1010) and guard.suppressed(1021)
     assert not guard.suppressed(1022)
-    assert (1022, ("wipe",)) in rt.alarms
-    guard.busy[2].add((2, 9))
+    assert (1022, (guard.on_wipe,)) in rt.alarms
+    guard.note_join(2, 1010)
     guard.on_wipe(1022)
     assert rt.wipes == 1
-    assert not guard.busy[2]
-    assert not guard.overloaded(2, 1022)
+    assert not guard.joins[2]
     assert [r[0] for r in rt.trace] == ["quarantine", "wipe"]
 
 
 def test_overflow_detected_on_sweep_triggers_quarantine(ctx):
     p, guard, rt = ctx
     for k in range(p.max_busy_instances + 1):
-        guard.busy[1].add((1, k))
+        busy(rt, (1, k))
     guard.sweep(500)
     assert [r[0] for r in rt.trace] == ["quarantine"]
     assert guard.suppress_until == 500 + p.quarantine_hold
@@ -77,7 +87,7 @@ def test_corrupted_suppress_register_is_clamped(ctx):
     guard.suppress_until = 10_000_000
     guard.sweep(100)
     assert guard.suppress_until == 100 + p.quarantine_hold
-    assert (100 + p.quarantine_hold, ("wipe",)) in rt.alarms
+    assert (100 + p.quarantine_hold, (guard.on_wipe,)) in rt.alarms
 
 
 def test_stale_wipe_alarm_ignored(ctx):
@@ -89,18 +99,18 @@ def test_stale_wipe_alarm_ignored(ctx):
 
 def test_metrics_shape(ctx):
     p, guard, rt = ctx
-    assert not any(guard.overloaded(v, 0) for v in range(p.n))
+    assert not any(guard.overloaded(v, 0, guard.busy_counts())
+                   for v in range(p.n))
     assert rt.trace == []
 
 
 @pytest.mark.parametrize("end", [None, "finish", "abort", "gc"])
-def test_busy_count_follows_the_instance_table(rt, end):
+def test_busy_count_follows_the_instance_table(ctx, end):
     # k1+1 instances of initiator 1 send round-1 payloads, so all are busy:
     # the sweep quarantines, unless one of them has finished, been aborted
     # or been garbage-collected first.
-    p = rt.p
-    guard = Guard(rt)
-    rt.rounds = rounds = Rounds(rt, phase_king_silent(4, 1), guard)
+    p, guard, rt = ctx
+    rounds = rt.rounds
     first = 1000
     later = first + p.instance_ttl + 1 - p.first_round_lead - p.stall_after
     for k in range(p.max_busy_instances + 1):

@@ -69,7 +69,13 @@ def test_trace_decoding_accepts_only_envelopes(name):
     '{"_t": ["participate", 1, 0, {"_t": [0, 5]}, 2, 1]}',
     '{"_t": ["output", 1, 0, {"_t": [0, 5]}, 1, "ok", 0]}',
     '{"_t": ["rrcv", 1, 0]}', '{"_t": ["remit", 1, 0, {"_t": [0, 5]}, 1]}',
-    '{"_t": ["init", 1, 0]}', '{"_t": ["est", 1, 0]}', '{"_t": ["quarantine", 1]}'])
+    '{"_t": ["init", 1, 0]}', '{"_t": ["est", 1, 0]}', '{"_t": ["quarantine", 1]}',
+    '{"_t": ["send", 0, [1], 1, "Init", 3, 0, null]}',
+    '{"_t": ["participate", {"_f": "1/1"}, [0], {"_t": [0, 5]}, 2, 1, 1]}',
+    '{"_t": ["participate", {"_f": "1/1"}, 0, [0, 5], 2, 1, 1]}',
+    '{"_t": ["init", "x", 0, {"_t": [0, 5]}]}', '{"_t": ["wipe", 1, true]}',
+    '{"_t": ["wipe", 1.5, 0]}', '{"_t": ["wipe", 1]}',
+    '{"_t": ["drop", 1, 0, {"reason": "x"}]}'])
 def test_trace_decoding_rejects_a_record_evaluate_cannot_read(line):
     with pytest.raises(ValueError, match="trace"):
         verdicts.trace_from_jsonl(line)

@@ -91,7 +91,7 @@ def test_second_echo_arms_gate(ctx):
     assert label not in ini.gate_deadline
     ini.on_echo(3, label, 6010)              # f+1 = 2 distinct senders
     assert ini.gate_deadline[label] == 6010 + p.gate_hold
-    assert (6010 + p.gate_hold, ("gate", label)) in rt.alarms
+    assert (6010 + p.gate_hold, (ini.on_gate, label)) in rt.alarms
 
 
 def test_third_echo_does_not_rearm_running_gate(ctx):

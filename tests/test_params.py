@@ -14,7 +14,7 @@ def p():
 
 def test_grid_unit_and_quantum(p):
     assert p.grid.unit == Fraction(1, 20)
-    assert p.quantum == 5
+    assert p.grid.q_units == 5
     assert p.grid.to_units(p.d) == 20
 
 

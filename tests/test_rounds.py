@@ -7,18 +7,10 @@ from noclock.rounds import Rounds
 class StubGuard:
     def __init__(self):
         self.joins = []
-        self.busy = []
-        self.done = []
         self.suppress = False
 
     def note_join(self, initiator, now):
         self.joins.append((initiator, now))
-
-    def note_busy(self, label):
-        self.busy.append(label)
-
-    def note_done(self, label):
-        self.done.append(label)
 
     def suppressed(self, now):
         return self.suppress
@@ -43,7 +35,7 @@ def test_join_sets_first_threshold_one_lead_ahead(ctx):
     rounds.join(LABEL, 1, 2, 1, 12000)            # local clock 600.0
     inst = rounds.instances[LABEL]
     assert inst.thresholds[1] == 12484            # 600.0 + 22*theta*d = 624.2
-    assert rt.alarms == [(12484, ("round", LABEL, 1))]
+    assert rt.alarms == [(12484, (rounds.on_alarm, LABEL, 1))]
     assert guard.joins == [(2, 12000)]
 
 
@@ -83,7 +75,7 @@ def test_quorum_advances_next_threshold(ctx):
     assert rounds.instances[LABEL].thresholds[2] is None
     rounds.on_round_msg(2, LABEL, 1, None, now)   # third distinct: n-f = 3
     assert rounds.instances[LABEL].thresholds[2] == now + 49   # +2.2 + quantum
-    assert (now + 49, ("round", LABEL, 2)) in rt.alarms
+    assert (now + 49, (rounds.on_alarm, LABEL, 2)) in rt.alarms
 
 
 def test_catch_up_pulls_threshold_to_now(ctx):
@@ -166,7 +158,6 @@ def test_bit_budget_violation_aborts_instance(ctx):
     rounds.on_alarm(LABEL, 1, 12484)
     inst = rounds.instances[LABEL]
     assert inst.done and outputs(rt) == [(LABEL, 0, "bit_budget")]
-    assert guard.done == [LABEL]
 
 
 def test_stall_terminates_with_zero(ctx):
@@ -187,7 +178,6 @@ def test_sweep_deletes_expired_and_future_instances(ctx):
     assert (3, 500) not in rounds.instances
     rounds.sweep(12000 + p.instance_ttl + 1)
     assert LABEL not in rounds.instances
-    assert set(guard.done) == {(3, 500), LABEL}
 
 
 def test_suppressed_crossing_sends_nothing(ctx):
