@@ -2,15 +2,19 @@
 
 Stored-tuple garbage collection lives with the tables it guards (initiation
 and rounds expose `sweep`); this module owns the per-initiator join windows,
-the overload check and the quarantine-and-wipe sequence.  Busy instances are
-counted from the rounds layer's instance table, which is the one record of
-them; joins, quarantines and bits sent are counted from the trace, not here.
+the overload check and the quarantine-and-wipe sequence.  Overload rule (i)
+counts busy instances in the rounds layer's instance table
+(`rt.rounds.instances`), the one record of them.  Rule (ii) counts the joins
+in each initiator's window, which the table cannot give back: with a large T
+the window outlives `instance_ttl`, and corrupted boots append joins out of
+time order.  The run's join, quarantine and bit totals are read from the
+trace, not kept here.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Dict, Optional
+from collections import deque
+from typing import Dict, List, Optional
 
 
 class Guard:
@@ -28,11 +32,13 @@ class Guard:
         self._prune(q, now)
         self._check(initiator, now, self.busy_counts())
 
-    def busy_counts(self) -> Counter:
-        """Initiator -> its instances past the trivial rounds, not yet done."""
-        return Counter(label[0] for label, inst
-                       in self.rt.rounds.instances.items()
-                       if inst.nontrivial and not inst.done)
+    def busy_counts(self) -> List[int]:
+        """Per initiator, its instances past the trivial rounds, not yet done."""
+        busy = [0] * self.p.n
+        for label, inst in self.rt.rounds.instances.items():
+            if inst.nontrivial and not inst.done:
+                busy[label[0]] += 1
+        return busy
 
     def _prune(self, q: deque, now: int) -> None:
         floor = now - self.p.overload_window
@@ -41,14 +47,14 @@ class Guard:
 
     # -- overload detection -----------------------------------------------------
 
-    def overloaded(self, initiator: int, now: int, busy: Counter) -> bool:
+    def overloaded(self, initiator: int, now: int, busy: List[int]) -> bool:
         """Too many busy instances, or too many joins in the window."""
         self._prune(self.joins[initiator], now)
         return (busy[initiator] > self.p.max_busy_instances
                 or len(self.joins[initiator]) > self.p.max_total_instances)
 
-    def _check(self, initiator: int, now: int, busy: Counter) -> None:
-        if self.suppressed(now):
+    def _check(self, initiator: int, now: int, busy: List[int]) -> None:
+        if self.suppress_until is not None and now < self.suppress_until:
             return   # already in quarantine
         if self.overloaded(initiator, now, busy):
             self.quarantine(now)
