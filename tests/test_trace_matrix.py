@@ -6,16 +6,23 @@ the clock-estimate upkeep does the most work), two corrupted n=4 boots of
 1100 d and a corrupted n=7 boot of 300 d in which node 1 quarantines by the
 busy-instance rule.  A change that keeps the protocol's behaviour keeps every
 digest; a digest that moves means some run now produces a different trace.
+
+Each run also has an outcome digest over every verdict's name, pass/fail and
+measured constants and over the `metrics.json` export (key order included),
+so a change to the evaluation that moves a number shows up even when the
+trace holds.  Each scenario is simulated once for both digests.
 """
 
+import functools
 import hashlib
+import json
 import random
 
 import pytest
 
 from noclock import harness
 from noclock.scenario import Scenario
-from noclock.verdicts import trace_to_jsonl
+from noclock.verdicts import run_metrics, trace_to_jsonl
 
 STRATEGIES = [
     ("silent", {"kind": "const", "value": 0}, None),
@@ -40,6 +47,23 @@ DIGESTS = {
     "corrupted-noise-split": "20111c041d376aefd48c8ef8e36a396def57de976a56e7fd9a0072becbfc78f3",
     "corrupted-equivocate": "db0ee95547005e341eb63f3bd6b116a1e4569aa83a13574dd672cdb6231e4e22",
     "corrupted-n7-noise-split": "3931d41637a82c11145800f860d74e9d3a158a8e1a81cb50179d4756ecda0d87",
+}
+
+OUTCOMES = {
+    "silent-n4": "a64713814ae62119967fba5e606cb1702fe082463172f6f2d5b8721e2132c825",
+    "noise-n4": "8ecbfd2a2c60476ee4638e4d6dbbd25201eac2ccf5d6bb2baea461c4c84b8b26",
+    "split_echo-n4": "282666313861ed8998a62df86f15510e677d3e417878b56163b2bf77e6fa7447",
+    "equivocate_rounds-n4": "46e51fcec86831ea7e894a3cf282b35db6188bd0ead629ab208fd1f6fa3d9604",
+    "clock_skew-n4": "5ce59bae461a04fa7d90dc97514a03612eeaabcf2c75b52a0c1959c02532eea5",
+    "silent-n7": "1bc638d2ebd4df2d0e03f7203ff690816cb352ae113e77760faaff91a659bf22",
+    "noise-n7": "a6bea1c7a823119511699b99e5d7098142801e0096b8bc43f98c6f06bb45fef1",
+    "split_echo-n7": "dc97999a605435a576b9d343d36f950a259d88d23c43fb5c2f5e1ce89069b6e7",
+    "equivocate_rounds-n7": "33012f53a192ca90f832361ec4e33be449242aa6a946ac1d0f4e8ec539ae35d0",
+    "clock_skew-n7": "f4de186a3ff0646a779f014cac42a8c44cd5aacf959c1abc9c5d13aa8df157b7",
+    "clock_skew-n16": "61573a828c89d5e405e041cd4b7bb04717ceeca34e0b3bf09b8bcdc3a99f60e2",
+    "corrupted-noise-split": "1d86854071eee4c5b47e55e6e153bc86cd2dbead1a677a626088ef353273f254",
+    "corrupted-equivocate": "cdb1545f26bec0f4dcbdd7dea1dd20d14406b927fec720798bd0073422abb88e",
+    "corrupted-n7-noise-split": "7e0280c3e9dbc88dc831651a2a7dd3a3b735f4506a00b5b5cb47f0fac3ac5efa",
 }
 
 
@@ -82,11 +106,28 @@ MATRIX = (
                  script=[{"t": "250", "node": 0, "action": "initiate"}]))])
 
 
-def trace_digest(sc: Scenario) -> str:
-    trace = harness.run(sc, evaluate=False).trace
-    return hashlib.sha256(trace_to_jsonl(trace).encode()).hexdigest()
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name,sc", MATRIX, ids=[name for name, _ in MATRIX])
-def test_trace_digest_is_unchanged(name, sc):
-    assert trace_digest(sc) == DIGESTS[name]
+@functools.lru_cache(maxsize=None)
+def digests(name: str):
+    """(trace digest, outcome digest) of one matrix run."""
+    res = harness.run(dict(MATRIX)[name])
+    outcome = {"verdicts": [[v.name, v.passed, v.measured] for v in res.verdicts],
+               "metrics": run_metrics(res.trace, res.scenario, res.params,
+                                      res.correct)}
+    return sha256(trace_to_jsonl(res.trace)), sha256(json.dumps(outcome))
+
+
+NAMES = [name for name, _ in MATRIX]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_trace_digest_is_unchanged(name):
+    assert digests(name)[0] == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_outcome_digest_is_unchanged(name):
+    assert digests(name)[1] == OUTCOMES[name]
