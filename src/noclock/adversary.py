@@ -349,8 +349,7 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
     count = rng.randint(0, 4)
     overload_batch = rng.random() < 0.25
     if overload_batch:
-        # Enough fabricated busy instances for one initiator to trip the
-        # overload rules once counters are rebuilt.
+        # Enough fabricated busy instances for one initiator to trip rule (i).
         count = p.max_busy_instances + 1 + rng.randint(0, 3)
     pinned = rng.randrange(n)
     for k in range(count):
@@ -375,8 +374,7 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
         for u in range(n):
             for i in range(1, rounds.proto.rounds + 1):
                 if rng.random() < 0.1:
-                    inst.inbox[(u, i)] = None if rng.random() < 0.5 else (rng.randrange(2),)
-                    inst.counts[i] += 1
+                    inst.inbox[i][u] = None if rng.random() < 0.5 else (rng.randrange(2),)
         inst.nontrivial = True if overload_batch else rng.random() < 0.7
         inst.last_progress = now + rng.randint(-2 * p.stall_after, p.stall_after)
         rounds.instances[label] = inst

@@ -87,7 +87,7 @@ def _cmd_check_trace(args) -> int:
     sc = Scenario.load(os.path.join(args.dir, "scenario.json"))
     with open(os.path.join(args.dir, "trace.jsonl")) as fh:
         try:
-            trace = verdicts.trace_from_jsonl(fh.read())
+            trace = verdicts.trace_from_jsonl(fh.read(), sc.n)
         except ValueError as exc:
             print(f"trace unreadable: {exc}", file=sys.stderr)
             return 2

@@ -83,7 +83,8 @@ class Initiation:
 
     def on_gate(self, label: Label, now: int) -> None:
         if self.gate_deadline.get(label) != now:
-            return
+            return   # a stale alarm, or this gate already fired
+        del self.gate_deadline[label]   # passed; `expired` reads both alike
         count = len(self.stored.get(label, ()))
         if count <= self.p.f:
             # Unreachable from a clean boot (the gate is only armed at f+1);

@@ -36,14 +36,13 @@ class HardwareClock:
 
     def __init__(self, offset: Fraction, schedule):
         # schedule: list of (start_real_time, rate), first start must be 0.
-        self.offset = frac(offset)
         self.starts = [frac(t) for t, _ in schedule]
         self.rates = [frac(r) for _, r in schedule]
         if not self.starts or self.starts[0] != 0:
             raise ValueError("rate schedule must start at time 0")
         if any(r <= 0 for r in self.rates):
             raise ValueError("clock rates must be positive")
-        self.h_starts = [self.offset]
+        self.h_starts = [frac(offset)]   # local value at each segment start
         for i in range(1, len(self.starts)):
             span = self.starts[i] - self.starts[i - 1]
             if span <= 0:
@@ -55,7 +54,7 @@ class HardwareClock:
         return self.h_starts[i] + self.rates[i] * (t - self.starts[i])
 
     def invert(self, local: Fraction) -> Fraction:
-        if local < self.offset:
+        if local < self.h_starts[0]:
             raise ValueError("local value precedes clock start")
         i = bisect_right(self.h_starts, local) - 1
         return self.starts[i] + (local - self.h_starts[i]) / self.rates[i]

@@ -10,8 +10,9 @@ The layers above the clock estimates (`Initiation`, `Rounds`, `Guard`) reach
 the kernel only through the runtime they are built with, which is their port:
 
 - `log(kind, *fields)` appends the trace record `(kind, now, node, *fields)`;
-- `alarm(units, (handler, *args))` sets a local-clock timer, once per
-  `(units, tag)`; when it fires the runtime calls `handler(*args, units)`;
+- `alarm(units, (handler, *args))` sets a local-clock timer; when it fires
+  the runtime calls `handler(*args, units)`, and a layer's handler acts only
+  if its register still names that time (no pending-timer record is kept);
 - `broadcast(envelope)` sends to every other node;
 - `send_round(receiver, envelope)` sends one round message;
 - `wipe()` drops all instance memory after a quarantine.
@@ -39,7 +40,6 @@ class NodeRuntime:
         self.sim = sim
         self.node = node
         self.p = p
-        self._pending_alarms = set()
         self.clocksync = ClockSync(p, node)
         self.guard = Guard(self)
         self.rounds = Rounds(self, proto, self.guard)
@@ -57,10 +57,6 @@ class NodeRuntime:
         self.sim.trace.append((kind, self.sim.now, self.node) + fields)
 
     def alarm(self, local_units: int, tag) -> None:
-        key = (local_units, tag)
-        if key in self._pending_alarms:
-            return
-        self._pending_alarms.add(key)
         self.sim.alarm(self.node, local_units, tag)
 
     def broadcast(self, envelope) -> None:
@@ -72,13 +68,12 @@ class NodeRuntime:
         self.sim.send(self.node, receiver, envelope)
 
     def wipe(self) -> None:
-        self.rounds.clear_all()
+        self.rounds.instances.clear()
         self.initiation.clear_all()
 
     # -- kernel handler interface ------------------------------------------------
 
     def on_threshold(self, units: int, tag) -> None:
-        self._pending_alarms.discard((units, tag))
         handler, *args = tag
         handler(*args, units)
 

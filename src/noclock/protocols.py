@@ -25,9 +25,10 @@ protocol-level adversarial search.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
-Payload = Tuple[int, ...]
+from .messages import Payload
+
 ONE: Payload = (1,)
 
 

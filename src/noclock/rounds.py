@@ -1,11 +1,12 @@
 """Simulated synchronous rounds over the semi-synchronous network.
 
-Per joined instance, a node keeps one local-time threshold per round.  The
-first threshold is set a fixed lead after joining; threshold i+1 is set one
-round gap ahead once n-f distinct round-i messages are stored, and threshold i
-is pulled to "now" once f+1 are stored (someone correct already reached round
+Per joined instance, a node keeps per round one local-time threshold and one
+inbox `{sender: payload}`, whose size is the round's quorum count.  The first
+threshold is set a fixed lead after joining; threshold i+1 is set one round
+gap ahead once n-f distinct round-i messages are stored, and threshold i is
+pulled to "now" once f+1 are stored (someone correct already reached round
 i, so it is safe to).  Crossing threshold i computes the plugin's round-i
-messages from the stored round-(i-1) tuples and sends one envelope, payload or
+messages from the round-(i-1) inbox and sends one envelope, payload or
 explicit non-message, to every peer; crossing threshold R+1 computes the
 output.  A stalled or over-budget instance is terminated locally with output
 0, which the silent wrapper makes safe.
@@ -13,15 +14,14 @@ output.  A stalled or over-budget instance is terminated locally with output
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .messages import Label, Payload, RoundMsg
 
 
 class Instance:
     __slots__ = ("label", "joined_at", "state", "thresholds", "inbox",
-                 "counts", "fired", "last_progress", "bits", "nontrivial",
-                 "done")
+                 "fired", "last_progress", "bits", "nontrivial", "done")
 
     def __init__(self, label: Label, input_bit: int, joined_at: int, proto,
                  node: int):
@@ -29,8 +29,7 @@ class Instance:
         self.joined_at = joined_at
         self.state = proto.fresh(input_bit, node)
         self.thresholds: List[Optional[int]] = [None] * (proto.rounds + 2)
-        self.inbox: Dict[Tuple[int, int], Optional[Payload]] = {}
-        self.counts: List[int] = [0] * (proto.rounds + 2)
+        self.inbox = [{} for _ in self.thresholds]   # {sender: payload}
         self.fired: Set[int] = set()
         self.last_progress = joined_at
         self.bits = 0
@@ -73,12 +72,11 @@ class Rounds:
         if not (1 <= i <= self.proto.rounds):
             self.rt.log("drop", "round_range", sender, label, i)
             return
-        key = (sender, i)
-        if key in inst.inbox:
+        inbox = inst.inbox[i]
+        if sender in inbox:
             return
-        inst.inbox[key] = payload
-        inst.counts[i] += 1
-        cnt = inst.counts[i]
+        inbox[sender] = payload
+        cnt = len(inbox)
         p = self.p
         if cnt >= p.n - p.f and inst.thresholds[i + 1] is None:
             inst.thresholds[i + 1] = now + p.round_gap
@@ -90,11 +88,9 @@ class Rounds:
 
     def on_alarm(self, label: Label, i: int, now: int) -> None:
         inst = self.instances.get(label)
-        if inst is None or inst.done or i in inst.fired:
-            return
-        if not 1 <= i < len(inst.thresholds) or inst.thresholds[i] != now:
-            return   # catch-up moved this threshold, or the alarm is stale
-        self._fire(inst, i, now)
+        # Skip a moved threshold or a stale alarm; `_fire` skips a repeat.
+        if inst is not None and inst.thresholds[i] == now:
+            self._fire(inst, i, now)
 
     # -- threshold actions ----------------------------------------------------
 
@@ -110,8 +106,8 @@ class Rounds:
         rounds = self.proto.rounds
         received = None
         if i > 1:
-            prev = inst.inbox
-            received = [prev.get((u, i - 1)) for u in range(p.n)]
+            prev = inst.inbox[i - 1]
+            received = [prev.get(u) for u in range(p.n)]
             self.rt.log("rrcv", inst.label, i - 1, tuple(received))
         if i == rounds + 1:
             output = self.proto.finish(inst.state, received)
@@ -158,6 +154,3 @@ class Rounds:
         for label in dead:
             self.rt.log("gc_instance", label)
             del self.instances[label]
-
-    def clear_all(self) -> None:
-        self.instances.clear()

@@ -15,7 +15,7 @@ earlier instances may do anything.  Unfinished instances still active within
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -61,7 +61,8 @@ class _Index:
     def __init__(self, trace, correct):
         cset = set(correct)
         self.instances = inst = defaultdict(_Instance)   # label -> _Instance
-        self.sends: Dict = {}
+        self.sends: Dict = {}         # correct sender -> its send records
+        self.joins = Counter()        # correct node -> its participate records
         self.est: Dict = {}
         self.quarantines: List = []
         self.underflows: List = []
@@ -71,8 +72,7 @@ class _Index:
             if kind == "send":
                 _, t, sender, receiver, mkind, frame, payload, m = rec
                 if sender in cset:
-                    self.sends.setdefault(sender, []).append(
-                        (t, mkind, frame + payload))
+                    self.sends.setdefault(sender, []).append(rec)
                     if mkind == "Echo":
                         inst[m.label].echo_times.append(t)
                     elif mkind == "RoundMsg" and payload:
@@ -81,6 +81,7 @@ class _Index:
                 _, t, node, label, conf, input_bit, oracle_val = rec
                 if node in cset:
                     inst[label].parts[node] = (t, conf, input_bit, oracle_val)
+                    self.joins[node] += 1
             elif kind == "output":
                 _, t, node, label, value, reason = rec
                 if node in cset:
@@ -345,20 +346,20 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
 
 
 def _window_bits(sends, start, window, count) -> List[List[int]]:
-    """[infra, instance] bit totals of one node's time-ordered (t, kind, bits)
-    sends in the windows [start + k*window, start + (k+1)*window), k < count.
+    """[infra, instance] bit totals of one node's time-ordered `send` records
+    in the windows [start + k*window, start + (k+1)*window), k < count.
     `RoundMsg` sends are instance traffic; every other kind is infrastructure.
     """
     totals = [[0, 0] for _ in range(count)]
     k, edge = -1, start
-    for t, kind, bits in sends:
+    for _, t, _, _, kind, frame, payload, _ in sends:
         while t >= edge:
             k += 1
             if k == count:
                 return totals
             edge += window
         if k >= 0:
-            totals[k][kind == "RoundMsg"] += bits
+            totals[k][kind == "RoundMsg"] += frame + payload
     return totals
 
 
@@ -483,42 +484,31 @@ def _stabilization_suite(ix, judged, cutoff, suite_verdicts) -> Verdict:
 
 
 def run_metrics(trace, sc, p: Params, correct) -> dict:
-    """Every number of the metrics export, read from the trace in one pass.
+    """Every number of the metrics export, read from the trace's `_Index`.
 
     Per correct node: bits sent by layer (`send` records), instances joined
     (`participate` records) and quarantines (`quarantine` records); then the
     same node's bits per `bits_window`, each row carrying the node's counts.
     """
-    totals = {v: {"node": v, "infra_bits": 0, "instance_bits": 0,
-                  "payload_bits": 0, "instances_joined": 0, "quarantines": 0}
-              for v in correct}
-    sends = {v: [] for v in correct}
-    for rec in trace:
-        kind = rec[0]
-        if kind == "send":
-            _, t, sender, _, mkind, frame, payload, _ = rec
-            if sender in totals:
-                row = totals[sender]
-                layer = "instance_bits" if mkind == "RoundMsg" else "infra_bits"
-                row[layer] += frame + payload
-                row["payload_bits"] += payload
-                sends[sender].append((t, mkind, frame + payload))
-        elif kind == "participate" and rec[2] in totals:
-            totals[rec[2]]["instances_joined"] += 1
-        elif kind == "quarantine" and rec[2] in totals:
-            totals[rec[2]]["quarantines"] += 1
+    ix = _Index(trace, correct)
+    quarantines = Counter(rec[2] for rec in ix.quarantines)
     window = p.bits_window
     count = max(1, int(frac(sc.duration) / window))
-    windows = []
+    totals, windows = [], []
     for v in correct:
-        row = totals[v]
+        sends = ix.sends.get(v, [])
+        bits = [0, 0, 0]   # infra, instance, payload
+        for _, _, _, _, kind, frame, payload, _ in sends:
+            bits[kind == "RoundMsg"] += frame + payload
+            bits[2] += payload
+        counts = {"instances_joined": ix.joins[v], "quarantines": quarantines[v]}
+        totals.append({"node": v, "infra_bits": bits[0], "instance_bits": bits[1],
+                       "payload_bits": bits[2], **counts})
         for k, (infra, inst) in enumerate(
-                _window_bits(sends[v], Fraction(0), window, count)):
+                _window_bits(sends, Fraction(0), window, count)):
             windows.append({"node": v, "window": k, "infra_bits": infra,
-                            "instance_bits": inst,
-                            "instances_joined": row["instances_joined"],
-                            "quarantines": row["quarantines"]})
-    return {"totals": [totals[v] for v in correct], "windows": windows}
+                            "instance_bits": inst, **counts})
+    return {"totals": totals, "windows": windows}
 
 
 # -- trace serialization -------------------------------------------------------
@@ -576,9 +566,26 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def trace_from_jsonl(text: str) -> list:
-    """The records of a stored trace; `ValueError` if `evaluate` could not
-    read one."""
+def _is_label(x) -> bool:
+    return isinstance(x, tuple) and len(x) == 2 and all(map(_is_int, x))
+
+
+def _fields_ok(rec, n: int) -> bool:
+    """Whether the fields `evaluate` reads past the node have its types."""
+    if rec[0] == "send":
+        m = rec[7]
+        return (rec[4] == type(m).__name__ and _is_int(rec[5])
+                and _is_int(rec[6]) and _is_label(getattr(m, "label", (0, 0))))
+    if rec[0] == "est":
+        return (isinstance(rec[3], tuple) and len(rec[3]) == n
+                and all(x is None or _is_int(x) for x in rec[3]))
+    labelled = rec[0] in ("participate", "output", "init", "rrcv", "remit")
+    return not labelled or _is_label(rec[3])
+
+
+def trace_from_jsonl(text: str, n: int) -> list:
+    """The records of a stored trace of an n-node run; `ValueError` if
+    `evaluate` could not read one."""
     trace = []
     for line in text.splitlines():
         if not line.strip():
@@ -594,5 +601,7 @@ def trace_from_jsonl(text: str) -> list:
                 and (isinstance(rec[1], Fraction) or _is_int(rec[1]))):
             raise ValueError(f"trace record {rec!r} does not give a time "
                              f"and a node")
+        if not _fields_ok(rec, n):
+            raise ValueError(f"trace record {rec!r} has a wrongly typed field")
         trace.append(rec)
     return trace

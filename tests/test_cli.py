@@ -149,6 +149,9 @@ def test_check_trace_rejects_a_wrong_field_count(scenario_file, tmp_path,
      "trace gives the list [1], not a tuple"),
     ({"_t": ["init", "x", 0, {"_t": [0, 5]}]},
      "does not give a time and a node"),
+    ({"_t": ["send", 1, 0, 1, "Echo", 24, 0,
+             {"_m": "Init", "v": {"_t": [5]}}]},
+     "has a wrongly typed field"),
 ])
 def test_check_trace_rejects_a_record_evaluate_cannot_read(
         scenario_file, tmp_path, capsys, record, message):

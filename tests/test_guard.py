@@ -97,6 +97,15 @@ def test_stale_wipe_alarm_ignored(ctx):
     assert rt.wipes == 0
 
 
+def test_wipe_firing_twice_wipes_once(ctx):
+    p, guard, rt = ctx
+    guard.quarantine(1000)
+    guard.on_wipe(1022)
+    guard.on_wipe(1022)
+    assert rt.wipes == 1
+    assert [r[0] for r in rt.trace] == ["quarantine", "wipe"]
+
+
 def test_metrics_shape(ctx):
     p, guard, rt = ctx
     assert not any(guard.overloaded(v, 0, guard.busy_counts())

@@ -51,7 +51,7 @@ def test_trace_evaluation_is_rerunnable():
 def test_trace_serialization_roundtrip():
     res = harness.run(clean_scenario(), evaluate=False)
     text = verdicts.trace_to_jsonl(res.trace)
-    back = verdicts.trace_from_jsonl(text)
+    back = verdicts.trace_from_jsonl(text, 4)
     assert back == [tuple(r) for r in res.trace]
 
 
@@ -59,7 +59,7 @@ def test_trace_serialization_roundtrip():
 def test_trace_decoding_accepts_only_envelopes(name):
     line = '{"_t": ["send", {"_m": "%s", "v": {"_t": []}}]}' % name
     with pytest.raises(ValueError, match=f"unknown envelope '{name}'"):
-        verdicts.trace_from_jsonl(line)
+        verdicts.trace_from_jsonl(line, 4)
 
 
 @pytest.mark.parametrize("line", [
@@ -75,10 +75,23 @@ def test_trace_decoding_accepts_only_envelopes(name):
     '{"_t": ["participate", {"_f": "1/1"}, 0, [0, 5], 2, 1, 1]}',
     '{"_t": ["init", "x", 0, {"_t": [0, 5]}]}', '{"_t": ["wipe", 1, true]}',
     '{"_t": ["wipe", 1.5, 0]}', '{"_t": ["wipe", 1]}',
-    '{"_t": ["drop", 1, 0, {"reason": "x"}]}'])
+    '{"_t": ["drop", 1, 0, {"reason": "x"}]}',
+    # Inner fields of the wrong type.
+    '{"_t": ["est", 1, 0, 5]}', '{"_t": ["est", 1, 0, {"_t": [1, null, 3]}]}',
+    '{"_t": ["est", 1, 0, {"_t": ["a", "b", "c", "d"]}]}',
+    '{"_t": ["est", 1, 0, {"_t": [1, true, 3, 4]}]}',
+    '{"_t": ["participate", 1, 0, 5, 2, 1, 1]}',
+    '{"_t": ["output", 1, 0, 5, 1, "ok"]}', '{"_t": ["init", 1, 0, 5]}',
+    '{"_t": ["init", 1, 0, {"_t": [0, "x"]}]}',
+    '{"_t": ["init", 1, 0, {"_t": [0, 1, 2]}]}',
+    '{"_t": ["rrcv", 1, 0, 5, 1, {"_t": [null, null, null, null]}]}',
+    '{"_t": ["send", 1, 0, 1, "Init", "x", 0, {"_m": "Init", "v": {"_t": [5]}}]}',
+    '{"_t": ["send", 1, 0, 1, "Init", 24, null, {"_m": "Init", "v": {"_t": [5]}}]}',
+    '{"_t": ["send", 1, 0, 1, "Echo", 24, 0, {"_m": "Init", "v": {"_t": [5]}}]}',
+    '{"_t": ["send", 1, 0, 1, "Echo", 24, 0, {"_m": "Echo", "v": {"_t": [5]}}]}'])
 def test_trace_decoding_rejects_a_record_evaluate_cannot_read(line):
     with pytest.raises(ValueError, match="trace"):
-        verdicts.trace_from_jsonl(line)
+        verdicts.trace_from_jsonl(line, 4)
 
 
 @pytest.mark.parametrize("name,fields", [
@@ -88,7 +101,7 @@ def test_trace_decoding_rejects_a_record_evaluate_cannot_read(line):
 def test_trace_decoding_rejects_a_wrong_field_count(name, fields):
     line = '{"_t": ["send", {"_m": "%s", "v": %s}]}' % (name, fields)
     with pytest.raises(ValueError, match=f"trace gives {name} the fields"):
-        verdicts.trace_from_jsonl(line)
+        verdicts.trace_from_jsonl(line, 4)
 
 
 def test_rate_limited_second_initiation_refused():
@@ -194,6 +207,18 @@ def test_metrics_bit_totals_are_the_sums_of_the_send_records():
                                       if r[4] != "RoundMsg")
         assert m["instance_bits"] == sum(r[5] + r[6] for r in rounds) > 0
         assert m["payload_bits"] == sum(r[6] for r in rounds) > 0
+
+
+def test_metrics_count_every_join_of_a_label_rejoined_after_a_wipe():
+    # A wipe drops the instance table, so a node may join one label twice;
+    # each participate record is one join.
+    res = harness.run(clean_scenario(), evaluate=False)
+    part = next(r for r in res.trace if r[0] == "participate" and r[2] == 0)
+    t = part[1]
+    trace = res.trace + [("wipe", t + 1, 0), ("participate", t + 2) + part[2:]]
+    joined = verdicts.run_metrics(trace, res.scenario, res.params,
+                                  res.correct)["totals"][0]["instances_joined"]
+    assert joined == run_metrics(res)["totals"][0]["instances_joined"] + 1 == 2
 
 
 def test_reduced_update_frequency_mode():

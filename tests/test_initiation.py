@@ -152,6 +152,31 @@ def test_corrupt_gate_underflow_never_joins(ctx):
     assert any(r[0] == "gate_underflow" for r in rt.trace)
 
 
+def test_gate_firing_twice_joins_once(ctx):
+    # The runtime does not deduplicate timers: a repeated firing at the same
+    # deadline must find the gate register already cleared.
+    p, ini, sync, rounds, rt = ctx
+    sync.values[2] = 5000
+    label = (2, 5000)
+    for sender in (1, 3, 0):
+        ini.on_echo(sender, label, 6000)
+    deadline = ini.gate_deadline[label]
+    ini.on_gate(label, deadline)
+    ini.on_gate(label, deadline)
+    assert rounds.joined == [(label, 1, 2, 1, deadline)]
+
+
+def test_underflow_gate_firing_twice_logs_once(ctx):
+    p, ini, sync, rounds, rt = ctx
+    label = (2, 5000)
+    ini.stored[label] = {3: 6000}      # f or fewer echoes: a corrupted gate
+    ini.gate_deadline[label] = 6100
+    ini.on_gate(label, 6100)
+    ini.on_gate(label, 6100)
+    assert [r[0] for r in rt.trace] == ["gate_underflow"]
+    assert rounds.joined == []
+
+
 def test_stale_gate_alarm_ignored(ctx):
     p, ini, sync, rounds, rt = ctx
     sync.values[2] = 5000

@@ -55,7 +55,28 @@ def test_first_threshold_with_input_sends_round_one(ctx):
     assert [w for w, _ in rt.round_sends] == [1, 2, 3]
     assert all(env.payload == (1,) and env.round == 1 for _, env in rt.round_sends)
     # Own copy is stored through the local path and counts toward quorums.
-    assert rounds.instances[LABEL].inbox[(0, 1)] == (1,)
+    assert rounds.instances[LABEL].inbox[1][0] == (1,)
+
+
+def test_threshold_firing_twice_fires_once(ctx):
+    p, rounds, guard, rt = ctx
+    rounds.join(LABEL, 1, 2, 1, 12000)
+    rounds.on_alarm(LABEL, 1, 12484)
+    rounds.on_alarm(LABEL, 1, 12484)
+    assert len(rt.round_sends) == 3
+    assert [r[4] for r in rt.trace if r[0] == "remit"] == [1]   # round
+
+
+def test_stale_threshold_alarm_ignored(ctx):
+    # After a wipe and a re-join the first instance's alarm still fires, at
+    # a time the new instance's threshold does not name.
+    p, rounds, guard, rt = ctx
+    rounds.join(LABEL, 1, 2, 1, 12000)
+    rounds.instances.clear()
+    rounds.join(LABEL, 1, 2, 1, 12100)
+    rounds.on_alarm(LABEL, 1, 12484)
+    assert rt.round_sends == []
+    assert 1 not in rounds.instances[LABEL].fired
 
 
 def test_zero_input_sends_explicit_non_messages(ctx):
@@ -97,8 +118,7 @@ def test_duplicate_round_message_ignored(ctx):
     inst = rounds.instances[LABEL]
     rounds.on_round_msg(1, LABEL, 2, (1,), 12500)
     rounds.on_round_msg(1, LABEL, 2, (0,), 12510)
-    assert inst.inbox[(1, 2)] == (1,)
-    assert inst.counts[2] == 1
+    assert inst.inbox[2] == {1: (1,)}
 
 
 def test_out_of_range_round_dropped(ctx):
@@ -106,7 +126,7 @@ def test_out_of_range_round_dropped(ctx):
     rounds.join(LABEL, 0, 1, 0, 12000)
     rounds.on_round_msg(1, LABEL, 99, None, 12500)
     rounds.on_round_msg(1, LABEL, 0, None, 12500)
-    assert rounds.instances[LABEL].counts == [0] * 10
+    assert rounds.instances[LABEL].inbox == [{}] * 10
     assert any(r[0] == "drop" and r[3] == "round_range" for r in rt.trace)
 
 

@@ -170,13 +170,20 @@ def envelope_reference(res):
     return round(k1, 4), pairs
 
 
-@pytest.mark.parametrize("n", [4, 7])
-@pytest.mark.parametrize("mode", ["fastest", "slowest", "alternating"])
-def test_envelope_matches_every_pair_reference(n, mode):
-    sc, res = clock_skew_run(n, mode)
+# The 1000 d run outlasts `cap`, so the window's front moves and expires
+# queue entries; the 110 d runs keep every pair.
+@pytest.mark.parametrize("mode,n,duration", [
+    pytest.param(mode, n, "110", id=f"{mode}-{n}")
+    for n in (4, 7) for mode in ("fastest", "slowest", "alternating")]
+    + [pytest.param("alternating", 4, "1000", id="alternating-4-1000d")])
+def test_envelope_matches_every_pair_reference(mode, n, duration):
+    sc, res = clock_skew_run(n, mode, duration)
     v = res.verdict("byzantine-clock-envelope")
     k1, pairs = envelope_reference(res)
     assert v.passed and v.measured["pairs"] == pairs > 0
+    lengths = [len(byzantine_series(res, u)) for u in res.byzantine]
+    every_pair = sum(k * (k + 1) // 2 for k in lengths)
+    assert (pairs < every_pair) == (duration == "1000")
     # Same pairs, float sums taken in another order: equal to the rounding.
     assert v.measured["K1"] == pytest.approx(k1, abs=1e-4)
 
