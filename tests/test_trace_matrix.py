@@ -4,8 +4,12 @@ The matrix holds the acceptance sweep's shape for each byzantine strategy at
 n=4 and n=7 (seed 0, 110 d), a shorter n=16 `clock_skew` run (60 d, where
 the clock-estimate upkeep does the most work), two corrupted n=4 boots of
 1100 d and a corrupted n=7 boot of 300 d in which node 1 quarantines by the
-busy-instance rule.  A change that keeps the protocol's behaviour keeps every
-digest; a digest that moves means some run now produces a different trace.
+busy-instance rule.  Seven n=4 `clock_skew` variants pin the edges of the
+kernel's time arithmetic: the `fast`, `slow` and `boundary` delay policies,
+the `fixed_max` and `fixed_min` rate schedules, theta = 1, and a clock update
+period of 3 d with T = 3.  A change that keeps the protocol's behaviour keeps
+every digest; a digest that moves means some run now produces a different
+trace.
 
 Each run also has an outcome digest over every verdict's name, pass/fail and
 measured constants and over the `metrics.json` export (key order included),
@@ -47,6 +51,13 @@ DIGESTS = {
     "corrupted-noise-split": "20111c041d376aefd48c8ef8e36a396def57de976a56e7fd9a0072becbfc78f3",
     "corrupted-equivocate": "db0ee95547005e341eb63f3bd6b116a1e4569aa83a13574dd672cdb6231e4e22",
     "corrupted-n7-noise-split": "3931d41637a82c11145800f860d74e9d3a158a8e1a81cb50179d4756ecda0d87",
+    "delays-fast": "27aebe4e2653f6d730c5c88124660e21666e8e7f04a57054fb4e721fce8e4e76",
+    "delays-slow": "83bc2a6f05f4445ab07a345740cf9f7b13da723d353e08165954faa394fd26bf",
+    "delays-boundary": "4dc3e1222e50e23067292bd72128b8538d45ac3b7180df8ec4d2b2e90129990d",
+    "rates-fixed_max": "b4acf74b82814cbb29f68536f158b1938e424792f24ec56d4bc5fd792aa7f889",
+    "rates-fixed_min": "b275936eb6f960f8eb0ca3ca435cb642fba54f9046b02945293ffaa689442993",
+    "theta-1": "ffd1468d0b4e2f460ec3ba5a0caab0d087705561c66f7830d1d5f41aa286ddc0",
+    "update-period-3": "29fb7eafc19cd5db72446061ac16874276ac3186ed0380edee398f2d5ca6b2f8",
 }
 
 OUTCOMES = {
@@ -64,6 +75,13 @@ OUTCOMES = {
     "corrupted-noise-split": "1d86854071eee4c5b47e55e6e153bc86cd2dbead1a677a626088ef353273f254",
     "corrupted-equivocate": "cdb1545f26bec0f4dcbdd7dea1dd20d14406b927fec720798bd0073422abb88e",
     "corrupted-n7-noise-split": "7e0280c3e9dbc88dc831651a2a7dd3a3b735f4506a00b5b5cb47f0fac3ac5efa",
+    "delays-fast": "c4a47a1958d3180a913a82191783b96efc607cbc041ba876fd1ca207c41ea6ea",
+    "delays-slow": "454495c0a3270a3b545ad1ccadfeba8456ddea95ec18cd07e363a8d5fc3b526c",
+    "delays-boundary": "6271a65aa43c2b0d0df04e421c2862fadbb60aa9d80c7d60726b5f1b6afe5467",
+    "rates-fixed_max": "cdfbb404b5b299cb7127b9014e76e67d457709db5116a0ce6e1f3dda2478a3d0",
+    "rates-fixed_min": "8688e7d1846dfb05c4a67893213c05a956229d56f28e92a8684451ee15c801dc",
+    "theta-1": "bcb606ed2d71c37a043945f6561c62c2543f4c333ae6143c549cb0fb0af5ff17",
+    "update-period-3": "9749c32ab1d50322315a301b8512e4509e5e6019d5177bc5a5a15c3cce932d58",
 }
 
 
@@ -79,6 +97,15 @@ def sweep_scenario(n, adv, oracle, mode, duration="110") -> Scenario:
         advd["mode"] = mode
     return Scenario(n=n, f=f, theta="1.1", duration=duration, seed=0,
                     adversary=advd, oracle=dict(oracle), script=script)
+
+
+def edge_scenario(duration="110", delays="uniform", **fields) -> Scenario:
+    """The n=4 `clock_skew` sweep run with some fields changed."""
+    data = sweep_scenario(4, "clock_skew", {"kind": "mixed"}, "alternating",
+                          duration).to_dict()
+    data["adversary"]["delays"] = delays
+    data.update(fields)
+    return Scenario.from_dict(data)
 
 
 def corrupted_scenario(seed, adv, delays) -> Scenario:
@@ -103,7 +130,14 @@ MATRIX = (
         Scenario(n=7, f=2, theta="1.1", duration="300", seed=11,
                  adversary={"byzantine": "noise", "delays": "split"},
                  corruption={"kind": "random"},
-                 script=[{"t": "250", "node": 0, "action": "initiate"}]))])
+                 script=[{"t": "250", "node": 0, "action": "initiate"}]))]
+    + [(f"delays-{delays}", edge_scenario(delays=delays))
+       for delays in ("fast", "slow", "boundary")]
+    + [(f"rates-{rates}", edge_scenario(clocks={"rates": rates}))
+       for rates in ("fixed_max", "fixed_min")]
+    + [("theta-1", edge_scenario(theta="1")),
+       ("update-period-3",
+        edge_scenario(duration="160", clock_update_period="3", T="3"))])
 
 
 def sha256(text: str) -> str:
