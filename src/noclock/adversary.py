@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import messages as msg
 from .clocksync import ClockSync
+from .kernel import DELAY_STEPS
 from .node import NodeRuntime
 from .params import Params
 from .rounds import Instance
@@ -33,7 +34,9 @@ def pick(table: dict, what: str, name):
 
 # -- delay policies -----------------------------------------------------------
 
-_LO, _HI = 17, 1007         # (d/64, d - d/64) open band, in 1024ths
+# The open band (d/64, d - d/64), in steps of d/DELAY_STEPS.
+_LO = DELAY_STEPS // 64 + 1
+_HI = DELAY_STEPS - _LO
 
 
 def _split(receiver, rng):
@@ -44,10 +47,11 @@ def _split(receiver, rng):
 
 def _boundary(receiver, rng):
     edge = rng.randint(1, 4)
-    return edge if rng.random() < 0.5 else 1024 - edge
+    return edge if rng.random() < 0.5 else DELAY_STEPS - edge
 
 
-# Each policy draws a message delay in 1024ths of d.
+# Each policy is a kernel `delay_policy(receiver, rng)`: it draws a message
+# delay as an int count of d/DELAY_STEPS.
 DELAYS = {
     "uniform": lambda receiver, rng: rng.randint(_LO, _HI),
     "fast": lambda receiver, rng: rng.randint(_LO, _LO + 48),
@@ -55,14 +59,6 @@ DELAYS = {
     "split": _split,
     "boundary": _boundary,
 }
-
-
-def make_delay_policy(name: str, d: Fraction):
-    """The kernel's `delay_policy(receiver, rng)` for a named draw."""
-    draw = pick(DELAYS, "delay policy", name)
-    # draw/1024 * d as one Fraction: sends are the kernel's commonest call.
-    num, den = d.numerator, 1024 * d.denominator
-    return lambda receiver, rng: Fraction(draw(receiver, rng) * num, den)
 
 
 # -- clock-rate schedules -------------------------------------------------------
@@ -229,7 +225,7 @@ class ClockSkewNode(SilentNode):
         env = msg.Update(tuple(vec))
         for w in range(p.n):
             if w != self.node:
-                self.sim.send(self.node, w, env, delay=p.d / 2)
+                self.sim.send(self.node, w, env, delay=DELAY_STEPS // 2)
         # Next broadcast at an adversarial real-time spacing, expressed as a
         # local alarm through this node's own clock.
         spacing = p.d + 2 * p.grid.quantum if next(self.pace) else 3 * p.d_clk
@@ -394,5 +390,5 @@ def random_garbage(sim, p: Params, rng) -> None:
                 continue
             for _ in range(rng.randint(0, 2)):
                 env = random_envelope(p, rng)
-                at = Fraction(rng.randint(1, 1023), 1024) * p.d
+                at = Fraction(rng.randint(1, DELAY_STEPS - 1), DELAY_STEPS) * p.d
                 sim.inject_garbage(s, r, env, at)

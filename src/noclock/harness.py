@@ -77,8 +77,8 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     rng, p, byz, correct, offsets, clocks = build_env(sc)
     duration = frac(sc.duration)
 
-    delay_policy = adversary.make_delay_policy(
-        sc.adversary.get("delays", "uniform"), p.d)
+    delay_policy = adversary.pick(adversary.DELAYS, "delay policy",
+                                  sc.adversary.get("delays", "uniform"))
     handlers: Dict[int, object] = {}
     sim = Simulator(p, clocks, handlers, delay_policy, rng)
 

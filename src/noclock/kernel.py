@@ -5,6 +5,13 @@ rate schedules with rates in [1, theta]; threshold scheduling inverts the rate
 schedule exactly, so an alarm set for a local clock value fires at the unique
 real time where the clock reaches it.
 
+Event times are built from integer coefficients: a message delay is an int
+count k of d/DELAY_STEPS, so a delivery time is the integer ratio
+(tn*D + k*N*td) / (td*D) for now = tn/td and d/DELAY_STEPS = N/D, and an alarm
+at local value u grid units fires at (C*u - B) / A, where (A*t + B) / C is the
+clock in grid units on the alarm's rate segment.  Each event's `Fraction` is
+built once, when it is queued.
+
 Clock reads on the delivery path go through a `GridReader` per node, which
 gives the floored grid reading in exact integer arithmetic: no `Fraction` is
 built per read, and a segment cursor replaces the search of the rate schedule.
@@ -25,6 +32,7 @@ from .timebase import frac
 
 THRESHOLD, DELIVERY, ACTION = 0, 1, 2
 MAX_ACTIONS_PER_EVENT = 100_000
+DELAY_STEPS = 1024      # a message delay is k * d / DELAY_STEPS, 0 < k < DELAY_STEPS
 
 
 class SimulatorBug(Exception):
@@ -61,13 +69,18 @@ class HardwareClock:
 
 
 class GridReader:
-    """`grid.floor_units(clock.value(t))` of one clock, in plain integers.
+    """`grid.floor_units(clock.value(t))` and `clock.invert` of one clock on
+    the grid, in plain integers.
 
     On rate segment i the clock over the grid unit is a*t + b with rational
     a and b, so for t = tn/td the floored reading is (A*tn + B*td) // (C*td)
     with integers A, B, C fixed per segment.  The segment of the last read is
     kept as a cursor, since simulated time never decreases; a read before the
     cursor's segment falls back to a search of the schedule.
+
+    Inverted, the clock reaches u grid units on segment i at real time
+    (C*u - B) / A, from the same integers.  Segment i is the last whose start
+    value h_i is at most u units, that is, whose ceil(h_i / unit) is at most u.
     """
 
     def __init__(self, clock: HardwareClock, unit: Fraction):
@@ -80,6 +93,9 @@ class GridReader:
             self.coef.append((a.numerator * b.denominator,
                               b.numerator * a.denominator,
                               a.denominator * b.denominator))
+        # ceil((A*sn + B*sd) / (C*sd)): segment i's start value in units.
+        self.h_units = [-(-(a * sn + b * sd) // (c * sd))
+                        for (a, b, c), (sn, sd) in zip(self.coef, self.bounds)]
         self.last = len(self.bounds) - 1
         self.i = 0
 
@@ -99,11 +115,21 @@ class GridReader:
         a, b, c = self.coef[i]
         return (a * tn + b * td) // (c * td)
 
+    def invert_units(self, units: int):
+        """(numerator, denominator) of the real time at which the clock
+        reaches `units` grid units: `clock.invert(grid.from_units(units))`."""
+        i = bisect_right(self.h_units, units) - 1
+        if i < 0:
+            raise ValueError("local value precedes clock start")
+        a, b, c = self.coef[i]
+        return c * units - b, a
+
 
 class Simulator:
     """Each node's handler gets `on_threshold(units, tag)`,
     `on_deliver(sender, envelope)` and `on_action(payload)`.  `send` prices
-    the envelope; the delay is `delay_policy(receiver, rng)` unless given."""
+    the envelope; the delay, an int count of d/DELAY_STEPS, is
+    `delay_policy(receiver, rng)` unless given."""
 
     def __init__(self, p, clocks, handlers, delay_policy, rng):
         self.p = p
@@ -112,7 +138,10 @@ class Simulator:
         self.handlers = handlers        # node -> handler object
         self.delay_policy = delay_policy
         self.rng = rng
+        step = p.d / DELAY_STEPS
+        self._step_n, self._step_d = step.numerator, step.denominator
         self.now: Fraction = Fraction(0)
+        self._now_n, self._now_d = 0, 1     # now's numerator and denominator
         self.trace: list = []
         self._queue: list = []
         self._seq = 0
@@ -120,37 +149,49 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, t: Fraction, kind: int, node: int, payload) -> None:
-        if t < self.now:
-            raise SimulatorBug(f"event at {t} scheduled in the past (now={self.now})")
+    def _push(self, num: int, den: int, kind: int, node: int, payload) -> None:
+        """Queue an event at real time num/den (den > 0)."""
         self._seq += 1
         self._actions_this_event += 1
         if self._actions_this_event > MAX_ACTIONS_PER_EVENT:
             raise SimulatorBug("per-event action budget exceeded (runaway handler?)")
-        # float(t) is monotone in t, so the float leads the comparison for
-        # speed and the exact Fraction settles the rare float ties.
-        heapq.heappush(self._queue, (float(t), t, kind, node, self._seq, payload))
+        # The float leads the comparison for speed and the exact Fraction
+        # settles the rare float ties; int true division is correctly
+        # rounded, so num / den is float(Fraction(num, den)).
+        heapq.heappush(self._queue, (num / den, Fraction(num, den), kind, node,
+                                     self._seq, payload))
+
+    def schedule(self, t: Fraction, kind: int, node: int, payload) -> None:
+        if t < self.now:
+            raise SimulatorBug(f"event at {t} scheduled in the past (now={self.now})")
+        self._push(t.numerator, t.denominator, kind, node, payload)
 
     def alarm(self, node: int, local_units: int, tag) -> None:
         """Fire a THRESHOLD event when `node`'s clock reaches local_units."""
-        local = self.p.grid.from_units(local_units)
-        if local_units <= self.local_units(node):
-            raise SimulatorBug(f"alarm for node {node} at local {local} already passed")
-        self.schedule(self.clocks[node].invert(local), THRESHOLD, node,
-                      (local_units, tag))
+        reader = self.readers[node]
+        # A clock value not yet reached lies strictly in the future.
+        if local_units <= reader.floor_units(self.now):
+            raise SimulatorBug(f"alarm for node {node} at local "
+                               f"{self.p.grid.from_units(local_units)} already passed")
+        num, den = reader.invert_units(local_units)
+        self._push(num, den, THRESHOLD, node, (local_units, tag))
 
     def send(self, sender: int, receiver: int, envelope,
-             delay: Optional[Fraction] = None) -> None:
+             delay: Optional[int] = None) -> None:
         if sender == receiver:
             raise SimulatorBug("self-delivery is local state, not a channel send")
         if delay is None:
             delay = self.delay_policy(receiver, self.rng)
-        if not (0 < delay < self.p.d):
-            raise SimulatorBug(f"delay {delay} outside (0, {self.p.d})")
+        if type(delay) is not int or not 0 < delay < DELAY_STEPS:
+            raise SimulatorBug(f"delay {delay!r} is not an int count of "
+                               f"d/{DELAY_STEPS} in (0, {DELAY_STEPS})")
         self.trace.append(("send", self.now, sender, receiver,
                            type(envelope).__name__, envelope.frame_bits(self.p),
                            envelope.payload_bits(), envelope))
-        self.schedule(self.now + delay, DELIVERY, receiver, (sender, envelope))
+        # now + delay * d / DELAY_STEPS, strictly after now.
+        td, sd = self._now_d, self._step_d
+        self._push(self._now_n * sd + delay * self._step_n * td, td * sd,
+                   DELIVERY, receiver, (sender, envelope))
 
     def inject_garbage(self, sender: int, receiver: int, envelope, deliver_at) -> None:
         """Queue a pre-existing in-flight envelope; only legal before time d."""
@@ -185,6 +226,7 @@ class Simulator:
         while queue and (queue[0][0] < deadline_f or queue[0][1] <= deadline):
             _, t, kind, node, _, payload = heapq.heappop(queue)
             self.now = t
+            self._now_n, self._now_d = t.numerator, t.denominator
             self._actions_this_event = 0
             handler = self.handlers[node]
             if kind == THRESHOLD:
@@ -196,3 +238,4 @@ class Simulator:
             else:
                 handler.on_action(payload)
         self.now = deadline
+        self._now_n, self._now_d = deadline.numerator, deadline.denominator

@@ -570,17 +570,31 @@ def _is_label(x) -> bool:
     return isinstance(x, tuple) and len(x) == 2 and all(map(_is_int, x))
 
 
+def _is_payload(x) -> bool:
+    return x is None or (isinstance(x, tuple) and
+                         all(_is_int(b) and b in (0, 1) for b in x))
+
+
 def _fields_ok(rec, n: int) -> bool:
     """Whether the fields `evaluate` reads past the node have its types."""
-    if rec[0] == "send":
+    kind = rec[0]
+    if kind == "send":
         m = rec[7]
         return (rec[4] == type(m).__name__ and _is_int(rec[5])
                 and _is_int(rec[6]) and _is_label(getattr(m, "label", (0, 0))))
-    if rec[0] == "est":
+    if kind == "est":
         return (isinstance(rec[3], tuple) and len(rec[3]) == n
                 and all(x is None or _is_int(x) for x in rec[3]))
-    labelled = rec[0] in ("participate", "output", "init", "rrcv", "remit")
-    return not labelled or _is_label(rec[3])
+    if kind not in ("participate", "output", "init", "rrcv", "remit"):
+        return True
+    if not _is_label(rec[3]):
+        return False
+    if kind in ("rrcv", "remit"):
+        return (_is_int(rec[4]) and isinstance(rec[5], tuple)
+                and len(rec[5]) == n and all(map(_is_payload, rec[5])))
+    if kind == "output":
+        return _is_int(rec[4]) and rec[4] in (0, 1) and isinstance(rec[5], str)
+    return True
 
 
 def trace_from_jsonl(text: str, n: int) -> list:

@@ -165,3 +165,24 @@ def test_check_trace_rejects_a_record_evaluate_cannot_read(
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["check-trace", "--dir", str(out)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("rrcv", 5, True), ("rrcv", 5, "x"), ("remit", 5, {"_t": []}),
+    ("remit", 5, True), ("output", 4, None)])
+def test_check_trace_rejects_a_wrongly_typed_vector_or_output(
+        scenario_file, tmp_path, capsys, kind, field, value):
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trace.jsonl"
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines)
+             if json.loads(line)["_t"][0] == kind)
+    record = json.loads(lines[k])
+    record["_t"][field] = value
+    lines[k] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-trace", "--dir", str(out)]) == 2
+    assert "has a wrongly typed field" in capsys.readouterr().err

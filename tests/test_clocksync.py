@@ -229,7 +229,7 @@ def test_support_counts_equal_a_recount(data, n):
 def test_corrupted_boot_leaves_exact_support_counts(seed):
     sc = Scenario(n=7, f=2, corruption={"kind": "random"}, seed=seed)
     _, p, _, _, _, clocks = harness.build_env(sc)
-    sim = Simulator(p, clocks, {}, lambda receiver, rng: p.d / 2,
+    sim = Simulator(p, clocks, {}, lambda receiver, rng: 512,
                     random.Random(seed))
     proto = protocols.make_protocol("phase-king-silent", 7, 2)
     rt = sim.handlers[0] = NodeRuntime(sim, 0, p, proto, lambda *a: 1)

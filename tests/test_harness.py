@@ -88,7 +88,22 @@ def test_trace_decoding_accepts_only_envelopes(name):
     '{"_t": ["send", 1, 0, 1, "Init", "x", 0, {"_m": "Init", "v": {"_t": [5]}}]}',
     '{"_t": ["send", 1, 0, 1, "Init", 24, null, {"_m": "Init", "v": {"_t": [5]}}]}',
     '{"_t": ["send", 1, 0, 1, "Echo", 24, 0, {"_m": "Init", "v": {"_t": [5]}}]}',
-    '{"_t": ["send", 1, 0, 1, "Echo", 24, 0, {"_m": "Echo", "v": {"_t": [5]}}]}'])
+    '{"_t": ["send", 1, 0, 1, "Echo", 24, 0, {"_m": "Echo", "v": {"_t": [5]}}]}',
+    # Round vectors and outputs of the wrong type.
+    '{"_t": ["rrcv", 1, 0, {"_t": [0, 5]}, "1", {"_t": [null, null, null, null]}]}',
+    '{"_t": ["rrcv", 1, 0, {"_t": [0, 5]}, 1, true]}',
+    '{"_t": ["rrcv", 1, 0, {"_t": [0, 5]}, 1, "x"]}',
+    '{"_t": ["rrcv", 1, 0, {"_t": [0, 5]}, 1, {"_t": [null, null, null]}]}',
+    '{"_t": ["rrcv", 1, 0, {"_t": [0, 5]}, 1, {"_t": [1, null, null, null]}]}',
+    '{"_t": ["rrcv", 1, 0, {"_t": [0, 5]}, 1, {"_t": [{"_t": [2]}, null, null, null]}]}',
+    '{"_t": ["rrcv", 1, 0, {"_t": [0, 5]}, 1, {"_t": [{"_t": [true]}, null, null, null]}]}',
+    '{"_t": ["remit", 1, 0, {"_t": [0, 5]}, null, {"_t": [null, null, null, null]}]}',
+    '{"_t": ["remit", 1, 0, {"_t": [0, 5]}, 1, {"_t": []}]}',
+    '{"_t": ["remit", 1, 0, {"_t": [0, 5]}, 1, true]}',
+    '{"_t": ["output", 1, 0, {"_t": [0, 5]}, null, "ok"]}',
+    '{"_t": ["output", 1, 0, {"_t": [0, 5]}, 2, "ok"]}',
+    '{"_t": ["output", 1, 0, {"_t": [0, 5]}, true, "ok"]}',
+    '{"_t": ["output", 1, 0, {"_t": [0, 5]}, 1, 5]}'])
 def test_trace_decoding_rejects_a_record_evaluate_cannot_read(line):
     with pytest.raises(ValueError, match="trace"):
         verdicts.trace_from_jsonl(line, 4)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noclock.kernel import (ACTION, DELIVERY, THRESHOLD, GridReader,
-                            HardwareClock, Simulator, SimulatorBug)
+from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY, THRESHOLD,
+                            GridReader, HardwareClock, Simulator, SimulatorBug)
 from noclock.messages import Init, RoundMsg
 from noclock.params import derive
 from noclock.timebase import frac
@@ -28,7 +28,7 @@ class Recorder:
         self.events.append(("act", self.node, payload))
 
 
-def make_sim(rates=None, n=2, delay_policy=lambda *a: Fraction(1, 2)):
+def make_sim(rates=None, n=2, delay_policy=lambda *a: 512):
     p = derive(4, 1, "1.1", "1", 8, 38)
     rates = rates or [(0, 1)]
     clocks = {v: HardwareClock(0, rates) for v in range(n)}
@@ -134,9 +134,96 @@ def test_threshold_already_passed_is_a_bug():
 def test_send_rejects_delays_outside_open_interval():
     sim, _ = make_sim()
     with pytest.raises(SimulatorBug):
-        sim.send(0, 1, Init(0), delay=Fraction(1))
+        sim.send(0, 1, Init(0), delay=1024)
     with pytest.raises(SimulatorBug):
-        sim.send(0, 1, Init(0), delay=Fraction(0))
+        sim.send(0, 1, Init(0), delay=0)
+
+
+@pytest.mark.parametrize("delay", [-1, Fraction(1, 2), True])
+def test_send_rejects_a_delay_that_is_not_a_positive_step_count(delay):
+    sim, rec = make_sim()
+    with pytest.raises(SimulatorBug):
+        sim.send(0, 1, Init(0), delay=delay)
+    sim.run_until(2)
+    assert sim.trace == [] and rec.events == []
+
+
+class Timed(Recorder):
+    """A recorder that also notes the simulated time of each event."""
+
+    def __init__(self, node, events, sim):
+        super().__init__(node, events)
+        self.sim = sim
+
+    def on_threshold(self, units, tag):
+        self.events.append(("thr", self.sim.now, units))
+
+    def on_deliver(self, sender, envelope):
+        self.events.append(("msg", self.sim.now, sender))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from(["1", "3/2", "7/3"]),
+       start=st.fractions(min_value=0, max_value=40, max_denominator=97),
+       k=st.integers(1, DELAY_STEPS - 1))
+def test_delivery_time_is_now_plus_k_steps_of_d(d, start, k):
+    p = derive(4, 1, "1.1", d, 8, 38)
+    clocks = {v: HardwareClock(0, [(0, 1)]) for v in range(2)}
+    events = []
+    sim = Simulator(p, clocks, {}, lambda *a: k, random.Random(0))
+    sim.handlers.update({v: Timed(v, events, sim) for v in range(2)})
+    sim.run_until(start)
+    sim.send(0, 1, Init(0))
+    sim.run_until(start + p.d)
+    assert events == [("msg", start + k * p.d / DELAY_STEPS, 0)]
+
+
+def random_schedule(data, theta):
+    """A rate schedule in [1, theta] with up to five later segments."""
+    def rate():
+        return 1 + Fraction(data.draw(st.integers(0, 8)), 8) * (theta - 1)
+    segs = [(0, rate())]
+    for _ in range(data.draw(st.integers(0, 5))):
+        segs.append((segs[-1][0] + data.draw(st.fractions(
+            min_value=Fraction(1, 8), max_value=9, max_denominator=24)), rate()))
+    return segs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grid_reader_inversion_equals_the_exact_clock_inversion(data):
+    theta = frac(data.draw(st.sampled_from(["1", "1.1", "1.25", "1.3"])))
+    p = derive(4, 1, theta, "1", 8, 38)
+    grid = p.grid
+    offset = data.draw(st.integers(0, 400)) * grid.unit
+    clock = HardwareClock(offset, random_schedule(data, theta))
+    reader = GridReader(clock, grid.unit)
+    first = grid.ceil_units(offset)
+    # The first grid value on or after each segment start, the one before
+    # it, and values in any order and past the last segment.
+    starts = [grid.ceil_units(h) for h in clock.h_starts]
+    units = st.one_of(st.sampled_from(starts),
+                      st.sampled_from(starts).map(lambda u: max(first, u - 1)),
+                      st.integers(first, starts[-1] + 4000))
+    for u in data.draw(st.lists(units, min_size=1, max_size=30)):
+        num, den = reader.invert_units(u)
+        assert Fraction(num, den) == clock.invert(grid.from_units(u))
+    with pytest.raises(ValueError):
+        reader.invert_units(first - 1)
+
+
+def test_alarm_fires_where_the_clock_reaches_its_value():
+    rates = [(0, 1), (frac("2.5"), frac("1.1")), (7, frac("1.05"))]
+    sim, _ = make_sim(rates=rates)
+    events = []
+    sim.handlers[0] = Timed(0, events, sim)
+    sim.run_until(1)
+    for units in (30, 60, 61, 150, 400):
+        sim.alarm(0, units, ("x",))
+    sim.run_until(30)
+    clock = sim.clocks[0]
+    assert events == [("thr", clock.invert(sim.p.grid.from_units(u)), u)
+                      for u in (30, 60, 61, 150, 400)]
 
 
 def test_send_prices_the_envelope_and_asks_the_policy_per_receiver():
@@ -144,7 +231,7 @@ def test_send_prices_the_envelope_and_asks_the_policy_per_receiver():
 
     def policy(receiver, rng):
         asked.append(receiver)
-        return Fraction(1, 4)
+        return 256
     sim, rec = make_sim(delay_policy=policy)
     env = RoundMsg((0, 0), 1, (1, 0, 1))
     sim.send(0, 1, env)
