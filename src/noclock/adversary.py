@@ -110,6 +110,9 @@ class SilentNode:
     def on_deliver(self, sender, envelope):
         pass
 
+    def on_malformed(self, sender):
+        pass
+
     def on_action(self, payload):
         pass
 
@@ -147,6 +150,7 @@ class NoiseNode(SilentNode):
     def on_threshold(self, units, tag):
         rng = self.sim.rng
         for w in range(self.p.n):
+            # One send at a time: each envelope's draws precede its delay's.
             if w != self.node and rng.random() < 0.7:
                 self.sim.send(self.node, w, random_envelope(self.p, rng))
         self._next_wake()
@@ -162,33 +166,36 @@ class SplitEchoNode(NodeRuntime):
     def initiate(self):
         p = self.p
         base = self.sim.reading(self.node) % p.clock_modulus
-        for w in range(p.n):
-            if w == self.node:
-                continue
-            # Half the receivers see a stamp near the band edge, half see it
-            # clean; some instances will assemble only partial echo support.
-            skew = (p.init_band - p.grid.q_units) if w % 2 else 0
-            stamp = (base + skew) % p.clock_modulus
-            self.sim.send(self.node, w, msg.Init(stamp))
+        # Half the receivers (the odd ids) see a stamp near the band edge,
+        # half see it clean; some instances will assemble only partial echo
+        # support.
+        inits = [msg.Init((base + skew) % p.clock_modulus)
+                 for skew in (0, p.init_band - p.grid.q_units)]
         # Echo a pair of conflicting labels ourselves.
-        for w in range(p.n):
-            if w == self.node:
-                continue
-            stamp = (base + (p.grid.q_units if w % 2 else 0)) % p.clock_modulus
-            self.sim.send(self.node, w, msg.Echo((self.node, stamp)))
+        echoes = [msg.Echo((self.node, (base + skew) % p.clock_modulus))
+                  for skew in (0, p.grid.q_units)]
+        for pair in (inits, echoes):
+            envelopes = [pair[w % 2] for w in range(p.n)]
+            envelopes[self.node] = None
+            self.sim.multicast(self.node, envelopes)
 
 
 class EquivocatingRoundsNode(NodeRuntime):
     """Participates like a correct node but equivocates round payloads."""
 
-    def send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:
-        payload = envelope.payload
-        if payload is not None and receiver % 2:
-            payload = tuple(1 - b for b in payload)
-            envelope = msg.RoundMsg(envelope.label, envelope.round, payload)
-        elif payload is None and receiver % 2 and envelope.round <= 2:
-            envelope = msg.RoundMsg(envelope.label, envelope.round, (1,))
-        super().send_round(receiver, envelope)
+    def send_round(self, envelopes) -> None:
+        out = list(envelopes)
+        for w in range(1, len(out), 2):
+            envelope = out[w]
+            if envelope is None:
+                continue
+            payload = envelope.payload
+            if payload is not None:
+                payload = tuple(1 - b for b in payload)
+                out[w] = msg.RoundMsg(envelope.label, envelope.round, payload)
+            elif envelope.round <= 2:
+                out[w] = msg.RoundMsg(envelope.label, envelope.round, (1,))
+        super().send_round(out)
 
 
 class ClockSkewNode(SilentNode):
@@ -222,10 +229,9 @@ class ClockSkewNode(SilentNode):
         self.claim_units += p.update_period
         vec = list(self.clocksync.on_tick(units))
         vec[self.node] = self.claim_units % p.clock_modulus
-        env = msg.Update(tuple(vec))
-        for w in range(p.n):
-            if w != self.node:
-                self.sim.send(self.node, w, env, delay=DELAY_STEPS // 2)
+        envelopes = [msg.Update(tuple(vec))] * p.n
+        envelopes[self.node] = None
+        self.sim.multicast(self.node, envelopes, delay=DELAY_STEPS // 2)
         # Next broadcast at an adversarial real-time spacing, expressed as a
         # local alarm through this node's own clock.
         spacing = p.d + 2 * p.grid.quantum if next(self.pace) else 3 * p.d_clk
@@ -233,7 +239,7 @@ class ClockSkewNode(SilentNode):
         self.sim.alarm(self.node, p.grid.ceil_units(target), ("tick",))
 
     def on_deliver(self, sender, envelope):
-        if isinstance(envelope, msg.Update) and msg.well_formed(envelope, self.p):
+        if isinstance(envelope, msg.Update):
             now = self.sim.local_units(self.node)
             self.clocksync.on_update(sender, envelope.values, now)
 

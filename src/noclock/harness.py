@@ -112,8 +112,8 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     for handler in handlers.values():
         if isinstance(handler, NodeRuntime):
             handler.wipe()
-    vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
-                            lambda: proto) if evaluate else []
+    vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct, lambda: proto,
+                            readers=sim.readers) if evaluate else []
     return RunResult(sc, p, sim.trace if keep_trace else [], vds, correct, byz)
 
 

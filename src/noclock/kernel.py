@@ -12,9 +12,15 @@ at local value u grid units fires at (C*u - B) / A, where (A*t + B) / C is the
 clock in grid units on the alarm's rate segment.  Each event's `Fraction` is
 built once, when it is queued.
 
-Clock reads on the delivery path go through a `GridReader` per node, which
-gives the floored grid reading in exact integer arithmetic: no `Fraction` is
-built per read, and a segment cursor replaces the search of the rate schedule.
+Clock reads go through a `GridReader` per node, which gives the floored grid
+reading at now's integer numerator and denominator in exact integer
+arithmetic: no `Fraction` is read or built per read, and a segment cursor
+replaces the search of the rate schedule.
+
+A send set is one `multicast` call, which names, prices and validates each
+distinct envelope object once, however many receivers it goes to; each
+delivery carries that validity, so a malformed envelope reaches its
+receiver's `on_malformed` instead of `on_deliver`.
 
 Event order is total: (time, kind rank, node, sequence number); the
 deterministic tie-break realizes the modeling assumption that no two events
@@ -28,6 +34,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
 
+from . import messages
 from .timebase import frac
 
 THRESHOLD, DELIVERY, ACTION = 0, 1, 2
@@ -69,8 +76,8 @@ class HardwareClock:
 
 
 class GridReader:
-    """`grid.floor_units(clock.value(t))` and `clock.invert` of one clock on
-    the grid, in plain integers.
+    """`grid.floor_units(clock.value(tn / td))` and `clock.invert` of one
+    clock on the grid, in plain integers.
 
     On rate segment i the clock over the grid unit is a*t + b with rational
     a and b, so for t = tn/td the floored reading is (A*tn + B*td) // (C*td)
@@ -99,12 +106,12 @@ class GridReader:
         self.last = len(self.bounds) - 1
         self.i = 0
 
-    def floor_units(self, t: Fraction) -> int:
-        tn, td = t.numerator, t.denominator
+    def floor_units(self, tn: int, td: int) -> int:
+        """The floored reading at real time tn/td (td > 0)."""
         i = self.i
         sn, sd = self.bounds[i]
         if tn * sd < sn * td:
-            i = bisect_right(self.starts, t) - 1
+            i = bisect_right(self.starts, Fraction(tn, td)) - 1
         else:
             while i < self.last:
                 sn, sd = self.bounds[i + 1]
@@ -127,9 +134,10 @@ class GridReader:
 
 class Simulator:
     """Each node's handler gets `on_threshold(units, tag)`,
-    `on_deliver(sender, envelope)` and `on_action(payload)`.  `send` prices
-    the envelope; the delay, an int count of d/DELAY_STEPS, is
-    `delay_policy(receiver, rng)` unless given."""
+    `on_deliver(sender, envelope)` for a well-formed envelope,
+    `on_malformed(sender)` for any other, and `on_action(payload)`.
+    `multicast` prices and validates the envelopes; each delay, an int count
+    of d/DELAY_STEPS, is `delay_policy(receiver, rng)` unless given."""
 
     def __init__(self, p, clocks, handlers, delay_policy, rng):
         self.p = p
@@ -170,28 +178,53 @@ class Simulator:
         """Fire a THRESHOLD event when `node`'s clock reaches local_units."""
         reader = self.readers[node]
         # A clock value not yet reached lies strictly in the future.
-        if local_units <= reader.floor_units(self.now):
+        if local_units <= reader.floor_units(self._now_n, self._now_d):
             raise SimulatorBug(f"alarm for node {node} at local "
                                f"{self.p.grid.from_units(local_units)} already passed")
         num, den = reader.invert_units(local_units)
         self._push(num, den, THRESHOLD, node, (local_units, tag))
 
+    def multicast(self, sender: int, envelopes,
+                  delay: Optional[int] = None) -> None:
+        """Send `envelopes[w]` to each node w whose entry is not None.
+
+        Each distinct envelope object is priced and checked by
+        `messages.well_formed` once.  Then, in receiver order, each send draws
+        its delay, unless one is given, appends its `send` record and queues
+        its delivery with the envelope's validity."""
+        if envelopes[sender] is not None:
+            raise SimulatorBug("self-delivery is local state, not a channel send")
+        p = self.p
+        # id(envelope) -> (kind, frame bits, payload bits, delivery payload)
+        facts = {}
+        for envelope in envelopes:
+            if envelope is not None and id(envelope) not in facts:
+                facts[id(envelope)] = (
+                    type(envelope).__name__, envelope.frame_bits(p),
+                    envelope.payload_bits(),
+                    (sender, envelope, messages.well_formed(envelope, p)))
+        policy, rng, trace, now = self.delay_policy, self.rng, self.trace, self.now
+        # now + k * d / DELAY_STEPS = (base + k * scale) / den, strictly
+        # after now for 0 < k.
+        td, sd = self._now_d, self._step_d
+        base, scale, den = self._now_n * sd, self._step_n * td, td * sd
+        for receiver, envelope in enumerate(envelopes):
+            if envelope is None:
+                continue
+            k = policy(receiver, rng) if delay is None else delay
+            if type(k) is not int or not 0 < k < DELAY_STEPS:
+                raise SimulatorBug(f"delay {k!r} is not an int count of "
+                                   f"d/{DELAY_STEPS} in (0, {DELAY_STEPS})")
+            kind, frame, bits, delivery = facts[id(envelope)]
+            trace.append(("send", now, sender, receiver, kind, frame, bits,
+                          envelope))
+            self._push(base + k * scale, den, DELIVERY, receiver, delivery)
+
     def send(self, sender: int, receiver: int, envelope,
              delay: Optional[int] = None) -> None:
-        if sender == receiver:
-            raise SimulatorBug("self-delivery is local state, not a channel send")
-        if delay is None:
-            delay = self.delay_policy(receiver, self.rng)
-        if type(delay) is not int or not 0 < delay < DELAY_STEPS:
-            raise SimulatorBug(f"delay {delay!r} is not an int count of "
-                               f"d/{DELAY_STEPS} in (0, {DELAY_STEPS})")
-        self.trace.append(("send", self.now, sender, receiver,
-                           type(envelope).__name__, envelope.frame_bits(self.p),
-                           envelope.payload_bits(), envelope))
-        # now + delay * d / DELAY_STEPS, strictly after now.
-        td, sd = self._now_d, self._step_d
-        self._push(self._now_n * sd + delay * self._step_n * td, td * sd,
-                   DELIVERY, receiver, (sender, envelope))
+        envelopes = [None] * self.p.n
+        envelopes[receiver] = envelope
+        self.multicast(sender, envelopes, delay)
 
     def inject_garbage(self, sender: int, receiver: int, envelope, deliver_at) -> None:
         """Queue a pre-existing in-flight envelope; only legal before time d."""
@@ -202,18 +235,19 @@ class Simulator:
             raise ValueError(f"garbage delivery time {deliver_at} outside (0, {self.p.d})")
         self.trace.append(("garbage", deliver_at, sender, receiver,
                            type(envelope).__name__, 0, 0, envelope))
-        self.schedule(deliver_at, DELIVERY, receiver, (sender, envelope))
+        self.schedule(deliver_at, DELIVERY, receiver,
+                      (sender, envelope, messages.well_formed(envelope, self.p)))
 
     # -- clock access -------------------------------------------------------
 
     def local_units(self, node: int) -> int:
         """Current local clock, floored to grid units."""
-        return self.readers[node].floor_units(self.now)
+        return self.readers[node].floor_units(self._now_n, self._now_d)
 
     def reading(self, node: int) -> int:
         """Current quantized local clock, in grid units: `grid.read` of it."""
         q = self.p.grid.q_units
-        return self.readers[node].floor_units(self.now) // q * q
+        return self.readers[node].floor_units(self._now_n, self._now_d) // q * q
 
     # -- main loop ----------------------------------------------------------
 
@@ -232,9 +266,12 @@ class Simulator:
             if kind == THRESHOLD:
                 handler.on_threshold(*payload)
             elif kind == DELIVERY:
-                sender, envelope = payload
+                sender, envelope, valid = payload
                 self.trace.append(("recv", t, node, sender, type(envelope).__name__))
-                handler.on_deliver(sender, envelope)
+                if valid:
+                    handler.on_deliver(sender, envelope)
+                else:
+                    handler.on_malformed(sender)
             else:
                 handler.on_action(payload)
         self.now = deadline

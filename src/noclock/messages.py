@@ -3,7 +3,8 @@
 Payloads are tuples of bits.  `frame_bits` counts everything except protocol
 payload bits; the split matters because instance bit budgets and the silence
 property are stated over payload bits, while amortized totals count both.
-The kernel prices every send with these two methods.
+The kernel prices each distinct envelope of a send set with these two
+methods, and checks it once with `well_formed`.
 """
 
 from __future__ import annotations

@@ -13,9 +13,15 @@ the kernel only through the runtime they are built with, which is their port:
 - `alarm(units, (handler, *args))` sets a local-clock timer; when it fires
   the runtime calls `handler(*args, units)`, and a layer's handler acts only
   if its register still names that time (no pending-timer record is kept);
-- `broadcast(envelope)` sends to every other node;
-- `send_round(receiver, envelope)` sends one round message;
+- `broadcast(envelope)` sends one envelope to every other node;
+- `send_round(envelopes)` sends `envelopes[w]` to each node w whose entry is
+  not None, a round's whole send set;
 - `wipe()` drops all instance memory after a quarantine.
+
+Each of the two send calls is one kernel `multicast`, which prices and
+validates each distinct envelope once; the kernel hands the runtime only
+well-formed envelopes (`on_deliver`), and names the sender of any other
+(`on_malformed`), which the runtime records as a `drop malformed`.
 
 Timer handlers receive the local time the timer was set for as their last
 argument; the tag names the handler, so nothing maps tags back to layers.
@@ -23,6 +29,8 @@ The guard reads the rounds layer's instance table through `rt.rounds`.
 """
 
 from __future__ import annotations
+
+from typing import List, Optional
 
 from . import messages as msg
 from .clocksync import ClockSync
@@ -60,12 +68,12 @@ class NodeRuntime:
         self.sim.alarm(self.node, local_units, tag)
 
     def broadcast(self, envelope) -> None:
-        for w in range(self.p.n):
-            if w != self.node:
-                self.sim.send(self.node, w, envelope)
+        envelopes = [envelope] * self.p.n
+        envelopes[self.node] = None
+        self.sim.multicast(self.node, envelopes)
 
-    def send_round(self, receiver: int, envelope: msg.RoundMsg) -> None:
-        self.sim.send(self.node, receiver, envelope)
+    def send_round(self, envelopes: List[Optional[msg.RoundMsg]]) -> None:
+        self.sim.multicast(self.node, envelopes)
 
     def wipe(self) -> None:
         self.rounds.instances.clear()
@@ -79,9 +87,6 @@ class NodeRuntime:
 
     def on_deliver(self, sender: int, envelope) -> None:
         now = self.sim.reading(self.node)
-        if not msg.well_formed(envelope, self.p):
-            self.log("drop", "malformed", sender)
-            return
         if isinstance(envelope, msg.Update):
             self.clocksync.on_update(sender, envelope.values, now)
         elif isinstance(envelope, msg.Init):
@@ -91,6 +96,9 @@ class NodeRuntime:
         elif isinstance(envelope, msg.RoundMsg):
             self.rounds.on_round_msg(sender, envelope.label, envelope.round,
                                      envelope.payload, now)
+
+    def on_malformed(self, sender: int) -> None:
+        self.log("drop", "malformed", sender)
 
     def on_action(self, payload) -> None:
         getattr(self, ACTIONS[payload[0]])()

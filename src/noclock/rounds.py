@@ -7,9 +7,10 @@ gap ahead once n-f distinct round-i messages are stored, and threshold i is
 pulled to "now" once f+1 are stored (someone correct already reached round
 i, so it is safe to).  Crossing threshold i computes the plugin's round-i
 messages from the round-(i-1) inbox and sends one envelope, payload or
-explicit non-message, to every peer; crossing threshold R+1 computes the
-output.  A stalled or over-budget instance is terminated locally with output
-0, which the silent wrapper makes safe.
+explicit non-message, to every peer, as one send set holding one envelope per
+distinct payload; crossing threshold R+1 computes the output.  A stalled or
+over-budget instance is terminated locally with output 0, which the silent
+wrapper makes safe.
 """
 
 from __future__ import annotations
@@ -118,16 +119,33 @@ class Rounds:
         self.rt.log("remit", inst.label, i, tuple(sends))
         if i >= 3 or any(m is not None for m in sends):
             inst.nontrivial = True
-        for w in range(p.n):
+        # One envelope and one price per distinct payload; the receivers in
+        # id order that fit the budget get theirs, and a receiver that does
+        # not aborts the instance after those sends.
+        budget = p.instance_budget(i)
+        built = {}                  # payload -> (its RoundMsg, its bits)
+        envelopes = [None] * p.n
+        bits = inst.bits
+        over = False
+        for w, payload in enumerate(sends):
             if w == self.node:
                 continue
-            envelope = RoundMsg(inst.label, i, sends[w])
-            cost = envelope.frame_bits(p) + envelope.payload_bits()
-            if inst.bits + cost > p.instance_budget(i):
-                self.abort(inst.label, now, "bit_budget")
-                return
-            inst.bits += cost
-            self.rt.send_round(w, envelope)
+            entry = built.get(payload)
+            if entry is None:
+                envelope = RoundMsg(inst.label, i, payload)
+                entry = built[payload] = (
+                    envelope, envelope.frame_bits(p) + envelope.payload_bits())
+            envelope, cost = entry
+            if bits + cost > budget:
+                over = True
+                break
+            bits += cost
+            envelopes[w] = envelope
+        inst.bits = bits
+        self.rt.send_round(envelopes)
+        if over:
+            self.abort(inst.label, now, "bit_budget")
+            return
         # Own message is local state, stored through the same quorum path.
         self.on_round_msg(self.node, inst.label, i, sends[self.node], now)
 

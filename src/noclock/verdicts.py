@@ -112,7 +112,11 @@ class _Index:
             rec.nonzero = any(part[2] != 0 for part in rec.parts.values())
 
 
-def evaluate(trace, sc, p: Params, clocks, correct, proto_factory) -> List[Verdict]:
+def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
+             readers=None) -> List[Verdict]:
+    """The verdicts on one run's trace.  `readers` are the run's own
+    `GridReader`s by node, when the caller has them; otherwise the clock
+    suite builds its own from `clocks`."""
     ix = _Index(trace, correct)
     duration = frac(sc.duration)
     corrupted = sc.corruption.get("kind", "none") != "none"
@@ -141,7 +145,7 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory) -> List[Verdi
         _agreement_suite(judged, correct),
         _timing_suite(judged, p, correct),
         _silence_suite(judged),
-        _estimates_suite(ix, p, clocks, correct),
+        _estimates_suite(ix, p, clocks, correct, readers),
         _bits_suite(ix, p, correct, cutoff, duration),
         _envelope_suite(ix, p, correct, cutoff),
         _rarity_suite(ix, p, cutoff),
@@ -310,17 +314,19 @@ def _silence_suite(judged) -> Verdict:
                    counterexample=bad[:12] or None)
 
 
-def _estimates_suite(ix, p, clocks, correct) -> Verdict:
+def _estimates_suite(ix, p, clocks, correct, readers) -> Verdict:
     grid = p.grid
     mod = p.clock_modulus
     low = grid.ceil_units(3 * p.theta * p.d_clk) + grid.q_units
     t0 = Fraction(0)
     samples = tail = 0
     worst = None
-    true_units = {w: GridReader(clocks[w], grid.unit).floor_units
-                  for w in correct}
+    if readers is None:
+        readers = {w: GridReader(clocks[w], grid.unit) for w in correct}
+    true_units = {w: readers[w].floor_units for w in correct}
     for v in correct:
         for t, ests in ix.est.get(v, []):
+            tn, td = t.numerator, t.denominator
             for w in correct:
                 if w == v:
                     continue
@@ -330,7 +336,7 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
                     t0 = max(t0, t)
                     worst = ("bot", t, v, w)
                     continue
-                diff = mod_signed(val - true_units[w](t) % mod, mod)
+                diff = mod_signed(val - true_units[w](tn, td) % mod, mod)
                 if not (-low <= diff <= 0):
                     t0 = max(t0, t)
                     worst = ("band", t, v, w, diff)

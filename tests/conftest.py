@@ -30,8 +30,9 @@ class FakeRuntime:
     def broadcast(self, envelope):
         self.sent.append(envelope)
 
-    def send_round(self, receiver, envelope):
-        self.round_sends.append((receiver, envelope))
+    def send_round(self, envelopes):
+        self.round_sends += [(w, env) for w, env in enumerate(envelopes)
+                             if env is not None]
 
     def wipe(self):
         self.wipes += 1

@@ -48,6 +48,27 @@ def test_trace_evaluation_is_rerunnable():
            [(v.name, v.passed, v.measured) for v in again]
 
 
+@pytest.mark.parametrize("over", [{}, {"corruption": {"kind": "random"},
+                                       "duration": "60"}])
+def test_run_judges_clocks_with_its_own_readers_as_fresh_ones_do(monkeypatch,
+                                                                 over):
+    sc = clean_scenario(**over)
+    trace = harness.run(sc, evaluate=False).trace
+    _, p, _, correct, _, clocks = harness.build_env(sc)
+    fresh = verdicts.evaluate(trace, sc, p, clocks, correct,
+                              lambda: harness.protocols.make_protocol(
+                                  "phase-king-silent", 4, 1))
+
+    def no_reader(*args):
+        raise AssertionError("evaluate built a reader of its own")
+    monkeypatch.setattr(verdicts, "GridReader", no_reader)
+    res = harness.run(sc)
+    assert res.trace == trace
+    assert [(v.name, v.passed, v.measured, v.counterexample)
+            for v in res.verdicts] == \
+           [(v.name, v.passed, v.measured, v.counterexample) for v in fresh]
+
+
 def test_trace_serialization_roundtrip():
     res = harness.run(clean_scenario(), evaluate=False)
     text = verdicts.trace_to_jsonl(res.trace)

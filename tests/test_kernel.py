@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noclock import messages
+from noclock.adversary import SilentNode
 from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY, THRESHOLD,
                             GridReader, HardwareClock, Simulator, SimulatorBug)
-from noclock.messages import Init, RoundMsg
+from noclock.messages import Garbage, Init, RoundMsg, Update
+from noclock.node import NodeRuntime
 from noclock.params import derive
+from noclock.protocols import make_protocol
 from noclock.timebase import frac
 
 
@@ -23,6 +27,9 @@ class Recorder:
 
     def on_deliver(self, sender, envelope):
         self.events.append(("msg", self.node, sender, envelope))
+
+    def on_malformed(self, sender):
+        self.events.append(("bad", self.node, sender))
 
     def on_action(self, payload):
         self.events.append(("act", self.node, payload))
@@ -40,7 +47,7 @@ def make_sim(rates=None, n=2, delay_policy=lambda *a: 512):
 
 def test_schedule_into_empty_queue_becomes_head():
     sim, rec = make_sim()
-    sim.schedule(frac("2.5"), DELIVERY, 0, (1, Init(0)))
+    sim.schedule(frac("2.5"), DELIVERY, 0, (1, Init(0), True))
     sim.run_until(10)
     assert rec.events == [("msg", 0, 1, Init(0))]
 
@@ -55,7 +62,7 @@ def test_same_time_events_ordered_by_node_id():
 
 def test_threshold_events_precede_deliveries_at_equal_time():
     sim, rec = make_sim()
-    sim.schedule(frac(3), DELIVERY, 0, (1, Init(0)))
+    sim.schedule(frac(3), DELIVERY, 0, (1, Init(0), True))
     sim.schedule(frac(3), THRESHOLD, 0, (60, ("tick",)))
     sim.run_until(10)
     assert [e[0] for e in rec.events] == ["thr", "msg"]
@@ -160,6 +167,9 @@ class Timed(Recorder):
 
     def on_deliver(self, sender, envelope):
         self.events.append(("msg", self.sim.now, sender))
+
+    def on_malformed(self, sender):
+        self.events.append(("bad", self.sim.now, sender))
 
 
 @settings(max_examples=80, deadline=None)
@@ -304,7 +314,8 @@ def test_grid_reader_equals_the_floored_exact_clock(data):
                      max_denominator=1024))
     for t in data.draw(st.lists(times, min_size=1, max_size=40)):
         t = frac(t)
-        assert reader.floor_units(t) == p.grid.floor_units(clock.value(t))
+        assert reader.floor_units(t.numerator, t.denominator) == \
+            p.grid.floor_units(clock.value(t))
 
 
 def test_reading_is_the_quantized_grid_reading():
@@ -314,3 +325,106 @@ def test_reading_is_the_quantized_grid_reading():
         value = sim.clocks[0].value(sim.now)
         assert sim.local_units(0) == sim.p.grid.floor_units(value)
         assert sim.reading(0) == sim.p.grid.read(value)
+
+
+# Envelopes a send set may repeat: well-formed ones and malformed ones
+# (a short clock vector, a stamp out of range, junk) at n = 4.
+POOL = [Init(5), Update((None, 3, None, 7)), RoundMsg((1, 9), 2, (1, 0)),
+        Update((1, 2)), Init(-1), Garbage((7, 7))]
+
+
+def draws(lo, hi):
+    """A delay policy that draws from the RNG the kernel passes it."""
+    return lambda receiver, rng: rng.randint(lo, hi)
+
+
+def timed_sim(policy):
+    p = derive(4, 1, "1.1", "1", 8, 38)
+    clocks = {v: HardwareClock(0, [(0, 1), (3, frac("1.1"))]) for v in range(4)}
+    events = []
+    sim = Simulator(p, clocks, {}, policy, random.Random(11))
+    sim.handlers.update({v: Timed(v, events, sim) for v in range(4)})
+    return sim, events
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_multicast_equals_a_loop_of_single_sends(data):
+    sender = data.draw(st.integers(0, 3))
+    picks = data.draw(st.lists(st.one_of(st.none(), st.integers(0, len(POOL) - 1)),
+                               min_size=4, max_size=4))
+    envelopes = [None if k is None or w == sender else POOL[k]
+                 for w, k in enumerate(picks)]
+    delay = data.draw(st.one_of(st.none(), st.integers(1, DELAY_STEPS - 1)))
+    start = data.draw(st.fractions(min_value=0, max_value=6, max_denominator=97))
+    one, one_events = timed_sim(draws(1, DELAY_STEPS - 1))
+    loop, loop_events = timed_sim(draws(1, DELAY_STEPS - 1))
+    for sim in (one, loop):
+        sim.run_until(start)
+    one.multicast(sender, envelopes, delay)
+    for w, envelope in enumerate(envelopes):
+        if envelope is not None:
+            loop.send(sender, w, envelope, delay)
+    for sim in (one, loop):
+        sim.run_until(start + 2)
+    assert one.trace == loop.trace
+    assert one_events == loop_events
+    assert len(one_events) == sum(e is not None for e in envelopes)
+    assert one.rng.getstate() == loop.rng.getstate()
+
+
+@pytest.mark.parametrize("policy, delay", [
+    (draws(1, DELAY_STEPS - 1), 0), (draws(1, DELAY_STEPS - 1), DELAY_STEPS),
+    (draws(DELAY_STEPS, DELAY_STEPS), None), (lambda *a: 0.5, None)])
+def test_multicast_rejects_a_bad_delay(policy, delay):
+    sim, _ = timed_sim(policy)
+    with pytest.raises(SimulatorBug):
+        sim.multicast(0, [None, Init(5), Init(5), None], delay)
+
+
+def test_multicast_rejects_a_self_entry():
+    sim, events = timed_sim(draws(1, DELAY_STEPS - 1))
+    with pytest.raises(SimulatorBug):
+        sim.multicast(2, [Init(5), None, Init(5), None])
+    sim.run_until(2)
+    assert sim.trace == [] and events == []
+
+
+def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
+    p = derive(4, 1, "1.1", "1", 8, 38)
+    checked = []
+    well_formed = messages.well_formed
+
+    def counted(envelope, params):
+        checked.append(envelope)
+        return well_formed(envelope, params)
+    monkeypatch.setattr(messages, "well_formed", counted)
+    entered = []
+    monkeypatch.setattr(NodeRuntime, "on_deliver",
+                        lambda self, sender, envelope: entered.append(self.node))
+    clocks = {v: HardwareClock(0, [(0, 1)]) for v in range(4)}
+    handlers = {}
+    sim = Simulator(p, clocks, handlers, draws(1, DELAY_STEPS - 1),
+                    random.Random(5))
+    proto = make_protocol("phase-king-silent", 4, 1)
+    for v in range(3):
+        handlers[v] = NodeRuntime(sim, v, p, proto, lambda *a: 1)
+    handlers[3] = SilentNode(sim, 3, p)
+    # By injection: a fresh object per delivery.
+    injected = [Update((1, 2)), Garbage((1,)), Update((None,) * 5)]
+    for v, envelope in enumerate(injected):
+        sim.inject_garbage(3, v, envelope, frac("0.5"))
+    # By a sender: two objects, one of them to two receivers.
+    short, junk = Update((4,)), Garbage((9, 9))
+    sim.multicast(3, [short, junk, short, None])
+    assert [id(e) for e in checked] == [id(e) for e in injected + [short, junk]]
+    sim.run_until(2)
+    assert entered == []
+    recvs = [k for k, rec in enumerate(sim.trace) if rec[0] == "recv"]
+    assert len(recvs) == 6
+    for k in recvs:
+        _, t, node, sender, _ = sim.trace[k]
+        assert sim.trace[k + 1] == ("drop", t, node, "malformed", sender)
+    drops = [rec[2] for rec in sim.trace if rec[0] == "drop"]
+    assert sorted(drops) == [0, 0, 1, 1, 2, 2]
+    assert len(checked) == 5

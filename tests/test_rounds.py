@@ -1,5 +1,6 @@
 import pytest
 
+from noclock.messages import RoundMsg
 from noclock.protocols import phase_king_silent
 from noclock.rounds import Rounds
 
@@ -178,6 +179,42 @@ def test_bit_budget_violation_aborts_instance(ctx):
     rounds.on_alarm(LABEL, 1, 12484)
     inst = rounds.instances[LABEL]
     assert inst.done and outputs(rt) == [(LABEL, 0, "bit_budget")]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bit_budget_running_out_mid_fan_out_sends_to_those_that_fit(ctx, k):
+    p, rounds, guard, rt = ctx
+    budget = p.instance_budget(1)
+    frame = RoundMsg(LABEL, 1, ()).frame_bits(p)
+    cost = budget // k            # k sends fit, k + 1 do not
+    assert k * cost <= budget < (k + 1) * cost
+
+    class Wide:
+        rounds = 3
+        bit_bound = 38
+
+        def fresh(self, b, index):
+            return {}
+
+        def step(self, state, i, received):
+            return state, [(1,) * (cost - frame)] * 4
+
+    rounds.proto = Wide()
+    outputs_at_send = []
+    send_round = rt.send_round
+
+    def noting(envelopes):
+        outputs_at_send.append(len(outputs(rt)))
+        send_round(envelopes)
+    rt.send_round = noting
+    rounds.join(LABEL, 1, 2, 1, 12000)
+    rounds.on_alarm(LABEL, 1, 12484)
+    inst = rounds.instances[LABEL]
+    assert [w for w, _ in rt.round_sends] == list(range(1, k + 1))
+    assert outputs_at_send == [0]
+    assert inst.done and outputs(rt) == [(LABEL, 0, "bit_budget")]
+    assert inst.inbox[1] == {}        # the node's own message is not stored
+    assert inst.bits == k * cost
 
 
 def test_stall_terminates_with_zero(ctx):
