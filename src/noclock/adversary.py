@@ -265,7 +265,7 @@ def make_byzantine(name: str, sim, node: int, p: Params, proto, oracle,
 
 
 def _const_oracle(config: dict, seed: int):
-    value = int(config.get("value", 1))
+    value = config.get("value", 1)
     return lambda label, node, now: value
 
 

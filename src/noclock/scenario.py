@@ -20,6 +20,22 @@ FIELD_TYPES = {"n": int, "f": int, "seed": int, "protocol": dict,
                "adversary": dict, "oracle": dict, "clocks": dict,
                "corruption": dict, "script": list}
 
+# Each name a run looks up in a section, with the table it reads:
+# (section, key, table, what).  Only the protocol's name has no default.
+LOOKUPS = (
+    ("protocol", "name", PROTOCOLS, "protocol"),
+    ("adversary", "byzantine", adversary.STRATEGIES, "byzantine strategy"),
+    ("adversary", "mode", adversary.ClockSkewNode.PACES, "clock_skew mode"),
+    ("adversary", "delays", adversary.DELAYS, "delay policy"),
+    ("clocks", "rates", adversary.RATE_SCHEDULES, "rate schedule"),
+    ("oracle", "kind", adversary.ORACLES, "oracle kind"),
+    ("corruption", "kind", adversary.BOOTS, "corruption kind"))
+# The keys each section declares: its lookups, and the two values `validate`
+# checks on their own.  A script entry declares "t", "node" and "action".
+_KEYED = LOOKUPS + (("adversary", "byzantine_set"), ("oracle", "value"))
+SECTION_KEYS = {section: {key for s, key, *_ in _KEYED if s == section}
+                for section, *_ in _KEYED}
+
 
 class ScenarioError(ValueError):
     def __init__(self, problems):
@@ -51,6 +67,9 @@ class Scenario:
                     if type(getattr(self, key)) is not kind]
         if problems:
             raise ScenarioError(problems)   # the checks below rely on these
+        problems += [f"{section}: unknown key {key!r}"
+                     for section, keys in SECTION_KEYS.items()
+                     for key in getattr(self, section) if key not in keys]
         theta = d = T = period = None
         try:
             theta = frac(self.theta)
@@ -90,10 +109,15 @@ class Scenario:
             problems.append("byzantine_set contains invalid node ids")
         elif byz is not None and len(byz) > self.f:
             problems.append(f"byzantine_set larger than f={self.f}")
+        value = self.oracle.get("value", 1)
+        if not (type(value) is int and value in (0, 1)):
+            problems.append(f"oracle value {value!r} is not 0 or 1")
         for entry in self.script:
             if not isinstance(entry, dict):
                 problems.append(f"malformed script entry {entry!r}")
                 continue
+            problems += [f"script entry: unknown key {key!r}" for key in entry
+                         if key not in ("t", "node", "action")]
             try:
                 t = frac(entry["t"])
                 if duration is not None and not (0 < t < duration):
@@ -106,24 +130,10 @@ class Scenario:
             action = entry.get("action", "initiate")
             if not (isinstance(action, str) and action in ACTIONS):
                 problems.append(f"unknown script action {action!r}")
-        # Each name the run looks up, checked against the table it reads.
-        # Only the protocol's name has no default.
-        name = self.protocol.get("name")
-        if not (isinstance(name, str) and name in PROTOCOLS):
-            problems.append(f"unknown protocol {name!r}")
-        for config, key, table, what in (
-                (self.adversary, "byzantine", adversary.STRATEGIES,
-                 "byzantine strategy"),
-                (self.adversary, "mode", adversary.ClockSkewNode.PACES,
-                 "clock_skew mode"),
-                (self.adversary, "delays", adversary.DELAYS, "delay policy"),
-                (self.clocks, "rates", adversary.RATE_SCHEDULES,
-                 "rate schedule"),
-                (self.oracle, "kind", adversary.ORACLES, "oracle kind"),
-                (self.corruption, "kind", adversary.BOOTS, "corruption kind")):
-            name = config.get(key)
-            if name is not None and not (isinstance(name, str)
-                                         and name in table):
+        for section, key, table, what in LOOKUPS:
+            name = getattr(self, section).get(key)
+            if (name is not None or section == "protocol") and not (
+                    isinstance(name, str) and name in table):
                 problems.append(f"unknown {what} {name!r}")
         if problems:
             raise ScenarioError(problems)

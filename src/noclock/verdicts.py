@@ -64,7 +64,7 @@ class _Index:
         self.sends: Dict = {}         # correct sender -> its send records
         self.joins = Counter()        # correct node -> its participate records
         self.est: Dict = {}
-        self.quarantines: List = []
+        self.quarantines: List = []   # the node of each quarantine record
         self.underflows: List = []
         self.suppressed: List = []
         for rec in trace:
@@ -103,7 +103,7 @@ class _Index:
                 if node in cset:
                     self.est.setdefault(node, []).append((t, ests))
             elif kind == "quarantine":
-                self.quarantines.append(rec)
+                self.quarantines.append(rec[2])
             elif kind == "gate_underflow":
                 self.underflows.append(rec)
             elif kind == "suppressed":
@@ -140,18 +140,20 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
             if acts and duration - max(acts) <= tail:
                 continue   # still running into the end of the trace
         judged.append((label, rec))
-    verdicts = [
+    per_instance = [
         _replay_suite(judged, p, proto_factory()),
         _agreement_suite(judged, correct),
         _timing_suite(judged, p, correct),
         _silence_suite(judged),
+    ]
+    verdicts = per_instance + [
         _estimates_suite(ix, p, clocks, correct, readers),
         _bits_suite(ix, p, correct, cutoff, duration),
         _envelope_suite(ix, p, correct, cutoff),
         _rarity_suite(ix, p, cutoff),
     ]
     if corrupted:
-        verdicts.append(_stabilization_suite(ix, judged, cutoff, verdicts))
+        verdicts.append(_stabilization_suite(ix, judged, cutoff, per_instance))
     else:
         verdicts.append(_hygiene_suite(ix))
     return verdicts
@@ -459,33 +461,23 @@ def _rarity_suite(ix, p, cutoff) -> Verdict:
 
 
 def _hygiene_suite(ix) -> Verdict:
-    bad = []
-    if ix.quarantines:
-        bad.append(("quarantine_on_clean_boot", len(ix.quarantines)))
-    if ix.underflows:
-        bad.append(("gate_underflow_on_clean_boot", len(ix.underflows)))
-    if ix.suppressed:
-        bad.append(("suppressed_sends_on_clean_boot", len(ix.suppressed)))
+    bad = [(what + "_on_clean_boot", len(recs)) for what, recs in (
+        ("quarantine", ix.quarantines), ("gate_underflow", ix.underflows),
+        ("suppressed_sends", ix.suppressed)) if recs]
     return Verdict("non-interference", not bad,
                    {"violations": len(bad)}, counterexample=bad or None)
 
 
-def _stabilization_suite(ix, judged, cutoff, suite_verdicts) -> Verdict:
+def _stabilization_suite(ix, judged, cutoff, per_instance) -> Verdict:
     post = sum(1 for _, rec in judged if rec.parts)
-    per_instance = {v.name: v.passed for v in suite_verdicts
-                    if v.name in ("oracle-equivalence",
-                                  "agreement-validity-safety",
-                                  "timing-windows", "silence")}
-    ok = all(per_instance.values())
     # A node must quarantine at most once per run (post-wipe re-detection is
     # unreachable) and fabricated gates may never admit an underflow join.
-    nodes_q = [rec[2] for rec in ix.quarantines]
-    repeat = len(nodes_q) != len(set(nodes_q))
-    passed = ok and post > 0 and not repeat
+    repeat = len(ix.quarantines) != len(set(ix.quarantines))
+    passed = all(v.passed for v in per_instance) and post > 0 and not repeat
     return Verdict("self-stabilization", passed,
                    {"post_horizon_instances": post,
                     "cutoff": float(cutoff),
-                    "quarantines": len(nodes_q),
+                    "quarantines": len(ix.quarantines),
                     "repeat_quarantine": repeat})
 
 
@@ -497,7 +489,7 @@ def run_metrics(trace, sc, p: Params, correct) -> dict:
     same node's bits per `bits_window`, each row carrying the node's counts.
     """
     ix = _Index(trace, correct)
-    quarantines = Counter(rec[2] for rec in ix.quarantines)
+    quarantines = Counter(ix.quarantines)
     window = p.bits_window
     count = max(1, int(frac(sc.duration) / window))
     totals, windows = [], []
@@ -520,14 +512,17 @@ def run_metrics(trace, sc, p: Params, correct) -> dict:
 # -- trace serialization -------------------------------------------------------
 
 
+def _fields(envelope) -> tuple:
+    return tuple(getattr(envelope, f) for f in envelope.__dataclass_fields__)
+
+
 def _enc(obj):
     if isinstance(obj, Fraction):
         return {"_f": f"{obj.numerator}/{obj.denominator}"}
     if isinstance(obj, tuple):
         return {"_t": [_enc(x) for x in obj]}
     if isinstance(obj, msg.ENVELOPES):
-        return {"_m": type(obj).__name__,
-                "v": _enc(tuple(getattr(obj, f) for f in obj.__dataclass_fields__))}
+        return {"_m": type(obj).__name__, "v": _enc(_fields(obj))}
     return obj
 
 
@@ -563,65 +558,69 @@ def trace_to_jsonl(trace) -> str:
     return "\n".join(json.dumps(_enc(tuple(rec))) for rec in trace) + "\n"
 
 
-# Field counts, kind included, of the records that `evaluate` unpacks.
-_RECORD_FIELDS = {"send": 8, "participate": 7, "output": 6, "rrcv": 6,
-                  "remit": 6, "init": 4, "est": 4, "quarantine": 3}
+# The type of each field after (kind, t, node) of every record `_Index` reads.
+# A field type is a class (a bool is not an int); a list of the types or
+# values it may be; a tuple of field types, for a tuple of that length;
+# `(T, ...)` or `(T, "n")`, for a tuple of any number of T's or of one per
+# node; or a dict from each envelope class to the types of its fields.
+_BIT, _LABEL = [0, 1], (int, int)
+_VALUE, _PAYLOAD = [None, int], [None, (_BIT, ...)]
+_ROUND = (_LABEL, int, (_PAYLOAD, "n"))
+_RECORDS = {
+    "send": (int, str, int, int, {
+        msg.Update: ((_VALUE, ...),), msg.Init: (int,), msg.Echo: (_LABEL,),
+        msg.RoundMsg: (_LABEL, int, _PAYLOAD), msg.Garbage: ((int, ...),)}),
+    "participate": (_LABEL, [1, 2], _BIT, _BIT),
+    "output": (_LABEL, _BIT, str),
+    "rrcv": _ROUND, "remit": _ROUND, "init": (_LABEL,),
+    "est": ((_VALUE, "n"),),
+    "quarantine": (), "gate_underflow": (_LABEL,), "suppressed": (_LABEL, int)}
+_WHEN = ([Fraction, int], int)   # (t, node), the fields every record leads with
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_label(x) -> bool:
-    return isinstance(x, tuple) and len(x) == 2 and all(map(_is_int, x))
-
-
-def _is_payload(x) -> bool:
-    return x is None or (isinstance(x, tuple) and
-                         all(_is_int(b) and b in (0, 1) for b in x))
-
-
-def _fields_ok(rec, n: int) -> bool:
-    """Whether the fields `evaluate` reads past the node have its types."""
-    kind = rec[0]
-    if kind == "send":
-        m = rec[7]
-        return (rec[4] == type(m).__name__ and _is_int(rec[5])
-                and _is_int(rec[6]) and _is_label(getattr(m, "label", (0, 0))))
-    if kind == "est":
-        return (isinstance(rec[3], tuple) and len(rec[3]) == n
-                and all(x is None or _is_int(x) for x in rec[3]))
-    if kind not in ("participate", "output", "init", "rrcv", "remit"):
-        return True
-    if not _is_label(rec[3]):
-        return False
-    if kind in ("rrcv", "remit"):
-        return (_is_int(rec[4]) and isinstance(rec[5], tuple)
-                and len(rec[5]) == n and all(map(_is_payload, rec[5])))
-    if kind == "output":
-        return _is_int(rec[4]) and rec[4] in (0, 1) and isinstance(rec[5], str)
-    return True
+def _fits(x, kind, n: int) -> bool:
+    """Whether the decoded value `x` has the field type `kind`."""
+    if isinstance(kind, type):
+        return type(x) is kind
+    if isinstance(kind, list):
+        return any(_fits(x, k, n) for k in kind)
+    if isinstance(kind, tuple):
+        if kind[1:] in ((...,), ("n",)):
+            return (type(x) is tuple and (kind[1] is ... or len(x) == n)
+                    and all(_fits(y, kind[0], n) for y in x))
+        return (type(x) is tuple and len(x) == len(kind)
+                and all(_fits(y, k, n) for y, k in zip(x, kind)))
+    if isinstance(kind, dict):
+        return type(x) in kind and _fits(_fields(x), kind[type(x)], n)
+    return type(x) is type(kind) and x == kind
 
 
 def trace_from_jsonl(text: str, n: int) -> list:
-    """The records of a stored trace of an n-node run; `ValueError` if
-    `evaluate` could not read one."""
+    """The records of a stored trace of an n-node run; `ValueError`, naming
+    the 1-based line, if `evaluate` could not read one."""
     trace = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = _dec(json.loads(line))
-        if not (isinstance(rec, tuple) and rec and isinstance(rec[0], str)):
-            raise ValueError(f"trace record {rec!r} is not a tuple led by "
-                             f"its kind")
-        if len(rec) != _RECORD_FIELDS.get(rec[0], len(rec)):
-            raise ValueError(f"trace gives a {rec[0]} record {len(rec)} "
-                             f"fields, not {_RECORD_FIELDS[rec[0]]}")
-        if not (len(rec) >= 3 and _is_int(rec[2])
-                and (isinstance(rec[1], Fraction) or _is_int(rec[1]))):
-            raise ValueError(f"trace record {rec!r} does not give a time "
-                             f"and a node")
-        if not _fields_ok(rec, n):
-            raise ValueError(f"trace record {rec!r} has a wrongly typed field")
-        trace.append(rec)
+    for k, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                trace.append(_record(json.loads(line), n))
+            except (ValueError, RecursionError) as exc:   # too deep a nest
+                raise ValueError(f"line {k}: {exc}") from None
     return trace
+
+
+def _record(obj, n: int) -> tuple:
+    """The decoded record `obj` if it fits its kind's layout in `_RECORDS`."""
+    rec = _dec(obj)
+    if not (isinstance(rec, tuple) and rec and isinstance(rec[0], str)):
+        raise ValueError(f"trace record {rec!r} is not a tuple led by its kind")
+    kind, layout = rec[0], _RECORDS.get(rec[0])
+    if layout is not None and len(rec) != 3 + len(layout):
+        raise ValueError(f"trace gives a {kind} record {len(rec)} fields, "
+                         f"not {3 + len(layout)}")
+    if not (len(rec) >= 3 and _fits(rec[1:3], _WHEN, n)):
+        raise ValueError(f"trace record {rec!r} does not give a time and a node")
+    if layout is not None and not (
+            _fits(rec[3:], layout, n)
+            and (kind != "send" or rec[4] == type(rec[7]).__name__)):
+        raise ValueError(f"trace record {rec!r} has a wrongly typed field")
+    return rec

@@ -102,6 +102,7 @@ def test_string_size_exits_two(tmp_path, capsys):
     ("seed=3,a", "seed: expected int, got 'a'"),
     ("foo.bar=1", "sweep axis 'foo.bar'"),
     ("seed.x=1", "sweep axis 'seed.x'"),
+    ("adversary.byzantin=noise", "adversary: unknown key 'byzantin'"),
 ])
 def test_bad_sweep_axis_exits_two_before_any_run(scenario_file, capsys,
                                                  axis, message):
@@ -167,11 +168,9 @@ def test_check_trace_rejects_a_record_evaluate_cannot_read(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, field, value", [
-    ("rrcv", 5, True), ("rrcv", 5, "x"), ("remit", 5, {"_t": []}),
-    ("remit", 5, True), ("output", 4, None)])
-def test_check_trace_rejects_a_wrongly_typed_vector_or_output(
-        scenario_file, tmp_path, capsys, kind, field, value):
+def retype(scenario_file, tmp_path, capsys, kind, field, value):
+    """The stored run's results, with `field` of its first `kind` record set
+    to `value`, and the 0-based line of that record."""
     out = tmp_path / "results"
     assert cli.main(["run", "--scenario", str(scenario_file),
                      "--out", str(out)]) == 0
@@ -184,5 +183,54 @@ def test_check_trace_rejects_a_wrongly_typed_vector_or_output(
     record["_t"][field] = value
     lines[k] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
+    return out, k
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("rrcv", 5, True), ("rrcv", 5, "x"), ("remit", 5, {"_t": []}),
+    ("remit", 5, True), ("output", 4, None)])
+def test_check_trace_rejects_a_wrongly_typed_vector_or_output(
+        scenario_file, tmp_path, capsys, kind, field, value):
+    out, _ = retype(scenario_file, tmp_path, capsys, kind, field, value)
     assert cli.main(["check-trace", "--dir", str(out)]) == 2
     assert "has a wrongly typed field" in capsys.readouterr().err
+
+
+# The input (field 5) and oracle value (field 6) are bits, the confidence
+# (field 4) is 1 or 2.
+@pytest.mark.parametrize("field, value", [
+    (5, None), (5, "x"), (5, True), (4, None), (6, 7)])
+def test_check_trace_rejects_a_wrongly_typed_participate_field(
+        scenario_file, tmp_path, capsys, field, value):
+    out, k = retype(scenario_file, tmp_path, capsys, "participate", field,
+                    value)
+    assert cli.main(["check-trace", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {k + 1}: trace record ('participate'," in err
+    assert "has a wrongly typed field" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"corruption": {"knd": "random"}}, "corruption: unknown key 'knd'"),
+    ({"adversary": {"byzantin": "noise"}}, "adversary: unknown key 'byzantin'"),
+    ({"oracle": {"kind": "const", "valeu": 0}}, "oracle: unknown key 'valeu'"),
+    ({"clocks": {"rate": "fixed_max"}}, "clocks: unknown key 'rate'"),
+    ({"protocol": {"name": "phase-king-silent", "f": 1}},
+     "protocol: unknown key 'f'"),
+    ({"script": [{"t": "8", "node": 0, "acton": "initiate"}]},
+     "script entry: unknown key 'acton'"),
+    ({"oracle": {"kind": "const", "value": "x"}}, "oracle value 'x' is not 0 or 1"),
+    ({"oracle": {"kind": "const", "value": 2}}, "oracle value 2 is not 0 or 1"),
+    ({"oracle": {"kind": "const", "value": True}},
+     "oracle value True is not 0 or 1"),
+    ({"oracle": {"kind": "const", "value": "0"}},
+     "oracle value '0' is not 0 or 1"),
+])
+def test_unknown_key_or_oracle_value_exits_two_before_the_run(
+        tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert out.out == ""

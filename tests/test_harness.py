@@ -1,4 +1,7 @@
+import inspect
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -138,6 +141,94 @@ def test_trace_decoding_rejects_a_wrong_field_count(name, fields):
     line = '{"_t": ["send", {"_m": "%s", "v": %s}]}' % (name, fields)
     with pytest.raises(ValueError, match=f"trace gives {name} the fields"):
         verdicts.trace_from_jsonl(line, 4)
+
+
+def sample(kind, n=4):
+    """A value of the field type `kind` of `verdicts._RECORDS`."""
+    if isinstance(kind, type):
+        return {int: 5, str: "ok"}[kind]
+    if isinstance(kind, list):
+        return sample(kind[-1], n)
+    if isinstance(kind, dict):
+        (cls, fields), = kind.items()
+        return cls(*sample(fields, n))
+    if not isinstance(kind, tuple):
+        return kind   # a value
+    if kind[1:] in ((...,), ("n",)):
+        return (sample(kind[0], n),) * (2 if kind[1] is ... else n)
+    return tuple(sample(k, n) for k in kind)
+
+
+def wrongs(kind, n=4):
+    """Values that do not fit the field type `kind`."""
+    yield 0 if kind is str else "x"
+    if kind is int or isinstance(kind, list):
+        yield True
+    if isinstance(kind, list):
+        if all(type(k) is int for k in kind):
+            yield max(kind) + 1
+        for k in kind:
+            if isinstance(k, tuple):
+                yield from (w for w in wrongs(k, n) if isinstance(w, tuple))
+    elif isinstance(kind, dict):
+        (cls, fields), = kind.items()
+        yield from (cls(*w) for w in wrongs(fields, n)
+                    if isinstance(w, tuple) and len(w) == len(fields))
+    elif isinstance(kind, tuple):
+        good = sample(kind, n)
+        items = kind
+        if kind[1:] in ((...,), ("n",)):
+            items = kind[:1]
+            if kind[1] == "n":
+                yield good[1:]
+        for i, k in enumerate(items):
+            yield from (good[:i] + (w,) + good[i + 1:] for w in wrongs(k, n))
+
+
+# (kind, its layout) of each record kind: one send layout per envelope class.
+SEND = verdicts._RECORDS["send"]
+LAYOUTS = [pytest.param(kind, layout, id=kind)
+           for kind, layout in verdicts._RECORDS.items() if kind != "send"] + [
+    pytest.param("send", SEND[:4] + ({cls: fields},), id=f"send-{cls.__name__}")
+    for cls, fields in SEND[4].items()]
+
+
+def test_record_table_covers_every_kind_the_index_reads():
+    source = inspect.getsource(verdicts._Index)
+    assert set(re.findall(r'\bkind == "(\w+)"', source)) == set(verdicts._RECORDS)
+
+
+@pytest.mark.parametrize("kind, layout", LAYOUTS)
+def test_trace_decoding_follows_the_record_table(kind, layout):
+    good = sample(layout)
+    if kind == "send":
+        good = good[:1] + (type(good[4]).__name__,) + good[2:]
+
+    def decode(fields):
+        rec = (kind, Fraction(7, 2), 1) + fields
+        return rec, verdicts.trace_from_jsonl(verdicts.trace_to_jsonl([rec]), 4)
+
+    rec, back = decode(good)
+    assert back == [rec]
+    for i, field in enumerate(layout):
+        for w in wrongs(field):
+            with pytest.raises(ValueError, match="has a wrongly typed field"):
+                decode(good[:i] + (w,) + good[i + 1:])
+
+
+def test_trace_decoding_names_the_line():
+    text = (verdicts.trace_to_jsonl([("init", Fraction(1), 0, (0, 5))])
+            + '\n{"_t": ["init", 1, 0, 5]}\n')
+    with pytest.raises(ValueError, match=r"^line 3: trace record .* has a "
+                                         r"wrongly typed field$"):
+        verdicts.trace_from_jsonl(text, 4)
+
+
+@pytest.mark.parametrize("depth", [2_000, 100_000])
+def test_trace_decoding_refuses_a_record_nested_too_deep(depth):
+    text = '{"_t": ["wipe", 1, 0]}\n' + '{"_t": [' * depth + "]}" * depth
+    with pytest.raises(ValueError, match="^line 2: .*recursion"):
+        verdicts.trace_from_jsonl(text, 4)
 
 
 def test_rate_limited_second_initiation_refused():

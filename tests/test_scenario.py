@@ -2,7 +2,7 @@ import pytest
 
 from noclock.adversary import ClockSkewNode
 from noclock.params import derive
-from noclock.scenario import Scenario, ScenarioError
+from noclock.scenario import SECTION_KEYS, Scenario, ScenarioError
 
 
 def test_roundtrip(tmp_path):
@@ -135,3 +135,34 @@ def test_bad_delay_bound_or_update_period_rejected(data, problem):
 @pytest.mark.parametrize("period", ["1", "2", 3])
 def test_update_period_at_or_above_d_accepted(period):
     Scenario.from_dict({"clock_update_period": period})
+
+
+@pytest.mark.parametrize("data, problem", [
+    ({"protocol": {"name": "phase-king-silent", "rounds": 3}},
+     "protocol: unknown key 'rounds'"),
+    ({"adversary": {"byzantin": "noise"}}, "adversary: unknown key 'byzantin'"),
+    ({"oracle": {"kind": "const", "valeu": 0}}, "oracle: unknown key 'valeu'"),
+    ({"clocks": {"rate": "fixed_max"}}, "clocks: unknown key 'rate'"),
+    ({"corruption": {"knd": "random"}}, "corruption: unknown key 'knd'"),
+    ({"script": [{"t": "8", "node": 0, "acton": "initiate"}]},
+     "script entry: unknown key 'acton'"),
+])
+def test_unknown_section_key_rejected(data, problem):
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(data)
+    assert err.value.problems == [problem]
+
+
+def test_section_keys_are_the_keys_a_run_reads():
+    assert SECTION_KEYS == {
+        "protocol": {"name"},
+        "adversary": {"byzantine", "mode", "delays", "byzantine_set"},
+        "oracle": {"kind", "value"}, "clocks": {"rates"},
+        "corruption": {"kind"}}
+
+
+@pytest.mark.parametrize("value", ["x", 2, True, "0"])
+def test_const_oracle_value_must_be_a_bit(value):
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({"oracle": {"kind": "const", "value": value}})
+    assert err.value.problems == [f"oracle value {value!r} is not 0 or 1"]

@@ -14,7 +14,8 @@ trace.
 Each run also has an outcome digest over every verdict's name, pass/fail and
 measured constants and over the `metrics.json` export (key order included),
 so a change to the evaluation that moves a number shows up even when the
-trace holds.  Each scenario is simulated once for both digests.
+trace holds.  The JSONL the trace digest hashes must decode back to the
+run's trace.  Each scenario is simulated once for all three checks.
 """
 
 import functools
@@ -26,7 +27,7 @@ import pytest
 
 from noclock import harness
 from noclock.scenario import Scenario
-from noclock.verdicts import run_metrics, trace_to_jsonl
+from noclock.verdicts import run_metrics, trace_from_jsonl, trace_to_jsonl
 
 STRATEGIES = [
     ("silent", {"kind": "const", "value": 0}, None),
@@ -146,12 +147,15 @@ def sha256(text: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def digests(name: str):
-    """(trace digest, outcome digest) of one matrix run."""
+    """(trace digest, outcome digest, whether the stored trace decodes to
+    the run's trace) of one matrix run."""
     res = harness.run(dict(MATRIX)[name])
     outcome = {"verdicts": [[v.name, v.passed, v.measured] for v in res.verdicts],
                "metrics": run_metrics(res.trace, res.scenario, res.params,
                                       res.correct)}
-    return sha256(trace_to_jsonl(res.trace)), sha256(json.dumps(outcome))
+    text = trace_to_jsonl(res.trace)
+    decodes = trace_from_jsonl(text, res.scenario.n) == res.trace
+    return sha256(text), sha256(json.dumps(outcome)), decodes
 
 
 NAMES = [name for name, _ in MATRIX]
@@ -165,3 +169,8 @@ def test_trace_digest_is_unchanged(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_outcome_digest_is_unchanged(name):
     assert digests(name)[1] == OUTCOMES[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stored_trace_decodes_to_the_run(name):
+    assert digests(name)[2]

@@ -228,3 +228,18 @@ def test_corrupted_boot_suites_judge_one_scope():
     judged = res.verdict("agreement-validity-safety").measured["instances"]
     assert judged == stab["post_horizon_instances"] > 0
     assert stab["cutoff"] == float(res.params.judging_horizon)
+
+
+def test_self_stabilization_takes_every_per_instance_verdict(monkeypatch):
+    sc = Scenario(n=4, f=1, theta="1.1", duration="1100", seed=0,
+                  adversary={"byzantine": "silent", "delays": "uniform",
+                             "byzantine_set": [2]},
+                  corruption={"kind": "random"},
+                  script=[{"t": "1000", "node": 0, "action": "initiate"},
+                          {"t": "1004", "node": 1, "action": "initiate"}])
+    res = harness.run(sc, evaluate=False)
+    assert by_name(reevaluate(sc, res, res.trace), "self-stabilization").passed
+    monkeypatch.setattr(verdicts, "_silence_suite",
+                        lambda judged: verdicts.Verdict("quiet", False))
+    vds = reevaluate(sc, res, res.trace)
+    assert not by_name(vds, "self-stabilization").passed
