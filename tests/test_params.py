@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
+from math import log2
 
 import pytest
 
 from noclock.messages import Echo, Init, RoundMsg, Update, well_formed
 from noclock.params import derive
+from noclock.protocols import make_protocol
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +115,53 @@ def test_none_is_no_clock_value_but_an_update_may_carry_it(p):
     assert well_formed(RoundMsg((0, 5), 1, None), p)
     assert well_formed(Update((None,) * p.n), p)
     assert well_formed(Update((None, 5) + (None,) * (p.n - 2)), p)
+
+
+# Each limit and window a verdict applies, keyed by the `Params` field that
+# holds it, written as `verdicts.py` computed it before `params.derive` did.
+# The floats keep their float expressions: converting the exact value instead
+# moves the last bit (cap 876.8 against 876.7999999999998 at n=4, theta=1.1).
+def verdict_bounds(p):
+    g, d, dc = p.grid, p.d, p.d_clk
+    theta, fd = float(p.theta), float(p.d)
+    lead = g.from_units(p.first_round_lead)
+    return {
+        "unfinished_tail": g.from_units(p.stall_after + 5 * p.update_period),
+        "min_join_delay": 2 * d,
+        "max_k1": 16, "max_k2": 8, "max_k3": 6, "max_k4": 10, "max_k5": 8,
+        "min_duration": 1 * p.rounds,
+        "max_duration": 12 * p.rounds + lead * (dc - d) / (dc * d),
+        "estimate_band": g.ceil_units(3 * p.theta * dc) + g.q_units,
+        "estimate_t0_bound": 3 * (g.from_units(p.trust_regain) + p.d),
+        "bits_denom": (p.n ** 2 * max(1.0, log2(p.n))
+                       + p.n * p.bit_bound * p.rounds / float(p.T)),
+        "infra_bits_denom": p.n ** 2 * max(1.0, log2(p.n)),
+        "max_c_bits": 64,
+        "envelope_cap": (float(g.from_units(p.trust_regain)) / theta
+                         - (2 * theta + 1) * fd),
+        "envelope_rate_hi": 2 * theta,
+        "envelope_rate_lo": 2 / (2 * theta + 3),
+        "rarity_window": g.from_units(p.overload_window) / p.theta,
+    }
+
+
+BOUND_CASES = [(n, theta, d, d_clk)
+               for n in (4, 7, 10, 16)
+               for theta in ("1", "1.1", "1.125", "1.5")
+               for d in (Fraction(1), Fraction(3, 2))
+               for d_clk in (d, 3 * d)]
+# sha256 of every bound of every case, as the reference computes it.
+BOUNDS_DIGEST = "da65a3902dadf92943d786830947891b2d79f70860be98ae910ba02913ce35e3"
+
+
+def test_verdict_bounds_keep_their_formulas():
+    lines = []
+    for n, theta, d, d_clk in BOUND_CASES:
+        f = (n - 1) // 3
+        proto = make_protocol("phase-king-silent", n, f)
+        q = derive(n, f, theta, d, proto.rounds, proto.bit_bound,
+                   clock_update_period=d_clk)
+        for name, value in verdict_bounds(q).items():
+            lines.append(f"{n} {theta} {d} {d_clk} {name} {value!r}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDS_DIGEST, text
