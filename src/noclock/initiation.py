@@ -119,8 +119,3 @@ class Initiation:
                 self.last_init_rx[w] = now
         if self.last_own_init is not None and self.last_own_init > now:
             self.last_own_init = now
-
-    def clear_all(self) -> None:
-        """Quarantine wipe: drop echo memory and force all gates expired."""
-        self.stored.clear()
-        self.gate_deadline.clear()

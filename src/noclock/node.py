@@ -76,8 +76,11 @@ class NodeRuntime:
         self.sim.multicast(self.node, envelopes)
 
     def wipe(self) -> None:
+        """Quarantine wipe: drop every instance and all echo memory, and force
+        all gates expired."""
         self.rounds.instances.clear()
-        self.initiation.clear_all()
+        self.initiation.stored.clear()
+        self.initiation.gate_deadline.clear()
 
     # -- kernel handler interface ------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Derived protocol constants.
 
 Every timing bound, timeout duration, garbage-collection window, overload
-threshold and bit budget used anywhere in the library is computed here, once,
-from the scenario-level quantities (n, f, theta, d, T, round count, clock
-update period).  Modules never hard-code a bound.
+threshold, bit budget and verdict bound used anywhere in the library is
+computed here, once, from the scenario-level quantities (n, f, theta, d, T,
+round count, clock update period), and `parse_model` is the one check of
+those quantities.  Modules never hard-code a bound.
 
 Conventions:
   * d is the message-delay bound; d_clk is the (possibly reduced-frequency)
@@ -68,11 +69,31 @@ class Params:
     max_busy_instances: int      # overload rule (i) threshold
     max_total_instances: int     # overload rule (ii) threshold
     quarantine_hold: int         # send-suppression time before the wipe
-    unfinished_tail: int         # end-of-run stretch unfinished instances may end in
 
     value_bits: int              # wire bits per clock value / stamp
     id_bits: int
     round_bits: int
+
+    # Verdict bounds: every limit and window a verdict applies.  Times are
+    # real time; each K is in units of d or d_clk, as its verdict measures it.
+    unfinished_tail: Fraction    # end-of-run stretch unfinished instances may end in
+    min_join_delay: Fraction     # earliest join after the init
+    max_k1: int                  # Byzantine estimate outside its envelope, in d
+    max_k2: int                  # init to a join, in d_clk
+    max_k3: int                  # spread of one instance's echoes, in d_clk
+    max_k4: int                  # spread of one instance's joins, in d_clk
+    max_k5: int                  # spread of one instance's outputs, in d
+    min_duration: int            # least time from init to last output, in d
+    max_duration: Fraction       # most time from init to last output, in d
+    estimate_band: int           # lag of an accurate clock estimate, in units
+    estimate_t0_bound: Fraction  # latest time of an inaccurate clock estimate
+    bits_denom: float            # bits per node and time that make c_bits 1
+    infra_bits_denom: float      # the same for c_infra, infrastructure alone
+    max_c_bits: int              # amortized bits, in either denominator
+    envelope_cap: float          # widest pair of estimates the envelope judges
+    envelope_rate_hi: float      # fastest legal progress of an estimate
+    envelope_rate_lo: float      # slowest legal progress of an estimate
+    rarity_window: Fraction      # least gap between one initiator's nonzero instances
 
     def clock_value_ok(self, v: object) -> bool:
         return isinstance(v, int) and 0 <= v < self.clock_modulus
@@ -82,23 +103,52 @@ class Params:
         return self.bit_bound + HDR_BUDGET * r * self.n * max(1, ceil(log2(self.n)))
 
 
+def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
+    """The model's exact (theta, d, T, d_clk), and the constraints it breaks:
+    n >= 2, 0 <= f < n/3, theta >= 1, 0 < d <= d_clk and T >= 2*theta^2*d.
+
+    The problems read as `Scenario.validate` reports them, in its order.  A
+    number that does not parse, or that is not given, is None.
+    """
+    problems = []
+    x_theta = x_d = x_T = x_clk = None
+    try:
+        x_theta = frac(theta)
+        x_d = frac(d)
+        x_T = None if T is None else frac(T)
+    except (TypeError, ValueError) as exc:
+        problems.append(str(exc))
+    try:
+        x_clk = (None if clock_update_period is None
+                 else frac(clock_update_period))
+    except (TypeError, ValueError) as exc:
+        problems.append(f"clock_update_period: {exc}")
+    if n < 2:
+        problems.append(f"n={n} too small")
+    if not (0 <= f and 3 * f < n):
+        problems.append(f"resilience bound violated: need f < n/3, "
+                        f"got n={n}, f={f}")
+    if x_theta is not None and x_theta < 1:
+        problems.append(f"theta={x_theta} below 1")
+    if x_d is not None and x_d <= 0:
+        problems.append(f"d={d} must be positive")
+    if x_clk is not None and x_d is not None and x_clk < x_d:
+        problems.append(f"clock_update_period={clock_update_period} "
+                        f"below d={d}")
+    if x_T is not None and x_T < 2 * x_theta * x_theta * x_d:
+        problems.append(f"T={T} below 2*theta^2*d={2 * x_theta * x_theta * x_d}")
+    return (x_theta, x_d, x_T, x_clk), problems
+
+
 def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
            clock_update_period=None) -> Params:
     """Build the full constants set for one scenario."""
-    theta = frac(theta)
-    d = frac(d)
-    d_clk = d if clock_update_period is None else frac(clock_update_period)
-    if theta < 1:
-        raise ValueError("theta must be >= 1")
-    if not (0 <= f) or not (f * 3 < n):
-        raise ValueError(f"need 0 <= f < n/3, got n={n}, f={f}")
-    if d <= 0 or d_clk < d:
-        raise ValueError("need 0 < d <= clock_update_period")
-    if T is None:
-        T = 2 * theta * theta * d
-    T = frac(T)
-    if T < 2 * theta * theta * d:
-        raise ValueError(f"T must be at least 2*theta^2*d = {2*theta*theta*d}")
+    (theta, d, T, d_clk), problems = parse_model(n, f, theta, d, T,
+                                                 clock_update_period)
+    if problems:
+        raise ValueError("; ".join(problems))
+    d_clk = d if d_clk is None else d_clk
+    T = 2 * theta * theta * d if T is None else T
 
     quantum = d / 4
     period = 2 * theta * d_clk
@@ -117,6 +167,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
 
     modulus_raw = 64 * (lead + period * (rounds + 3) + regain)
     period_u = grid.to_units(period)
+    regain_u = grid.ceil_units(regain)
     stall = grid.ceil_units(lead + theta * round_window + q)
     modulus = -(-grid.ceil_units(modulus_raw) // period_u) * period_u
     if modulus % 2:
@@ -125,10 +176,13 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
     t_tilde = (T / theta - d) / theta
     k1 = ceil(RUN_SLACK * rounds * d / t_tilde) + 1
     k2 = ceil((n - f) * d * RUN_SLACK * rounds / t_tilde) + n
+    overload_u = grid.ceil_units(theta * t_tilde)
 
     # Claim values advance on the update-period grid, which the read quantum
     # does not subdivide, so wire values are encoded at grid-unit granularity.
     value_bits = max(1, ceil(log2(modulus)))
+    hdr_bits = n ** 2 * max(1.0, log2(n))
+    ftheta = float(theta)
     p = Params(
         n=n, f=f, theta=theta, d=d, rounds=rounds, bit_bound=bit_bound, T=T,
         d_clk=d_clk, judging_horizon=10 * (rounds * d + T), bits_window=10 * T,
@@ -144,7 +198,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         # inflation keeps the gate and the round gap at >= 2d of real time.
         gate_hold=grid.to_units(2 * theta * d_clk + q),
         report_hold=grid.to_units(period),
-        trust_regain=grid.ceil_units(regain),
+        trust_regain=regain_u,
         first_round_lead=grid.to_units(lead),
         round_gap=grid.to_units(2 * theta * d + q),
         stall_after=stall,
@@ -153,17 +207,37 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         clock_modulus=modulus,
         init_accept_gap=grid.floor_units(T / theta - d - q),
         rate_limit=grid.ceil_units(T),
-        overload_window=grid.ceil_units(theta * t_tilde),
+        overload_window=overload_u,
         max_busy_instances=k1,
         max_total_instances=k2,
         quarantine_hold=grid.ceil_units(theta * d),
-        # An instance without progress terminates within the stall window plus
-        # a couple of sweep ticks, so only instances still active that close
-        # to the end of a run may lack outputs.
-        unfinished_tail=stall + 5 * period_u,
         value_bits=value_bits,
         id_bits=max(1, ceil(log2(n))),
         round_bits=max(1, ceil(log2(rounds + 2))),
+        # An instance without progress terminates within the stall window plus
+        # a couple of sweep ticks, so only instances still active that close
+        # to the end of a run may lack outputs.
+        unfinished_tail=grid.from_units(stall + 5 * period_u),
+        # A correct node joins only after its gate has held for 2d.
+        min_join_delay=2 * d,
+        # Fixed ceilings, not yet derived from the analysis; with d_clk > d
+        # the duration cap also covers the lead's extra 22*theta*(d_clk - d).
+        max_k1=16, max_k2=8, max_k3=6, max_k4=10, max_k5=8, max_c_bits=64,
+        min_duration=rounds,
+        max_duration=12 * rounds + 22 * theta * (d_clk - d) / d,
+        estimate_band=grid.ceil_units(3 * theta * d_clk) + grid.q_units,
+        estimate_t0_bound=3 * (grid.from_units(regain_u) + d),
+        # The float bounds keep their float expressions: converting the exact
+        # values instead moves some last bits.
+        bits_denom=hdr_bits + n * bit_bound * rounds / float(T),
+        infra_bits_denom=hdr_bits,
+        envelope_cap=(float(grid.from_units(regain_u)) / ftheta
+                      - (2 * ftheta + 1) * float(d)),
+        envelope_rate_hi=2 * ftheta,
+        envelope_rate_lo=2 / (2 * ftheta + 3),
+        # The overload window is local time; a clock up to theta fast runs
+        # through it in overload_window/theta of real time.
+        rarity_window=grid.from_units(overload_u) / theta,
     )
     _check(p)
     return p

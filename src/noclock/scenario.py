@@ -12,6 +12,7 @@ from typing import List, Optional
 
 from . import adversary
 from .node import ACTIONS
+from .params import parse_model
 from .protocols import PROTOCOLS
 from .timebase import frac
 
@@ -70,32 +71,8 @@ class Scenario:
         problems += [f"{section}: unknown key {key!r}"
                      for section, keys in SECTION_KEYS.items()
                      for key in getattr(self, section) if key not in keys]
-        theta = d = T = period = None
-        try:
-            theta = frac(self.theta)
-            d = frac(self.d)
-            T = None if self.T is None else frac(self.T)
-        except (TypeError, ValueError) as exc:
-            problems.append(str(exc))
-        try:
-            period = (None if self.clock_update_period is None
-                      else frac(self.clock_update_period))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"clock_update_period: {exc}")
-        if self.n < 2:
-            problems.append(f"n={self.n} too small")
-        if not (0 <= self.f and 3 * self.f < self.n):
-            problems.append(f"resilience bound violated: need f < n/3, "
-                            f"got n={self.n}, f={self.f}")
-        if theta is not None and theta < 1:
-            problems.append(f"theta={theta} below 1")
-        if d is not None and d <= 0:
-            problems.append(f"d={self.d} must be positive")
-        if period is not None and d is not None and period < d:
-            problems.append(f"clock_update_period={self.clock_update_period} "
-                            f"below d={self.d}")
-        if T is not None and T < 2 * theta * theta * d:
-            problems.append(f"T={self.T} below 2*theta^2*d={2*theta*theta*d}")
+        problems += parse_model(self.n, self.f, self.theta, self.d, self.T,
+                                self.clock_update_period)[1]
         try:
             duration = frac(self.duration)
             if duration <= 0:

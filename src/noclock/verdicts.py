@@ -10,6 +10,8 @@ corrupted boot they judge only instances whose correct outputs exist and all
 come at or after the horizon S = 10*(R*d + T) (`Params.judging_horizon`);
 earlier instances may do anything.  Unfinished instances still active within
 `Params.unfinished_tail` of the end of the run are not judged either.
+Every limit and window a verdict applies is a `Params` field; the suites only
+measure and compare.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .kernel import GridReader
 from .params import Params
 from .protocols import replay
 from .timebase import frac, mod_signed
-
-CEILINGS = {"K1": 16, "K2": 8, "K3": 6, "K4": 10, "K5": 8,
-            "dur_lo": 1, "dur_hi": 12, "c_bits": 64}
 
 
 @dataclass
@@ -121,7 +120,6 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
     duration = frac(sc.duration)
     corrupted = sc.corruption.get("kind", "none") != "none"
     cutoff = p.judging_horizon if corrupted else Fraction(0)
-    tail = p.grid.from_units(p.unfinished_tail)
     judged = []   # (label, record) of every instance the suites judge
     for label, rec in sorted(ix.instances.items()):
         parts, outs = rec.parts, rec.outs
@@ -137,7 +135,7 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
                 acts.append(rec.init[0])
             for node in parts:
                 acts += [t for t, _ in rec.emitted.get(node, {}).values()]
-            if acts and duration - max(acts) <= tail:
+            if acts and duration - max(acts) <= p.unfinished_tail:
                 continue   # still running into the end of the trace
         judged.append((label, rec))
     per_instance = [
@@ -247,8 +245,6 @@ def _timing_suite(judged, p, correct) -> Verdict:
     # The initiation machinery paces at d_clk (= d unless the reduced-update-
     # frequency knob stretches it); the round runner always paces at d.
     dc = p.d_clk
-    lead = p.grid.from_units(p.first_round_lead)
-    dur_cap = CEILINGS["dur_hi"] * p.rounds + lead * (dc - d) / (dc * d)
     k2 = k3 = k4 = k5 = Fraction(0)
     dur_lo = None
     dur_hi = Fraction(0)
@@ -271,7 +267,7 @@ def _timing_suite(judged, p, correct) -> Verdict:
         for node, (t, conf, input_bit, oracle_val) in parts.items():
             dt = (t - t0) / dc
             k2 = max(k2, dt)
-            if t - t0 < 2 * d:
+            if t - t0 < p.min_join_delay:
                 bad.append(("too_early", label, node, float(dt)))
             if conf != 2:
                 bad.append(("confidence", label, node, conf))
@@ -285,11 +281,10 @@ def _timing_suite(judged, p, correct) -> Verdict:
             dur_lo = dur if dur_lo is None else min(dur_lo, dur)
         if rec.echo_times:
             k3 = max(k3, (max(rec.echo_times) - min(rec.echo_times)) / dc)
-    lo_ok = dur_lo is None or dur_lo >= CEILINGS["dur_lo"] * p.rounds
-    hi_ok = dur_hi <= dur_cap
-    passed = (not bad and k2 <= CEILINGS["K2"] and k3 <= CEILINGS["K3"]
-              and k4 <= CEILINGS["K4"] and k5 <= CEILINGS["K5"]
-              and lo_ok and hi_ok)
+    lo_ok = dur_lo is None or dur_lo >= p.min_duration
+    passed = (not bad and k2 <= p.max_k2 and k3 <= p.max_k3
+              and k4 <= p.max_k4 and k5 <= p.max_k5
+              and lo_ok and dur_hi <= p.max_duration)
     return Verdict("timing-windows", passed,
                    {"K2": float(k2), "K3": float(k3), "K4": float(k4),
                     "K5": float(k5),
@@ -317,14 +312,13 @@ def _silence_suite(judged) -> Verdict:
 
 
 def _estimates_suite(ix, p, clocks, correct, readers) -> Verdict:
-    grid = p.grid
     mod = p.clock_modulus
-    low = grid.ceil_units(3 * p.theta * p.d_clk) + grid.q_units
+    band = p.estimate_band
     t0 = Fraction(0)
     samples = tail = 0
     worst = None
     if readers is None:
-        readers = {w: GridReader(clocks[w], grid.unit) for w in correct}
+        readers = {w: GridReader(clocks[w], p.grid.unit) for w in correct}
     true_units = {w: readers[w].floor_units for w in correct}
     for v in correct:
         for t, ests in ix.est.get(v, []):
@@ -339,16 +333,16 @@ def _estimates_suite(ix, p, clocks, correct, readers) -> Verdict:
                     worst = ("bot", t, v, w)
                     continue
                 diff = mod_signed(val - true_units[w](tn, td) % mod, mod)
-                if not (-low <= diff <= 0):
+                if not (-band <= diff <= 0):
                     t0 = max(t0, t)
                     worst = ("band", t, v, w, diff)
     for v in correct:
         tail += sum(1 for t, _ in ix.est.get(v, []) if t > t0)
-    bound = 3 * (grid.from_units(p.trust_regain) + p.d)
     # A passing tail is required so an unstabilized run cannot pass vacuously.
-    passed = t0 <= bound and samples > 0 and tail >= 2 * max(1, len(correct))
+    passed = (t0 <= p.estimate_t0_bound and samples > 0
+              and tail >= 2 * max(1, len(correct)))
     return Verdict("clock-estimate-accuracy", passed,
-                   {"t0": float(t0), "t0_bound": float(bound),
+                   {"t0": float(t0), "t0_bound": float(p.estimate_t0_bound),
                     "samples": samples, "tail_samples": tail},
                    counterexample=[worst] if worst and not passed else None)
 
@@ -372,20 +366,17 @@ def _window_bits(sends, start, window, count) -> List[List[int]]:
 
 
 def _bits_suite(ix, p, correct, cutoff, duration) -> Verdict:
-    from math import log2
     window = p.bits_window
-    denom_all = (p.n ** 2 * max(1.0, log2(p.n))
-                 + p.n * p.bit_bound * p.rounds / float(p.T))
-    denom_infra = p.n ** 2 * max(1.0, log2(p.n))
     c_all = c_infra = 0.0
     windows = max(0, int((duration - cutoff) / window))
     for node in correct:
         for infra, inst in _window_bits(ix.sends.get(node, []), cutoff,
                                         window, windows):
-            c_all = max(c_all, (infra + inst) / float(window) / denom_all)
-            c_infra = max(c_infra, infra / float(window) / denom_infra)
-    passed = windows == 0 or (c_all <= CEILINGS["c_bits"]
-                              and c_infra <= CEILINGS["c_bits"])
+            c_all = max(c_all, (infra + inst) / float(window) / p.bits_denom)
+            c_infra = max(c_infra,
+                          infra / float(window) / p.infra_bits_denom)
+    passed = windows == 0 or (c_all <= p.max_c_bits
+                              and c_infra <= p.max_c_bits)
     return Verdict("amortized-bits", passed,
                    {"c_bits": round(c_all, 3), "c_infra": round(c_infra, 3),
                     "windows": windows})
@@ -393,7 +384,7 @@ def _bits_suite(ix, p, correct, cutoff, duration) -> Verdict:
 
 def _envelope_suite(ix, p, correct, cutoff) -> Verdict:
     """K1 over every pair of estimates of one byzantine clock, by any correct
-    nodes, taken at most `cap` apart.
+    nodes, taken at most `cap` (`Params.envelope_cap`) apart.
 
     One pass over each time-ordered series unwrapped off the clock circle:
     for a pair a <= b, diff - rate_hi*dt = x_b - x_a with x = e - rate_hi*t,
@@ -407,12 +398,10 @@ def _envelope_suite(ix, p, correct, cutoff) -> Verdict:
     byz = [u for u in range(p.n) if u not in cset]
     if not byz:
         return Verdict("byzantine-clock-envelope", True, {"pairs": 0})
-    grid, mod = p.grid, p.clock_modulus
-    theta, d = float(p.theta), float(p.d)
-    unit = float(grid.unit)
+    mod = p.clock_modulus
+    d, unit = float(p.d), float(p.grid.unit)
     horizon = float(cutoff)
-    cap = float(grid.from_units(p.trust_regain)) / theta - (2 * theta + 1) * d
-    rate_hi, rate_lo = 2 * theta, 2 / (2 * theta + 3)
+    cap, rate_hi, rate_lo = p.envelope_cap, p.envelope_rate_hi, p.envelope_rate_lo
     k1 = 0.0
     pairs = 0
     for u in byz:
@@ -435,14 +424,14 @@ def _envelope_suite(ix, p, correct, cutoff) -> Verdict:
                 while q[0][0] < lo:
                     q.popleft()
                 k1 = max(k1, (key - q[0][1]) / d)
-    passed = pairs == 0 or k1 <= CEILINGS["K1"]
+    passed = pairs == 0 or k1 <= p.max_k1
     return Verdict("byzantine-clock-envelope", passed,
                    {"K1": round(k1, 4), "pairs": pairs})
 
 
 def _rarity_suite(ix, p, cutoff) -> Verdict:
     """Per initiator, nonzero-input instances are at least one window apart."""
-    window = p.grid.from_units(p.overload_window) / p.theta
+    window = p.rarity_window
     firsts: Dict[int, list] = {}
     for label, rec in ix.instances.items():
         if rec.nonzero:
@@ -619,6 +608,9 @@ def _record(obj, n: int) -> tuple:
                          f"not {3 + len(layout)}")
     if not (len(rec) >= 3 and _fits(rec[1:3], _WHEN, n)):
         raise ValueError(f"trace record {rec!r} does not give a time and a node")
+    if rec[1] < 0 or not 0 <= rec[2] < n:
+        raise ValueError(f"trace record {rec!r} gives a time below 0 or a node "
+                         f"outside range({n})")
     if layout is not None and not (
             _fits(rec[3:], layout, n)
             and (kind != "send" or rec[4] == type(rec[7]).__name__)):

@@ -153,6 +153,10 @@ def test_check_trace_rejects_a_wrong_field_count(scenario_file, tmp_path,
     ({"_t": ["send", 1, 0, 1, "Echo", 24, 0,
              {"_m": "Init", "v": {"_t": [5]}}]},
      "has a wrongly typed field"),
+    ({"_t": ["est", {"_f": "-5/1"}, 0, {"_t": [1, None, 3, 4]}]},
+     "gives a time below 0 or a node outside range(4)"),
+    ({"_t": ["participate", 1, 9, {"_t": [0, 5]}, 2, 1, 1]},
+     "gives a time below 0 or a node outside range(4)"),
 ])
 def test_check_trace_rejects_a_record_evaluate_cannot_read(
         scenario_file, tmp_path, capsys, record, message):

@@ -127,7 +127,11 @@ def test_trace_decoding_accepts_only_envelopes(name):
     '{"_t": ["output", 1, 0, {"_t": [0, 5]}, null, "ok"]}',
     '{"_t": ["output", 1, 0, {"_t": [0, 5]}, 2, "ok"]}',
     '{"_t": ["output", 1, 0, {"_t": [0, 5]}, true, "ok"]}',
-    '{"_t": ["output", 1, 0, {"_t": [0, 5]}, 1, 5]}'])
+    '{"_t": ["output", 1, 0, {"_t": [0, 5]}, 1, 5]}',
+    # A time the run never reaches, a node it does not have.
+    '{"_t": ["est", {"_f": "-5/1"}, 0, {"_t": [1, null, 3, 4]}]}',
+    '{"_t": ["participate", 1, 9, {"_t": [0, 5]}, 2, 1, 1]}',
+    '{"_t": ["init", 1, -1, {"_t": [0, 5]}]}'])
 def test_trace_decoding_rejects_a_record_evaluate_cannot_read(line):
     with pytest.raises(ValueError, match="trace"):
         verdicts.trace_from_jsonl(line, 4)

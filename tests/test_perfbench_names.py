@@ -1,10 +1,14 @@
-"""The per-layer benchmark wraps noclock functions by name: every name it
-lists in perfbench/layers.py must still exist, or `--trace 1` breaks."""
+"""The benchmark reaches into noclock by name: every function it wraps in
+perfbench/layers.py and every `Params` field perfbench/check.py reads must
+still exist, or the benchmark breaks."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
+
+from noclock.params import derive
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,3 +52,13 @@ def test_layer_names_exist_and_trace_a_run():
          os.path.join(ROOT, "src")],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_check_reads_only_params_fields():
+    with open(os.path.join(ROOT, "perfbench", "check.py")) as fh:
+        read = set(re.findall(r"\bp\.(\w+)", fh.read()))
+    assert {"clock_modulus", "d", "d_clk", "gate_hold", "grid", "round_gap",
+            "rounds", "stall_after", "theta", "trust_regain",
+            "update_period"} <= read
+    p = derive(4, 1, "1.1", "1", 8, 38)
+    assert sorted(name for name in read if not hasattr(p, name)) == []
