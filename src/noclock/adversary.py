@@ -39,23 +39,36 @@ _LO = DELAY_STEPS // 64 + 1
 _HI = DELAY_STEPS - _LO
 
 
+def _randint(rng, a: int, b: int) -> int:
+    """`rng.randint(a, b)`: the same value and the same RNG state after.
+    Like `Random.randint`, it draws k-bit words, k the bit length of the
+    width b - a + 1, until one is below the width; it skips randint's three
+    Python-level calls on the way."""
+    width = b - a + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def _split(receiver, rng):
     # Fast to the even ids, slow to the odd ones.
-    jitter = rng.randint(0, 32)
+    jitter = _randint(rng, 0, 32)
     return _LO + jitter if receiver % 2 == 0 else _HI - jitter
 
 
 def _boundary(receiver, rng):
-    edge = rng.randint(1, 4)
+    edge = _randint(rng, 1, 4)
     return edge if rng.random() < 0.5 else DELAY_STEPS - edge
 
 
 # Each policy is a kernel `delay_policy(receiver, rng)`: it draws a message
 # delay as an int count of d/DELAY_STEPS.
 DELAYS = {
-    "uniform": lambda receiver, rng: rng.randint(_LO, _HI),
-    "fast": lambda receiver, rng: rng.randint(_LO, _LO + 48),
-    "slow": lambda receiver, rng: rng.randint(_HI - 48, _HI),
+    "uniform": lambda receiver, rng: _randint(rng, _LO, _HI),
+    "fast": lambda receiver, rng: _randint(rng, _LO, _LO + 48),
+    "slow": lambda receiver, rng: _randint(rng, _HI - 48, _HI),
     "split": _split,
     "boundary": _boundary,
 }

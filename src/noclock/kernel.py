@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import messages
@@ -93,13 +94,18 @@ class GridReader:
     def __init__(self, clock: HardwareClock, unit: Fraction):
         self.starts = clock.starts
         self.bounds = [(s.numerator, s.denominator) for s in clock.starts]
+        # a = rate/unit and b = (h - rate*start)/unit over the common
+        # denominator C = hd*rd*sd*un, reduced by the gcd of A, B and C.
+        un, ud = unit.numerator, unit.denominator
         self.coef = []
-        for start, h, rate in zip(clock.starts, clock.h_starts, clock.rates):
-            a = rate / unit
-            b = (h - rate * start) / unit
-            self.coef.append((a.numerator * b.denominator,
-                              b.numerator * a.denominator,
-                              a.denominator * b.denominator))
+        for (sn, sd), h, rate in zip(self.bounds, clock.h_starts, clock.rates):
+            hn, hd = h.numerator, h.denominator
+            rn, rd = rate.numerator, rate.denominator
+            a = rn * ud * hd * sd
+            b = (hn * rd * sd - rn * sn * hd) * ud
+            c = hd * rd * sd * un
+            g = gcd(a, b, c)
+            self.coef.append((a // g, b // g, c // g))
         # ceil((A*sn + B*sd) / (C*sd)): segment i's start value in units.
         self.h_units = [-(-(a * sn + b * sd) // (c * sd))
                         for (a, b, c), (sn, sd) in zip(self.coef, self.bounds)]

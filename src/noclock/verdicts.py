@@ -12,14 +12,24 @@ earlier instances may do anything.  Unfinished instances still active within
 `Params.unfinished_tail` of the end of the run are not judged either.
 Every limit and window a verdict applies is a `Params` field; the suites only
 measure and compare.
+
+Cost model: one index pass does a few cheap operations per record and no
+exact-time arithmetic; it keeps the `send` and `est` records in trace order,
+which is time order.  After it, exact times are compared per window (a
+bisection for each edge of an amortized-bits window), per instance (the
+timing constants, each divided by its pace once) and per sample (one integer
+clock reading per estimate, each reader walking forward, and one float time
+per envelope sample).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from . import messages as msg
@@ -27,6 +37,8 @@ from .kernel import GridReader
 from .params import Params
 from .protocols import replay
 from .timebase import frac, mod_signed
+
+_TIME = itemgetter(1)   # the time of a trace record
 
 
 @dataclass
@@ -49,64 +61,72 @@ class _Instance:
     outs: Dict = field(default_factory=dict)      # node -> first (t, value, reason)
     received: Dict = field(default_factory=dict)  # node -> {round: vector}
     emitted: Dict = field(default_factory=dict)   # node -> {round: (t, vector)}
-    echo_times: List = field(default_factory=list)
+    echoes: Optional[list] = None    # [first, last] time of the correct Echo sends
     round_payload: int = 0           # payload bits of the correct RoundMsg sends
     nonzero: bool = False            # some correct node joined with input != 0
 
 
 class _Index:
-    """Single-pass trace index: one `_Instance` per label, plus per-node data."""
+    """Single-pass trace index: one `_Instance` per label, plus per-node data.
+
+    The `send` test comes first and the `recv` test second: the two kinds
+    make up nearly all of a trace, and no suite reads a `recv` record."""
 
     def __init__(self, trace, correct):
         cset = set(correct)
         self.instances = inst = defaultdict(_Instance)   # label -> _Instance
-        self.sends: Dict = {}         # correct sender -> its send records
+        self.sends = sends = {v: [] for v in correct}   # node -> its send records
         self.joins = Counter()        # correct node -> its participate records
-        self.est: Dict = {}
+        self.est: List = []           # the est records of correct nodes
         self.quarantines: List = []   # the node of each quarantine record
         self.underflows: List = []
         self.suppressed: List = []
         for rec in trace:
             kind = rec[0]
             if kind == "send":
-                _, t, sender, receiver, mkind, frame, payload, m = rec
-                if sender in cset:
-                    self.sends.setdefault(sender, []).append(rec)
+                out = sends.get(rec[2])
+                if out is not None:
+                    out.append(rec)
+                    mkind = rec[4]
                     if mkind == "Echo":
-                        inst[m.label].echo_times.append(t)
-                    elif mkind == "RoundMsg" and payload:
-                        inst[m.label].round_payload += payload
-            elif kind == "participate":
-                _, t, node, label, conf, input_bit, oracle_val = rec
-                if node in cset:
-                    inst[label].parts[node] = (t, conf, input_bit, oracle_val)
-                    self.joins[node] += 1
-            elif kind == "output":
-                _, t, node, label, value, reason = rec
-                if node in cset:
-                    inst[label].outs.setdefault(node, (t, value, reason))
-            elif kind == "rrcv":
-                _, t, node, label, rnd, vec = rec
-                if node in cset:
-                    inst[label].received.setdefault(node, {})[rnd] = vec
-            elif kind == "remit":
-                _, t, node, label, rnd, vec = rec
-                if node in cset:
-                    inst[label].emitted.setdefault(node, {})[rnd] = (t, vec)
-            elif kind == "init":
-                _, t, node, label = rec
-                if node in cset and inst[label].init is None:
-                    inst[label].init = (t, node)
-            elif kind == "est":
-                _, t, node, ests = rec
-                if node in cset:
-                    self.est.setdefault(node, []).append((t, ests))
-            elif kind == "quarantine":
-                self.quarantines.append(rec[2])
-            elif kind == "gate_underflow":
-                self.underflows.append(rec)
-            elif kind == "suppressed":
-                self.suppressed.append(rec)
+                        echo = inst[rec[7].label]
+                        if echo.echoes is None:
+                            echo.echoes = [rec[1], rec[1]]
+                        else:
+                            echo.echoes[1] = rec[1]
+                    elif mkind == "RoundMsg" and rec[6]:
+                        inst[rec[7].label].round_payload += rec[6]
+            elif kind != "recv":
+                if kind == "remit":
+                    _, t, node, label, rnd, vec = rec
+                    if node in cset:
+                        inst[label].emitted.setdefault(node, {})[rnd] = (t, vec)
+                elif kind == "rrcv":
+                    _, t, node, label, rnd, vec = rec
+                    if node in cset:
+                        inst[label].received.setdefault(node, {})[rnd] = vec
+                elif kind == "est":
+                    if rec[2] in cset:
+                        self.est.append(rec)
+                elif kind == "participate":
+                    _, t, node, label, conf, input_bit, oracle_val = rec
+                    if node in cset:
+                        inst[label].parts[node] = (t, conf, input_bit, oracle_val)
+                        self.joins[node] += 1
+                elif kind == "output":
+                    _, t, node, label, value, reason = rec
+                    if node in cset:
+                        inst[label].outs.setdefault(node, (t, value, reason))
+                elif kind == "init":
+                    _, t, node, label = rec
+                    if node in cset and inst[label].init is None:
+                        inst[label].init = (t, node)
+                elif kind == "quarantine":
+                    self.quarantines.append(rec[2])
+                elif kind == "gate_underflow":
+                    self.underflows.append(rec)
+                elif kind == "suppressed":
+                    self.suppressed.append(rec)
         for rec in self.instances.values():
             rec.nonzero = any(part[2] != 0 for part in rec.parts.values())
 
@@ -240,14 +260,15 @@ def _agreement_suite(judged, correct) -> Verdict:
 
 
 def _timing_suite(judged, p, correct) -> Verdict:
+    """Each K constant and duration is the widest raw time difference of its
+    kind, divided by its pace once."""
     bad = []
     d = p.d
     # The initiation machinery paces at d_clk (= d unless the reduced-update-
     # frequency knob stretches it); the round runner always paces at d.
     dc = p.d_clk
-    k2 = k3 = k4 = k5 = Fraction(0)
+    join_spread = join_lag = echo_spread = out_spread = dur_hi = Fraction(0)
     dur_lo = None
-    dur_hi = Fraction(0)
     call = set(correct)
     for label, rec in judged:
         parts = rec.parts
@@ -255,7 +276,7 @@ def _timing_suite(judged, p, correct) -> Verdict:
         if rec.nonzero:
             if everyone:
                 ts = [part[0] for part in parts.values()]
-                k4 = max(k4, (max(ts) - min(ts)) / dc)
+                join_spread = max(join_spread, max(ts) - min(ts))
             else:
                 bad.append(("join_missing", label, sorted(parts)))
         if rec.init is None:
@@ -265,22 +286,25 @@ def _timing_suite(judged, p, correct) -> Verdict:
             continue
         t0 = rec.init[0]
         for node, (t, conf, input_bit, oracle_val) in parts.items():
-            dt = (t - t0) / dc
-            k2 = max(k2, dt)
-            if t - t0 < p.min_join_delay:
-                bad.append(("too_early", label, node, float(dt)))
+            lag = t - t0
+            join_lag = max(join_lag, lag)
+            if lag < p.min_join_delay:
+                bad.append(("too_early", label, node, float(lag / dc)))
             if conf != 2:
                 bad.append(("confidence", label, node, conf))
             if input_bit != oracle_val:
                 bad.append(("input_not_oracle", label, node))
         if set(rec.outs) == call:
             times = [t for t, _, _ in rec.outs.values()]
-            k5 = max(k5, (max(times) - min(times)) / d)
-            dur = (max(times) - t0) / d
-            dur_hi = max(dur_hi, dur)
-            dur_lo = dur if dur_lo is None else min(dur_lo, dur)
-        if rec.echo_times:
-            k3 = max(k3, (max(rec.echo_times) - min(rec.echo_times)) / dc)
+            last = max(times)
+            out_spread = max(out_spread, last - min(times))
+            dur_hi = max(dur_hi, last - t0)
+            dur_lo = last - t0 if dur_lo is None else min(dur_lo, last - t0)
+        if rec.echoes is not None:
+            echo_spread = max(echo_spread, rec.echoes[1] - rec.echoes[0])
+    k2, k3, k4 = join_lag / dc, echo_spread / dc, join_spread / dc
+    k5, dur_hi = out_spread / d, dur_hi / d
+    dur_lo = None if dur_lo is None else dur_lo / d
     lo_ok = dur_lo is None or dur_lo >= p.min_duration
     passed = (not bad and k2 <= p.max_k2 and k3 <= p.max_k3
               and k4 <= p.max_k4 and k5 <= p.max_k5
@@ -312,32 +336,36 @@ def _silence_suite(judged) -> Verdict:
 
 
 def _estimates_suite(ix, p, clocks, correct, readers) -> Verdict:
+    """Every correct node's estimate of every other correct clock, against
+    that clock's floored reading at the sample's time.  The samples come in
+    time order, so each reader only walks forward; an estimate is in band
+    when mod_signed(estimate - reading) lies in [-band, 0]."""
     mod = p.clock_modulus
-    band = p.estimate_band
+    off = mod // 2 - 1             # mod_signed(x, mod) = (x + off) % mod - off
+    lo = off - p.estimate_band
     t0 = Fraction(0)
-    samples = tail = 0
-    worst = None
+    worst, worst_v = None, -1      # the last failure in (v, t, w) order
     if readers is None:
         readers = {w: GridReader(clocks[w], p.grid.unit) for w in correct}
-    true_units = {w: readers[w].floor_units for w in correct}
-    for v in correct:
-        for t, ests in ix.est.get(v, []):
-            tn, td = t.numerator, t.denominator
-            for w in correct:
-                if w == v:
+    floors = [(w, readers[w].floor_units) for w in correct]
+    for _, t, v, ests in ix.est:
+        tn, td = t.numerator, t.denominator
+        for w, floor in floors:
+            if w == v:
+                continue
+            val = ests[w]
+            if val is None:
+                fail = ("bot", t, v, w)
+            else:
+                r = (val - floor(tn, td) + off) % mod
+                if lo <= r <= off:
                     continue
-                samples += 1
-                val = ests[w]
-                if val is None:
-                    t0 = max(t0, t)
-                    worst = ("bot", t, v, w)
-                    continue
-                diff = mod_signed(val - true_units[w](tn, td) % mod, mod)
-                if not (-band <= diff <= 0):
-                    t0 = max(t0, t)
-                    worst = ("band", t, v, w, diff)
-    for v in correct:
-        tail += sum(1 for t, _ in ix.est.get(v, []) if t > t0)
+                fail = ("band", t, v, w, r - off)
+            t0 = t                 # the samples come in time order
+            if v >= worst_v:
+                worst, worst_v = fail, v
+    samples = len(ix.est) * (len(correct) - 1)
+    tail = len(ix.est) - bisect_right(ix.est, t0, key=_TIME)
     # A passing tail is required so an unstabilized run cannot pass vacuously.
     passed = (t0 <= p.estimate_t0_bound and samples > 0
               and tail >= 2 * max(1, len(correct)))
@@ -351,17 +379,23 @@ def _window_bits(sends, start, window, count) -> List[List[int]]:
     """[infra, instance] bit totals of one node's time-ordered `send` records
     in the windows [start + k*window, start + (k+1)*window), k < count.
     `RoundMsg` sends are instance traffic; every other kind is infrastructure.
+
+    Each window edge is found by bisection, so the cost is count+1 searches
+    of the records plus one addition per record inside the windows.
     """
-    totals = [[0, 0] for _ in range(count)]
-    k, edge = -1, start
-    for _, t, _, _, kind, frame, payload, _ in sends:
-        while t >= edge:
-            k += 1
-            if k == count:
-                return totals
-            edge += window
-        if k >= 0:
-            totals[k][kind == "RoundMsg"] += frame + payload
+    if not count:
+        return []
+    totals = []
+    edge = start
+    lo = bisect_left(sends, edge, key=_TIME)
+    for _ in range(count):
+        edge += window
+        hi = bisect_left(sends, edge, lo, key=_TIME)
+        bits = [0, 0]
+        for rec in sends[lo:hi]:
+            bits[rec[4] == "RoundMsg"] += rec[5] + rec[6]
+        totals.append(bits)
+        lo = hi
     return totals
 
 
@@ -370,7 +404,7 @@ def _bits_suite(ix, p, correct, cutoff, duration) -> Verdict:
     c_all = c_infra = 0.0
     windows = max(0, int((duration - cutoff) / window))
     for node in correct:
-        for infra, inst in _window_bits(ix.sends.get(node, []), cutoff,
+        for infra, inst in _window_bits(ix.sends[node], cutoff,
                                         window, windows):
             c_all = max(c_all, (infra + inst) / float(window) / p.bits_denom)
             c_infra = max(c_infra,
@@ -400,18 +434,23 @@ def _envelope_suite(ix, p, correct, cutoff) -> Verdict:
         return Verdict("byzantine-clock-envelope", True, {"pairs": 0})
     mod = p.clock_modulus
     d, unit = float(p.d), float(p.grid.unit)
-    horizon = float(cutoff)
     cap, rate_hi, rate_lo = p.envelope_cap, p.envelope_rate_hi, p.envelope_rate_lo
+    # The samples from the horizon on, in time order, ties by node; each
+    # one's float time is taken once, when a series first needs it.
+    recs = ix.est[bisect_left(ix.est, cutoff, key=_TIME):]
+    times = [None] * len(recs)
     k1 = 0.0
     pairs = 0
     for u in byz:
-        series = sorted((float(t), v, ests[u]) for v in correct
-                        for t, ests in ix.est.get(v, [])
-                        if ests[u] is not None and t >= horizon)
+        series = []
+        for i in [i for i, rec in enumerate(recs) if rec[3][u] is not None]:
+            if times[i] is None:
+                times[i] = float(recs[i][1])
+            series.append((times[i], recs[i][3][u]))
         queues = (deque(), deque())   # (index, key), keys increasing
         lo = 0
-        e = series[0][2] if series else 0
-        for b, (t, _, e_b) in enumerate(series):
+        e = series[0][1] if series else 0
+        for b, (t, e_b) in enumerate(series):
             e += mod_signed(e_b - e, mod)   # unwrapped estimate
             while t - series[lo][0] > cap:
                 lo += 1
@@ -483,7 +522,7 @@ def run_metrics(trace, sc, p: Params, correct) -> dict:
     count = max(1, int(frac(sc.duration) / window))
     totals, windows = [], []
     for v in correct:
-        sends = ix.sends.get(v, [])
+        sends = ix.sends[v]
         bits = [0, 0, 0]   # infra, instance, payload
         for _, _, _, _, kind, frame, payload, _ in sends:
             bits[kind == "RoundMsg"] += frame + payload
@@ -586,12 +625,22 @@ def _fits(x, kind, n: int) -> bool:
 
 def trace_from_jsonl(text: str, n: int) -> list:
     """The records of a stored trace of an n-node run; `ValueError`, naming
-    the 1-based line, if `evaluate` could not read one."""
+    the 1-based line, if `evaluate` could not read one.  The suites bisect
+    the `send` and `est` records by time, so each of those kinds must come
+    in time order, as the simulator writes them."""
     trace = []
+    last = {"send": 0, "est": 0}   # the time of the last record of each
     for k, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
-                trace.append(_record(json.loads(line), n))
+                rec = _record(json.loads(line), n)
+                if rec[0] in last:
+                    if rec[1] < last[rec[0]]:
+                        raise ValueError(f"trace gives a {rec[0]} record at "
+                                         f"{rec[1]}, before the one at "
+                                         f"{last[rec[0]]}")
+                    last[rec[0]] = rec[1]
+                trace.append(rec)
             except (ValueError, RecursionError) as exc:   # too deep a nest
                 raise ValueError(f"line {k}: {exc}") from None
     return trace

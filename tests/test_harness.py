@@ -137,6 +137,21 @@ def test_trace_decoding_rejects_a_record_evaluate_cannot_read(line):
         verdicts.trace_from_jsonl(line, 4)
 
 
+@pytest.mark.parametrize("kind", ["send", "est"])
+def test_trace_decoding_rejects_a_bisected_kind_out_of_time_order(kind):
+    trace = harness.run(clean_scenario(), evaluate=False).trace
+    first = next(r for r in trace if r[0] == kind)
+    later = next(r for r in trace if r[0] == kind and r[1] > first[1])
+    # A record of another kind may come at any time.
+    other = next(r for r in trace if r[0] not in ("send", "est"))
+    text = verdicts.trace_to_jsonl([later, other, first])
+    with pytest.raises(ValueError, match=f"^line 3: trace gives a {kind} "
+                                         f"record at .*, before the one at"):
+        verdicts.trace_from_jsonl(text, 4)
+    assert verdicts.trace_from_jsonl(
+        verdicts.trace_to_jsonl([first, later, other]), 4)
+
+
 @pytest.mark.parametrize("name,fields", [
     ("Init", '{"_t": [1, 2]}'), ("Init", '{"_t": []}'),
     ("RoundMsg", '{"_t": [{"_t": [0, 5]}, 1]}'), ("Update", "7"),
