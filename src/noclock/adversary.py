@@ -6,15 +6,15 @@ send (and, since the adversary also owns the delay policy, when it arrives).
 Strategies that need to stay trusted by the clock-estimate layer run an honest
 copy of it and misbehave one layer up.
 
-Every name a scenario may give is a key of one table here, which both the
-constructors below and `Scenario.validate` read.
+Every name a scenario may give is a key of one table here; the scenario
+resolves each name to its entry (`Scenario.lookup`), and the constructors
+below take entries, not names.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional
 
 from . import messages as msg
 from .clocksync import ClockSync
@@ -22,14 +22,6 @@ from .kernel import DELAY_STEPS
 from .node import NodeRuntime
 from .params import Params
 from .rounds import Instance
-
-
-def pick(table: dict, what: str, name):
-    """The entry of `table` named `name`; ValueError for an unknown name."""
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(f"unknown {what} {name!r}") from None
 
 
 # -- delay policies -----------------------------------------------------------
@@ -94,9 +86,8 @@ RATE_SCHEDULES = {
 }
 
 
-def make_rate_schedule(kind: str, theta: Fraction, duration: Fraction, rng):
-    """Piecewise-constant rates in [1, theta]."""
-    schedule = pick(RATE_SCHEDULES, "rate schedule", kind)
+def make_rate_schedule(schedule, theta: Fraction, duration: Fraction, rng):
+    """Piecewise-constant rates in [1, theta] from a `RATE_SCHEDULES` entry."""
     if theta == 1:
         return [(0, Fraction(1))]
     return schedule(theta, duration, rng)
@@ -224,10 +215,9 @@ class ClockSkewNode(SilentNode):
     PACES = {"fastest": (True,), "slowest": (False,),
              "alternating": (True, False)}
 
-    def __init__(self, sim, node, p: Params, proto=None, oracle=None,
-                 mode: str = "fastest"):
+    def __init__(self, sim, node, p: Params, proto=None, oracle=None, *, pace):
         super().__init__(sim, node, p)
-        self.pace = itertools.cycle(pick(self.PACES, "clock_skew mode", mode))
+        self.pace = itertools.cycle(pace)
         self.clocksync = ClockSync(p, node)
         self.claim_units = 0          # unbounded claim counter, period grid
 
@@ -266,11 +256,10 @@ STRATEGIES = {
 }
 
 
-def make_byzantine(name: str, sim, node: int, p: Params, proto, oracle,
-                   mode: Optional[str] = None):
-    cls = pick(STRATEGIES, "byzantine strategy", name)
+def make_byzantine(cls, sim, node: int, p: Params, proto, oracle, pace):
+    """A `STRATEGIES` entry's handler; only `ClockSkewNode` reads `pace`."""
     if cls is ClockSkewNode:
-        return cls(sim, node, p, proto, oracle, mode=mode or "fastest")
+        return cls(sim, node, p, proto, oracle, pace=pace)
     return cls(sim, node, p, proto, oracle)
 
 
@@ -289,28 +278,27 @@ def _mixed_oracle(config: dict, seed: int):
     return oracle
 
 
+# Each kind is `oracle(config, seed)`, which gives the input bit of each
+# correct node in each instance it joins.
 ORACLES = {"const": _const_oracle, "mixed": _mixed_oracle}
-
-
-def make_oracle(config: dict, seed: int):
-    """The input bit of each correct node in each instance it joins."""
-    return pick(ORACLES, "oracle kind", config.get("kind", "const"))(config, seed)
 
 
 # -- boot states ---------------------------------------------------------------------
 
 
-def clean_boot(sim, p: Params, rng, offsets, runtimes) -> None:
+def clean_boot(sim, p: Params, rng, runtimes) -> None:
     """Every handler that keeps clock estimates, byzantine ones included,
-    starts knowing everyone's claim."""
-    claims = [(p.grid.to_units(offsets[w]) // p.update_period)
-              * p.update_period % p.clock_modulus for w in range(p.n)]
+    starts knowing everyone's claim.  At time 0 each clock reads its offset,
+    which lies on the update-period grid, so each reading is exact and is
+    that clock's claim."""
+    units = [sim.local_units(w) for w in range(p.n)]
+    claims = [u % p.clock_modulus for u in units]
     for v, handler in sim.handlers.items():
         if hasattr(handler, "clocksync"):
-            handler.clocksync.boot_clean(claims, p.grid.to_units(offsets[v]))
+            handler.clocksync.boot_clean(claims, units[v])
 
 
-def corrupted_boot(sim, p: Params, rng, offsets, runtimes) -> None:
+def corrupted_boot(sim, p: Params, rng, runtimes) -> None:
     """Arbitrary correct-node registers and channel contents."""
     horizon = 4 * p.stall_after
     for rt in runtimes.values():

@@ -27,9 +27,7 @@ class Guard:
     # -- counters -------------------------------------------------------------
 
     def note_join(self, initiator: int, now: int) -> None:
-        q = self.joins[initiator]
-        q.append(now)
-        self._prune(q, now)
+        self.joins[initiator].append(now)
         self._check(initiator, now, self.busy_counts())
 
     def busy_counts(self) -> List[int]:
@@ -54,7 +52,7 @@ class Guard:
                 or len(self.joins[initiator]) > self.p.max_total_instances)
 
     def _check(self, initiator: int, now: int, busy: List[int]) -> None:
-        if self.suppress_until is not None and now < self.suppress_until:
+        if self.suppressed(now):
             return   # already in quarantine
         if self.overloaded(initiator, now, busy):
             self.quarantine(now)

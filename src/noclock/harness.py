@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List
 
-from . import adversary, protocols, verdicts
+from . import adversary, verdicts
 from .kernel import ACTION, HardwareClock, Simulator
 from .node import NodeRuntime
 from .params import Params, derive
@@ -41,7 +41,7 @@ class RunResult:
 
 
 def build_params(sc: Scenario) -> Params:
-    proto = protocols.make_protocol(sc.protocol["name"], sc.n, sc.f)
+    proto = sc.lookup("protocol", "name")(sc.n, sc.f)
     return derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds, proto.bit_bound,
                   T=sc.T, clock_update_period=sc.clock_update_period)
 
@@ -63,39 +63,34 @@ def build_env(sc: Scenario):
     # Hardware clocks: offsets on the update-period grid, rates per schedule.
     period_frac = p.grid.from_units(p.update_period)
     offsets = [rng.randint(0, 4 * sc.n) * period_frac for _ in range(sc.n)]
-    clocks = {}
-    for v in range(sc.n):
-        kind = sc.clocks.get("rates", "random_steps")
-        clocks[v] = HardwareClock(offsets[v],
-                                  adversary.make_rate_schedule(kind, p.theta,
-                                                               duration, rng))
+    rates = sc.lookup("clocks", "rates")
+    clocks = {v: HardwareClock(offsets[v], adversary.make_rate_schedule(
+                  rates, p.theta, duration, rng), p.grid.unit)
+              for v in range(sc.n)}
     return rng, p, byz, correct, offsets, clocks
 
 
 def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResult:
     sc.validate()
-    rng, p, byz, correct, offsets, clocks = build_env(sc)
+    rng, p, byz, correct, _, clocks = build_env(sc)
     duration = frac(sc.duration)
 
-    delay_policy = adversary.pick(adversary.DELAYS, "delay policy",
-                                  sc.adversary.get("delays", "uniform"))
     handlers: Dict[int, object] = {}
-    sim = Simulator(p, clocks, handlers, delay_policy, rng)
+    sim = Simulator(p, clocks, handlers, sc.lookup("adversary", "delays"), rng)
 
-    proto = protocols.make_protocol(sc.protocol["name"], sc.n, sc.f)
-    oracle = adversary.make_oracle(sc.oracle, sc.seed)
+    proto = sc.lookup("protocol", "name")(sc.n, sc.f)
+    oracle = sc.lookup("oracle", "kind")(sc.oracle, sc.seed)
+    strategy = sc.lookup("adversary", "byzantine")
+    pace = sc.lookup("adversary", "mode")
     runtimes = {}
     for v in range(sc.n):
         if v in byz:
-            handlers[v] = adversary.make_byzantine(
-                sc.adversary.get("byzantine", "silent"), sim, v, p,
-                proto, oracle, mode=sc.adversary.get("mode"))
+            handlers[v] = adversary.make_byzantine(strategy, sim, v, p, proto,
+                                                   oracle, pace)
         else:
             handlers[v] = runtimes[v] = NodeRuntime(sim, v, p, proto, oracle)
 
-    boot = adversary.pick(adversary.BOOTS, "corruption kind",
-                          sc.corruption.get("kind", "none"))
-    boot(sim, p, rng, offsets, runtimes)
+    sc.lookup("corruption", "kind")(sim, p, rng, runtimes)
 
     for handler in handlers.values():
         handler.start()
@@ -112,8 +107,8 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     for handler in handlers.values():
         if isinstance(handler, NodeRuntime):
             handler.wipe()
-    vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct, lambda: proto,
-                            readers=sim.readers) if evaluate else []
+    vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
+                            lambda: proto) if evaluate else []
     return RunResult(sc, p, sim.trace if keep_trace else [], vds, correct, byz)
 
 

@@ -12,10 +12,10 @@ at local value u grid units fires at (C*u - B) / A, where (A*t + B) / C is the
 clock in grid units on the alarm's rate segment.  Each event's `Fraction` is
 built once, when it is queued.
 
-Clock reads go through a `GridReader` per node, which gives the floored grid
-reading at now's integer numerator and denominator in exact integer
-arithmetic: no `Fraction` is read or built per read, and a segment cursor
-replaces the search of the rate schedule.
+Each node's `HardwareClock` gives its floored grid reading at now's integer
+numerator and denominator in exact integer arithmetic: no `Fraction` is read
+or built per read, and a segment cursor replaces the search of the rate
+schedule.
 
 A send set is one `multicast` call, which names, prices and validates each
 distinct envelope object once, however many receivers it goes to; each
@@ -48,9 +48,25 @@ class SimulatorBug(Exception):
 
 
 class HardwareClock:
-    """Strictly increasing local clock with drift in [1, theta]."""
+    """Strictly increasing local clock with drift in [1, theta], read on the
+    grid of `unit` in plain integers.
 
-    def __init__(self, offset: Fraction, schedule):
+    `value` and `invert` are the exact references in `Fraction`s.  On rate
+    segment i the clock over the grid unit is a*t + b with rational a and b,
+    so for t = tn/td the floored reading `floor_units` is
+    (A*tn + B*td) // (C*td) with integers A, B, C fixed per segment.  The
+    segment of the last read is kept as a cursor, since simulated time never
+    decreases; a read before the cursor's segment falls back to a search of
+    the schedule.
+
+    Inverted, the clock reaches u grid units on segment i at real time
+    (C*u - B) / A, from the same integers.  Segment i is the last whose start
+    value h_i is at most u units, that is, whose ceil(h_i / unit) is at most u.
+    The integers are built on the first grid read, so building a clock costs
+    only its schedule.
+    """
+
+    def __init__(self, offset: Fraction, schedule, unit: Fraction):
         # schedule: list of (start_real_time, rate), first start must be 0.
         self.starts = [frac(t) for t, _ in schedule]
         self.rates = [frac(r) for _, r in schedule]
@@ -64,6 +80,11 @@ class HardwareClock:
             if span <= 0:
                 raise ValueError("rate schedule times must increase")
             self.h_starts.append(self.h_starts[-1] + self.rates[i - 1] * span)
+        self.unit = unit
+        self.bounds = [(s.numerator, s.denominator) for s in self.starts]
+        self.last = len(self.bounds) - 1
+        self.i = 0
+        self.coef = self.h_units = []    # built by the first grid read
 
     def value(self, t: Fraction) -> Fraction:
         i = bisect_right(self.starts, t) - 1
@@ -75,30 +96,14 @@ class HardwareClock:
         i = bisect_right(self.h_starts, local) - 1
         return self.starts[i] + (local - self.h_starts[i]) / self.rates[i]
 
-
-class GridReader:
-    """`grid.floor_units(clock.value(tn / td))` and `clock.invert` of one
-    clock on the grid, in plain integers.
-
-    On rate segment i the clock over the grid unit is a*t + b with rational
-    a and b, so for t = tn/td the floored reading is (A*tn + B*td) // (C*td)
-    with integers A, B, C fixed per segment.  The segment of the last read is
-    kept as a cursor, since simulated time never decreases; a read before the
-    cursor's segment falls back to a search of the schedule.
-
-    Inverted, the clock reaches u grid units on segment i at real time
-    (C*u - B) / A, from the same integers.  Segment i is the last whose start
-    value h_i is at most u units, that is, whose ceil(h_i / unit) is at most u.
-    """
-
-    def __init__(self, clock: HardwareClock, unit: Fraction):
-        self.starts = clock.starts
-        self.bounds = [(s.numerator, s.denominator) for s in clock.starts]
+    def _integers(self) -> list:
+        """Build `coef`, each segment's (A, B, C), and `h_units`, each
+        segment's start value ceil((A*sn + B*sd) / (C*sd)) in units."""
         # a = rate/unit and b = (h - rate*start)/unit over the common
         # denominator C = hd*rd*sd*un, reduced by the gcd of A, B and C.
-        un, ud = unit.numerator, unit.denominator
+        un, ud = self.unit.numerator, self.unit.denominator
         self.coef = []
-        for (sn, sd), h, rate in zip(self.bounds, clock.h_starts, clock.rates):
+        for (sn, sd), h, rate in zip(self.bounds, self.h_starts, self.rates):
             hn, hd = h.numerator, h.denominator
             rn, rd = rate.numerator, rate.denominator
             a = rn * ud * hd * sd
@@ -106,14 +111,13 @@ class GridReader:
             c = hd * rd * sd * un
             g = gcd(a, b, c)
             self.coef.append((a // g, b // g, c // g))
-        # ceil((A*sn + B*sd) / (C*sd)): segment i's start value in units.
         self.h_units = [-(-(a * sn + b * sd) // (c * sd))
                         for (a, b, c), (sn, sd) in zip(self.coef, self.bounds)]
-        self.last = len(self.bounds) - 1
-        self.i = 0
+        return self.coef
 
     def floor_units(self, tn: int, td: int) -> int:
-        """The floored reading at real time tn/td (td > 0)."""
+        """The floored reading at real time tn/td (td > 0):
+        `grid.floor_units(self.value(tn / td))`."""
         i = self.i
         sn, sd = self.bounds[i]
         if tn * sd < sn * td:
@@ -125,16 +129,17 @@ class GridReader:
                     break
                 i += 1
         self.i = i
-        a, b, c = self.coef[i]
+        a, b, c = (self.coef or self._integers())[i]
         return (a * tn + b * td) // (c * td)
 
     def invert_units(self, units: int):
         """(numerator, denominator) of the real time at which the clock
-        reaches `units` grid units: `clock.invert(grid.from_units(units))`."""
+        reaches `units` grid units: `self.invert(grid.from_units(units))`."""
+        coef = self.coef or self._integers()
         i = bisect_right(self.h_units, units) - 1
         if i < 0:
             raise ValueError("local value precedes clock start")
-        a, b, c = self.coef[i]
+        a, b, c = coef[i]
         return c * units - b, a
 
 
@@ -147,8 +152,7 @@ class Simulator:
 
     def __init__(self, p, clocks, handlers, delay_policy, rng):
         self.p = p
-        self.clocks = clocks            # node -> HardwareClock
-        self.readers = {v: GridReader(c, p.grid.unit) for v, c in clocks.items()}
+        self.clocks = clocks            # node -> HardwareClock on p.grid
         self.handlers = handlers        # node -> handler object
         self.delay_policy = delay_policy
         self.rng = rng
@@ -182,12 +186,12 @@ class Simulator:
 
     def alarm(self, node: int, local_units: int, tag) -> None:
         """Fire a THRESHOLD event when `node`'s clock reaches local_units."""
-        reader = self.readers[node]
+        clock = self.clocks[node]
         # A clock value not yet reached lies strictly in the future.
-        if local_units <= reader.floor_units(self._now_n, self._now_d):
+        if local_units <= clock.floor_units(self._now_n, self._now_d):
             raise SimulatorBug(f"alarm for node {node} at local "
                                f"{self.p.grid.from_units(local_units)} already passed")
-        num, den = reader.invert_units(local_units)
+        num, den = clock.invert_units(local_units)
         self._push(num, den, THRESHOLD, node, (local_units, tag))
 
     def multicast(self, sender: int, envelopes,
@@ -248,12 +252,12 @@ class Simulator:
 
     def local_units(self, node: int) -> int:
         """Current local clock, floored to grid units."""
-        return self.readers[node].floor_units(self._now_n, self._now_d)
+        return self.clocks[node].floor_units(self._now_n, self._now_d)
 
     def reading(self, node: int) -> int:
         """Current quantized local clock, in grid units: `grid.read` of it."""
         q = self.p.grid.q_units
-        return self.readers[node].floor_units(self._now_n, self._now_d) // q * q
+        return self.clocks[node].floor_units(self._now_n, self._now_d) // q * q
 
     # -- main loop ----------------------------------------------------------
 

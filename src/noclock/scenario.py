@@ -10,7 +10,8 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import List, Optional
 
-from . import adversary
+from .adversary import (BOOTS, DELAYS, ORACLES, RATE_SCHEDULES, STRATEGIES,
+                        ClockSkewNode)
 from .node import ACTIONS
 from .params import parse_model
 from .protocols import PROTOCOLS
@@ -21,21 +22,22 @@ FIELD_TYPES = {"n": int, "f": int, "seed": int, "protocol": dict,
                "adversary": dict, "oracle": dict, "clocks": dict,
                "corruption": dict, "script": list}
 
-# Each name a run looks up in a section, with the table it reads:
-# (section, key, table, what).  Only the protocol's name has no default.
-LOOKUPS = (
-    ("protocol", "name", PROTOCOLS, "protocol"),
-    ("adversary", "byzantine", adversary.STRATEGIES, "byzantine strategy"),
-    ("adversary", "mode", adversary.ClockSkewNode.PACES, "clock_skew mode"),
-    ("adversary", "delays", adversary.DELAYS, "delay policy"),
-    ("clocks", "rates", adversary.RATE_SCHEDULES, "rate schedule"),
-    ("oracle", "kind", adversary.ORACLES, "oracle kind"),
-    ("corruption", "kind", adversary.BOOTS, "corruption kind"))
+# Each name a run looks up in a section, the one table of them:
+# (section, key) -> (table, what, default).  A missing or null name is the
+# default; only the protocol's name has none.
+LOOKUPS = {
+    ("protocol", "name"): (PROTOCOLS, "protocol", None),
+    ("adversary", "byzantine"): (STRATEGIES, "byzantine strategy", "silent"),
+    ("adversary", "mode"): (ClockSkewNode.PACES, "clock_skew mode", "fastest"),
+    ("adversary", "delays"): (DELAYS, "delay policy", "uniform"),
+    ("clocks", "rates"): (RATE_SCHEDULES, "rate schedule", "random_steps"),
+    ("oracle", "kind"): (ORACLES, "oracle kind", "const"),
+    ("corruption", "kind"): (BOOTS, "corruption kind", "none")}
 # The keys each section declares: its lookups, and the two values `validate`
 # checks on their own.  A script entry declares "t", "node" and "action".
-_KEYED = LOOKUPS + (("adversary", "byzantine_set"), ("oracle", "value"))
-SECTION_KEYS = {section: {key for s, key, *_ in _KEYED if s == section}
-                for section, *_ in _KEYED}
+_KEYED = [*LOOKUPS, ("adversary", "byzantine_set"), ("oracle", "value")]
+SECTION_KEYS = {section: {key for s, key in _KEYED if s == section}
+                for section, _ in _KEYED}
 
 
 class ScenarioError(ValueError):
@@ -107,13 +109,24 @@ class Scenario:
             action = entry.get("action", "initiate")
             if not (isinstance(action, str) and action in ACTIONS):
                 problems.append(f"unknown script action {action!r}")
-        for section, key, table, what in LOOKUPS:
-            name = getattr(self, section).get(key)
-            if (name is not None or section == "protocol") and not (
-                    isinstance(name, str) and name in table):
-                problems.append(f"unknown {what} {name!r}")
+        for section, key in LOOKUPS:
+            try:
+                self.lookup(section, key)
+            except ScenarioError as exc:
+                problems += exc.problems
         if problems:
             raise ScenarioError(problems)
+
+    def lookup(self, section: str, key: str):
+        """The table entry that `section`'s `key` names; a missing or null
+        name is the key's default."""
+        table, what, default = LOOKUPS[section, key]
+        name = getattr(self, section).get(key)
+        if name is None:
+            name = default
+        if not (isinstance(name, str) and name in table):
+            raise ScenarioError([f"unknown {what} {name!r}"])
+        return table[name]
 
     # -- serialization ---------------------------------------------------------
 

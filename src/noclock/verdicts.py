@@ -18,8 +18,8 @@ exact-time arithmetic; it keeps the `send` and `est` records in trace order,
 which is time order.  After it, exact times are compared per window (a
 bisection for each edge of an amortized-bits window), per instance (the
 timing constants, each divided by its pace once) and per sample (one integer
-clock reading per estimate, each reader walking forward, and one float time
-per envelope sample).
+clock reading per estimate, each clock's cursor walking forward, and one
+float time per envelope sample).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional
 
 from . import messages as msg
-from .kernel import GridReader
+from .adversary import clean_boot
 from .params import Params
 from .protocols import replay
 from .timebase import frac, mod_signed
@@ -131,14 +131,13 @@ class _Index:
             rec.nonzero = any(part[2] != 0 for part in rec.parts.values())
 
 
-def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
-             readers=None) -> List[Verdict]:
-    """The verdicts on one run's trace.  `readers` are the run's own
-    `GridReader`s by node, when the caller has them; otherwise the clock
-    suite builds its own from `clocks`."""
+def evaluate(trace, sc, p: Params, clocks, correct,
+             proto_factory) -> List[Verdict]:
+    """The verdicts on one run's trace; `clocks` are the run's
+    `HardwareClock`s by node, the run's own or fresh ones."""
     ix = _Index(trace, correct)
     duration = frac(sc.duration)
-    corrupted = sc.corruption.get("kind", "none") != "none"
+    corrupted = sc.lookup("corruption", "kind") is not clean_boot
     cutoff = p.judging_horizon if corrupted else Fraction(0)
     judged = []   # (label, record) of every instance the suites judge
     for label, rec in sorted(ix.instances.items()):
@@ -165,7 +164,7 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
         _silence_suite(judged),
     ]
     verdicts = per_instance + [
-        _estimates_suite(ix, p, clocks, correct, readers),
+        _estimates_suite(ix, p, clocks, correct),
         _bits_suite(ix, p, correct, cutoff, duration),
         _envelope_suite(ix, p, correct, cutoff),
         _rarity_suite(ix, p, cutoff),
@@ -335,19 +334,17 @@ def _silence_suite(judged) -> Verdict:
                    counterexample=bad[:12] or None)
 
 
-def _estimates_suite(ix, p, clocks, correct, readers) -> Verdict:
+def _estimates_suite(ix, p, clocks, correct) -> Verdict:
     """Every correct node's estimate of every other correct clock, against
     that clock's floored reading at the sample's time.  The samples come in
-    time order, so each reader only walks forward; an estimate is in band
-    when mod_signed(estimate - reading) lies in [-band, 0]."""
+    time order, so each clock's cursor only walks forward; an estimate is in
+    band when mod_signed(estimate - reading) lies in [-band, 0]."""
     mod = p.clock_modulus
     off = mod // 2 - 1             # mod_signed(x, mod) = (x + off) % mod - off
     lo = off - p.estimate_band
     t0 = Fraction(0)
     worst, worst_v = None, -1      # the last failure in (v, t, w) order
-    if readers is None:
-        readers = {w: GridReader(clocks[w], p.grid.unit) for w in correct}
-    floors = [(w, readers[w].floor_units) for w in correct]
+    floors = [(w, clocks[w].floor_units) for w in correct]
     for _, t, v, ests in ix.est:
         tn, td = t.numerator, t.denominator
         for w, floor in floors:

@@ -64,6 +64,27 @@ def test_unknown_strategy_exits_two(tmp_path, capsys):
     assert "unknown byzantine strategy 'silnt'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [
+    ("adversary", "byzantine"), ("adversary", "mode"), ("adversary", "delays"),
+    ("clocks", "rates"), ("oracle", "kind"), ("corruption", "kind")])
+def test_a_null_name_runs_as_the_default(tmp_path, capsys, section, key):
+    data = Scenario(n=4, f=1, duration="30", seed=5,
+                    adversary={"byzantine": "clock_skew", "byzantine_set": [3]},
+                    script=[{"t": "8", "node": 0, "action": "initiate"}]
+                    ).to_dict()
+    data[section].pop(key, None)
+    null = json.loads(json.dumps(data))
+    null[section][key] = None
+    traces = []
+    for name, value in (("missing", data), ("null", null)):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(value))
+        rc = cli.main(["run", "--scenario", str(path), "--out", str(out)])
+        assert rc in (0, 1)
+        traces.append((out / "trace.jsonl").read_text())
+    assert traces[0] == traces[1]
+
+
 def test_sweep_axes(scenario_file, capsys):
     rc = cli.main(["sweep", "--scenario", str(scenario_file),
                    "--axis", "seed=3,4"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from noclock import harness, verdicts
+from noclock.protocols import make_protocol
 from noclock.scenario import Scenario
 
 
@@ -45,26 +46,21 @@ def test_trace_evaluation_is_rerunnable():
     res = harness.run(sc)
     again = verdicts.evaluate(res.trace, sc, res.params,
                               harness.build_env(sc)[5], res.correct,
-                              lambda: harness.protocols.make_protocol(
-                                  "phase-king-silent", 4, 1))
+                              lambda: make_protocol("phase-king-silent", 4, 1))
     assert [(v.name, v.passed, v.measured) for v in res.verdicts] == \
            [(v.name, v.passed, v.measured) for v in again]
 
 
 @pytest.mark.parametrize("over", [{}, {"corruption": {"kind": "random"},
                                        "duration": "60"}])
-def test_run_judges_clocks_with_its_own_readers_as_fresh_ones_do(monkeypatch,
-                                                                 over):
+def test_run_judges_its_own_clocks_as_fresh_ones_do(over):
+    # The run's own clocks come to the verdicts with their cursors at the
+    # end of the run; fresh ones start at time 0.
     sc = clean_scenario(**over)
     trace = harness.run(sc, evaluate=False).trace
     _, p, _, correct, _, clocks = harness.build_env(sc)
     fresh = verdicts.evaluate(trace, sc, p, clocks, correct,
-                              lambda: harness.protocols.make_protocol(
-                                  "phase-king-silent", 4, 1))
-
-    def no_reader(*args):
-        raise AssertionError("evaluate built a reader of its own")
-    monkeypatch.setattr(verdicts, "GridReader", no_reader)
+                              lambda: make_protocol("phase-king-silent", 4, 1))
     res = harness.run(sc)
     assert res.trace == trace
     assert [(v.name, v.passed, v.measured, v.counterexample)

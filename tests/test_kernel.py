@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 from noclock import messages
 from noclock.adversary import SilentNode
 from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY, THRESHOLD,
-                            GridReader, HardwareClock, Simulator, SimulatorBug)
+                            HardwareClock, Simulator, SimulatorBug)
 from noclock.messages import Garbage, Init, RoundMsg, Update
 from noclock.node import NodeRuntime
 from noclock.params import derive
 from noclock.protocols import make_protocol
 from noclock.timebase import frac
+
+
+# The grid unit of the exact-reference tests, which read no grid.
+UNIT = Fraction(1, 20)
 
 
 class Recorder:
@@ -38,7 +42,7 @@ class Recorder:
 def make_sim(rates=None, n=2, delay_policy=lambda *a: 512):
     p = derive(4, 1, "1.1", "1", 8, 38)
     rates = rates or [(0, 1)]
-    clocks = {v: HardwareClock(0, rates) for v in range(n)}
+    clocks = {v: HardwareClock(0, rates, p.grid.unit) for v in range(n)}
     events = []
     handlers = {v: Recorder(v, events) for v in range(n)}
     sim = Simulator(p, clocks, handlers, delay_policy, random.Random(0))
@@ -84,19 +88,19 @@ def test_run_until_empty_queue_advances_time():
 
 
 def test_local_clock_identity_rate():
-    clock = HardwareClock(0, [(0, 1)])
+    clock = HardwareClock(0, [(0, 1)], UNIT)
     assert clock.value(frac(7)) == 7
 
 
 def test_local_clock_constant_max_rate():
-    clock = HardwareClock(0, [(0, frac("1.1"))])
+    clock = HardwareClock(0, [(0, frac("1.1"))], UNIT)
     assert clock.value(frac(10)) == 11
 
 
 def test_local_clock_piecewise_matches_summation_oracle():
     # rate 1 on [0,5), 1.1 on [5,10]; oracle: stepwise Riemann sum on the
     # 1/8 grid, exact for piecewise-constant rates with on-grid breakpoints.
-    clock = HardwareClock(0, [(0, 1), (5, frac("1.1"))])
+    clock = HardwareClock(0, [(0, 1), (5, frac("1.1"))], UNIT)
     step = Fraction(1, 8)
     acc = Fraction(0)
     t = Fraction(0)
@@ -116,12 +120,12 @@ def test_threshold_inversion_identity_rate():
     assert rec.events == [("thr", 0, 100, ("x",))]
     # fired exactly at real time 5 (rate 1): event order says nothing more,
     # so check via a fresh clock inversion
-    assert HardwareClock(0, [(0, 1)]).invert(frac(5)) == 5
+    assert HardwareClock(0, [(0, 1)], UNIT).invert(frac(5)) == 5
 
 
 def test_threshold_inversion_at_max_rate():
     # threshold 2.2*theta*d with theta=1.1, d=1 is local 2.42, real 2.2
-    clock = HardwareClock(0, [(0, frac("1.1"))])
+    clock = HardwareClock(0, [(0, frac("1.1"))], UNIT)
     assert clock.invert(frac("2.42")) == frac("2.2")
 
 
@@ -178,7 +182,7 @@ class Timed(Recorder):
        k=st.integers(1, DELAY_STEPS - 1))
 def test_delivery_time_is_now_plus_k_steps_of_d(d, start, k):
     p = derive(4, 1, "1.1", d, 8, 38)
-    clocks = {v: HardwareClock(0, [(0, 1)]) for v in range(2)}
+    clocks = {v: HardwareClock(0, [(0, 1)], p.grid.unit) for v in range(2)}
     events = []
     sim = Simulator(p, clocks, {}, lambda *a: k, random.Random(0))
     sim.handlers.update({v: Timed(v, events, sim) for v in range(2)})
@@ -201,13 +205,12 @@ def random_schedule(data, theta):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_grid_reader_inversion_equals_the_exact_clock_inversion(data):
+def test_grid_inversion_equals_the_exact_clock_inversion(data):
     theta = frac(data.draw(st.sampled_from(["1", "1.1", "1.25", "1.3"])))
     p = derive(4, 1, theta, "1", 8, 38)
     grid = p.grid
     offset = data.draw(st.integers(0, 400)) * grid.unit
-    clock = HardwareClock(offset, random_schedule(data, theta))
-    reader = GridReader(clock, grid.unit)
+    clock = HardwareClock(offset, random_schedule(data, theta), grid.unit)
     first = grid.ceil_units(offset)
     # The first grid value on or after each segment start, the one before
     # it, and values in any order and past the last segment.
@@ -216,10 +219,10 @@ def test_grid_reader_inversion_equals_the_exact_clock_inversion(data):
                       st.sampled_from(starts).map(lambda u: max(first, u - 1)),
                       st.integers(first, starts[-1] + 4000))
     for u in data.draw(st.lists(units, min_size=1, max_size=30)):
-        num, den = reader.invert_units(u)
+        num, den = clock.invert_units(u)
         assert Fraction(num, den) == clock.invert(grid.from_units(u))
     with pytest.raises(ValueError):
-        reader.invert_units(first - 1)
+        clock.invert_units(first - 1)
 
 
 def test_alarm_fires_where_the_clock_reaches_its_value():
@@ -280,7 +283,7 @@ def test_drift_bound_holds_for_random_schedules(data):
         t += data.draw(st.integers(1, 7))
         segs.append((t, 1 + Fraction(data.draw(st.integers(0, 8)), 8)
                      * (theta - 1)))
-    clock = HardwareClock(0, segs)
+    clock = HardwareClock(0, segs, UNIT)
     a = Fraction(data.draw(st.integers(0, 400)), 8)
     b = a + Fraction(data.draw(st.integers(1, 400)), 8)
     lo, hi = clock.value(a), clock.value(b)
@@ -291,7 +294,7 @@ def test_drift_bound_holds_for_random_schedules(data):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_grid_reader_equals_the_floored_exact_clock(data):
+def test_grid_reading_equals_the_floored_exact_clock(data):
     p = derive(4, 1, "1.1", "1", 8, 38)
     rates = st.fractions(min_value=1, max_value=2, max_denominator=40)
     segs = [(0, data.draw(rates))]
@@ -301,8 +304,7 @@ def test_grid_reader_equals_the_floored_exact_clock(data):
         segs.append((segs[-1][0] + step, data.draw(rates)))
     offset = data.draw(st.fractions(min_value=0, max_value=50,
                                     max_denominator=20))
-    clock = HardwareClock(offset, segs)
-    reader = GridReader(clock, p.grid.unit)
+    clock = HardwareClock(offset, segs, p.grid.unit)
     last = segs[-1][0]
     starts = [s for s, _ in segs]
     # Segment starts and the instants just before them, times past the last
@@ -314,7 +316,7 @@ def test_grid_reader_equals_the_floored_exact_clock(data):
                      max_denominator=1024))
     for t in data.draw(st.lists(times, min_size=1, max_size=40)):
         t = frac(t)
-        assert reader.floor_units(t.numerator, t.denominator) == \
+        assert clock.floor_units(t.numerator, t.denominator) == \
             p.grid.floor_units(clock.value(t))
 
 
@@ -340,7 +342,8 @@ def draws(lo, hi):
 
 def timed_sim(policy):
     p = derive(4, 1, "1.1", "1", 8, 38)
-    clocks = {v: HardwareClock(0, [(0, 1), (3, frac("1.1"))]) for v in range(4)}
+    clocks = {v: HardwareClock(0, [(0, 1), (3, frac("1.1"))], p.grid.unit)
+              for v in range(4)}
     events = []
     sim = Simulator(p, clocks, {}, policy, random.Random(11))
     sim.handlers.update({v: Timed(v, events, sim) for v in range(4)})
@@ -402,7 +405,7 @@ def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
     entered = []
     monkeypatch.setattr(NodeRuntime, "on_deliver",
                         lambda self, sender, envelope: entered.append(self.node))
-    clocks = {v: HardwareClock(0, [(0, 1)]) for v in range(4)}
+    clocks = {v: HardwareClock(0, [(0, 1)], p.grid.unit) for v in range(4)}
     handlers = {}
     sim = Simulator(p, clocks, handlers, draws(1, DELAY_STEPS - 1),
                     random.Random(5))

@@ -1,8 +1,6 @@
 import pytest
 
-from noclock.adversary import ClockSkewNode
-from noclock.params import derive
-from noclock.scenario import SECTION_KEYS, Scenario, ScenarioError
+from noclock.scenario import LOOKUPS, SECTION_KEYS, Scenario, ScenarioError
 
 
 def test_roundtrip(tmp_path):
@@ -49,6 +47,9 @@ def test_unknown_protocol_rejected():
         Scenario(protocol={"name": "raft"}).validate()
     with pytest.raises(ScenarioError):       # a JSON list is no name
         Scenario(protocol={"name": ["phase-king-silent"]}).validate()
+    with pytest.raises(ScenarioError) as err:   # the protocol has no default
+        Scenario(protocol={"name": None}).validate()
+    assert err.value.problems == ["unknown protocol None"]
 
 
 def test_clock_skew_mode_typo_rejected():
@@ -67,12 +68,6 @@ def test_unknown_names_rejected(field, key, name):
     getattr(sc, field)[key] = name
     with pytest.raises(ScenarioError):
         sc.validate()
-
-
-def test_clock_skew_node_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        ClockSkewNode(None, 0, derive(4, 1, "1.1", "1", 8, 38),
-                      mode="fastets")
 
 
 def test_error_lists_every_problem():
@@ -151,6 +146,34 @@ def test_unknown_section_key_rejected(data, problem):
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(data)
     assert err.value.problems == [problem]
+
+
+def test_default_sections_give_the_lookup_defaults():
+    # The default section dicts spell names out so that scenario dumps show
+    # them; each one must be the default its LOOKUPS row gives.
+    sc = Scenario()
+    given = {(section, key): getattr(sc, section)[key]
+             for section, key in LOOKUPS if key in getattr(sc, section)}
+    assert set(given) == {("protocol", "name"), ("adversary", "byzantine"),
+                          ("adversary", "delays"), ("clocks", "rates"),
+                          ("oracle", "kind"), ("corruption", "kind")}
+    for (section, key), (table, _, default) in LOOKUPS.items():
+        if section == "protocol":
+            assert default is None          # a run names its protocol
+        else:
+            assert default in table
+            assert given.get((section, key), default) == default
+            assert sc.lookup(section, key) is table[default]
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, key in LOOKUPS if section != "protocol"])
+def test_a_missing_or_null_name_looks_up_the_default(section, key):
+    table, _, default = LOOKUPS[section, key]
+    for value in ({}, {key: None}):
+        sc = Scenario(**{section: value})
+        sc.validate()
+        assert sc.lookup(section, key) is table[default]
 
 
 def test_section_keys_are_the_keys_a_run_reads():
