@@ -3,8 +3,10 @@ schedules, input oracles, and boot states.
 
 Byzantine nodes are ordinary event handlers with full control over what they
 send (and, since the adversary also owns the delay policy, when it arrives).
-Strategies that need to stay trusted by the clock-estimate layer run an honest
-copy of it and misbehave one layer up.
+Strategies that need to stay trusted by the clock-estimate layer relay
+honestly: `ClockSkewNode` through a relay-only copy of it (`ClockRelay`: what
+an honest broadcast is computed from, and no estimates), the strategies that
+misbehave one layer up through the whole honest stack (`NodeRuntime`).
 
 Every name a scenario may give is a key of one table here; the scenario
 resolves each name to its entry (`Scenario.lookup`), and the constructors
@@ -17,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from . import messages as msg
-from .clocksync import ClockSync
+from .clocksync import ClockRelay
 from .kernel import DELAY_STEPS
 from .node import NodeRuntime
 from .params import Params
@@ -208,7 +210,8 @@ class ClockSkewNode(SilentNode):
     Claims advance by exactly one update period per broadcast, but broadcasts
     are spaced at the fastest / slowest legal cadence (or alternate), which
     drags every correct node's estimate of this clock as far as the checks
-    allow.  Other nodes' rows are relayed honestly to keep everyone's trust.
+    allow.  Other nodes' claims are relayed honestly, through a `ClockRelay`,
+    to keep everyone's trust.
     """
 
     # Mode -> the cycle of spacings between broadcasts (True: fastest legal).
@@ -218,7 +221,7 @@ class ClockSkewNode(SilentNode):
     def __init__(self, sim, node, p: Params, proto=None, oracle=None, *, pace):
         super().__init__(sim, node, p)
         self.pace = itertools.cycle(pace)
-        self.clocksync = ClockSync(p, node)
+        self.clocksync = ClockRelay(p, node)
         self.claim_units = 0          # unbounded claim counter, period grid
 
     def start(self):
@@ -230,7 +233,7 @@ class ClockSkewNode(SilentNode):
     def on_threshold(self, units, tag):
         p = self.p
         self.claim_units += p.update_period
-        vec = list(self.clocksync.on_tick(units))
+        vec = self.clocksync.on_tick(units)
         vec[self.node] = self.claim_units % p.clock_modulus
         envelopes = [msg.Update(tuple(vec))] * p.n
         envelopes[self.node] = None
@@ -287,8 +290,8 @@ ORACLES = {"const": _const_oracle, "mixed": _mixed_oracle}
 
 
 def clean_boot(sim, p: Params, rng, runtimes) -> None:
-    """Every handler that keeps clock estimates, byzantine ones included,
-    starts knowing everyone's claim.  At time 0 each clock reads its offset,
+    """Every handler with a clock layer (a `ClockSync` or a `ClockRelay`),
+    byzantine ones included, starts knowing everyone's claim.  At time 0 each clock reads its offset,
     which lies on the update-period grid, so each reading is exact and is
     that clock's claim."""
     units = [sim.local_units(w) for w in range(p.n)]

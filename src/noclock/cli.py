@@ -44,7 +44,8 @@ def _write_outputs(result, outdir: str) -> None:
         fh.write("\n")
     with open(os.path.join(outdir, "metrics.json"), "w") as fh:
         json.dump(verdicts.run_metrics(result.trace, result.scenario,
-                                       result.params, result.correct),
+                                       result.params, result.correct,
+                                       result.index),
                   fh, indent=2)
         fh.write("\n")
     result.scenario.dump(os.path.join(outdir, "scenario.json"))

@@ -10,6 +10,14 @@ Inconsistencies start two hold timers: while the report hold runs the value
 is relayed as unknown, and while the trust hold runs the node is not trusted.
 Consistent behavior therefore regains trust after a fixed quiet period.
 
+The state comes in two layers.  `ClockRelay` is what the broadcast needs:
+each sender's last claim, the time of its last update, the report holds, and
+the pace and step checks.  A byzantine node that relays honestly to stay
+trusted keeps only this.  `ClockSync` extends it with what the estimates
+need: every sender's whole row, the support counts, the trust holds,
+`estimate` and `sanitize`.  Both broadcast the same vector from the same
+updates and ticks.
+
 The corroboration count is maintained, not recomputed: `support[x]` is the
 number of stored rows whose value for x lies within `relay_band` of x's own
 claim.  Every whole-row write goes through `load_row`, which adjusts only the
@@ -28,18 +36,18 @@ from .params import Params
 from .timebase import expired, mod_signed
 
 
-class ClockSync:
+class ClockRelay:
+    """The relay state: what a node's broadcast vector is computed from."""
+
     def __init__(self, p: Params, node: int):
         self.p = p
         self.node = node
         n = p.n
-        # rows[u][w]: the clock value u most recently relayed for w (mod), or None.
-        self.rows: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-        # support[x]: how many rows hold a value for x near x's claim.
-        self.support: List[int] = [0] * n
+        # claims[w]: w's claim, the own entry of the last row stored for w
+        # (mod), or None.
+        self.claims: List[Optional[int]] = [None] * n
         self.last_update_at: List[int] = [0] * n     # local time of last update from w
         self.report_hold_until: List[Optional[int]] = [None] * n
-        self.trust_hold_until: List[Optional[int]] = [None] * n
 
     # -- boot states ----------------------------------------------------------
 
@@ -49,7 +57,6 @@ class ClockSync:
             self.load_row(u, claims_mod)
         self.last_update_at = [now] * self.p.n
         self.report_hold_until = [None] * self.p.n
-        self.trust_hold_until = [None] * self.p.n
 
     # -- transitions ----------------------------------------------------------
 
@@ -60,41 +67,74 @@ class ClockSync:
         """
         p = self.p
         v = self.node
+        claims = self.claims
         out: List[Optional[int]] = [None] * p.n
         for w in range(p.n):
             if w == v:
                 continue
             if now - self.last_update_at[w] > p.max_update_gap:
                 self._flag(w, now)
-            out[w] = self.rows[w][w] if expired(self.report_hold_until[w], now) else None
+            out[w] = claims[w] if expired(self.report_hold_until[w], now) else None
         out[v] = now % p.clock_modulus
         self.load_row(v, out)
         return out
 
     def on_update(self, sender: int, values, now: int) -> None:
-        """Check an update's pace and step, store a copy of `values` as the
-        sender's row, and distrust every column left with fewer than n - f
-        supporting rows."""
+        """Check an update's pace and step, then store it as the sender's
+        row."""
         p = self.p
-        v = self.node
         w = sender
-        prev = self.rows[w][w]
+        prev = self.claims[w]
         stale = now - self.last_update_at[w]
         step_ok = (prev is not None and values[w] is not None and
                    mod_signed(values[w] - prev, p.clock_modulus) == p.update_period)
         if stale < p.min_update_gap or not step_ok:
             self._flag(w, now)
         self.load_row(w, values)
-        need = p.n - p.f
-        regain = now + p.trust_regain
-        hold = self.trust_hold_until
-        for x, count in enumerate(self.support):
-            if count < need and x != v:
-                hold[x] = regain
         self.last_update_at[w] = now
 
     def _flag(self, w: int, now: int) -> None:
         self.report_hold_until[w] = now + self.p.report_hold
+
+    def load_row(self, w: int, values) -> None:
+        """Store `values` as row w; the relay keeps only its own entry."""
+        self.claims[w] = values[w]
+
+
+class ClockSync(ClockRelay):
+    """The relay state plus every stored row, the support counts and the
+    trust holds, from which the clock estimates are read."""
+
+    def __init__(self, p: Params, node: int):
+        super().__init__(p, node)
+        n = p.n
+        # rows[u][w]: the clock value u most recently relayed for w (mod), or
+        # None; rows[w][w] is claims[w].
+        self.rows: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+        # support[x]: how many rows hold a value for x near x's claim.
+        self.support: List[int] = [0] * n
+        self.trust_hold_until: List[Optional[int]] = [None] * n
+
+    def boot_clean(self, claims_mod: List[int], now: int) -> None:
+        super().boot_clean(claims_mod, now)
+        self.trust_hold_until = [None] * self.p.n
+
+    def on_update(self, sender: int, values, now: int) -> None:
+        """Check and store the update as the relay does, then distrust every
+        column left with fewer than n - f supporting rows."""
+        # Called directly: building a super() object per update is a
+        # measurable share of a correct node's update.
+        ClockRelay.on_update(self, sender, values, now)
+        v = self.node
+        need = self.p.n - self.p.f
+        regain = now + self.p.trust_regain
+        hold = self.trust_hold_until
+        for x, count in enumerate(self.support):
+            if count < need and x != v:
+                hold[x] = regain
+
+    def _flag(self, w: int, now: int) -> None:
+        super()._flag(w, now)
         self.trust_hold_until[w] = now + self.p.trust_regain
 
     # -- stored rows ------------------------------------------------------------
@@ -110,13 +150,12 @@ class ClockSync:
         rows = self.rows
         old = rows[w]
         rows[w] = new = list(values)
+        claims = self.claims
+        claims[w] = new[w]
         band, width, mod = self._band()
         support = self.support
-        for x, (val, was, row) in enumerate(zip(new, old, rows)):
-            if val == was or x == w:
-                continue
-            claim = row[x]
-            if claim is None:
+        for x, (val, was, claim) in enumerate(zip(new, old, claims)):
+            if val == was or x == w or claim is None:
                 continue
             if was is not None and (claim - was + band) % mod <= width:
                 support[x] -= 1
@@ -132,7 +171,7 @@ class ClockSync:
 
     def _count(self, x: int) -> int:
         """From-scratch support of x's claim: rows within `relay_band` of it."""
-        claim = self.rows[x][x]
+        claim = self.claims[x]
         if claim is None:
             return 0
         band, width, mod = self._band()
@@ -150,7 +189,7 @@ class ClockSync:
         if w == self.node:
             return now % self.p.clock_modulus
         if expired(self.trust_hold_until[w], now):
-            return self.rows[w][w]
+            return self.claims[w]
         return None
 
     def sanitize(self, now: int) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from . import adversary, verdicts
 from .kernel import ACTION, HardwareClock, Simulator
@@ -28,6 +28,7 @@ class RunResult:
     verdicts: list
     correct: List[int]
     byzantine: List[int]
+    index: Optional[verdicts._Index] = None   # the verdicts' index of `trace`
 
     @property
     def passed(self) -> bool:
@@ -107,9 +108,14 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     for handler in handlers.values():
         if isinstance(handler, NodeRuntime):
             handler.wipe()
-    vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
-                            lambda: proto) if evaluate else []
-    return RunResult(sc, p, sim.trace if keep_trace else [], vds, correct, byz)
+    vds, ix = [], None
+    if evaluate:
+        ix = verdicts._Index(sim.trace, correct)
+        vds = verdicts.evaluate(sim.trace, sc, p, clocks, correct,
+                                lambda: proto, ix)
+    if not keep_trace:
+        return RunResult(sc, p, [], vds, correct, byz)
+    return RunResult(sc, p, sim.trace, vds, correct, byz, ix)
 
 
 def sweep(base: Scenario, axes: Dict[str, list]):

@@ -10,7 +10,8 @@ count k of d/DELAY_STEPS, so a delivery time is the integer ratio
 (tn*D + k*N*td) / (td*D) for now = tn/td and d/DELAY_STEPS = N/D, and an alarm
 at local value u grid units fires at (C*u - B) / A, where (A*t + B) / C is the
 clock in grid units on the alarm's rate segment.  Each event's `Fraction` is
-built once, when it is queued.
+built once, when it is queued; a send set given one delay builds one delivery
+time for all its receivers, so equal times in the queue compare by identity.
 
 Each node's `HardwareClock` gives its floored grid reading at now's integer
 numerator and denominator in exact integer arithmetic: no `Fraction` is read
@@ -167,22 +168,24 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _push(self, num: int, den: int, kind: int, node: int, payload) -> None:
-        """Queue an event at real time num/den (den > 0)."""
+    def _push(self, key: float, t: Fraction, kind: int, node: int,
+              payload) -> None:
+        """Queue an event at real time t, whose float is `key`.
+
+        The float leads the comparison for speed and the exact Fraction
+        settles the rare float ties; for t = num/den, int true division is
+        correctly rounded, so num / den is float(t)."""
         self._seq += 1
         self._actions_this_event += 1
         if self._actions_this_event > MAX_ACTIONS_PER_EVENT:
             raise SimulatorBug("per-event action budget exceeded (runaway handler?)")
-        # The float leads the comparison for speed and the exact Fraction
-        # settles the rare float ties; int true division is correctly
-        # rounded, so num / den is float(Fraction(num, den)).
-        heapq.heappush(self._queue, (num / den, Fraction(num, den), kind, node,
-                                     self._seq, payload))
+        heapq.heappush(self._queue, (key, t, kind, node, self._seq, payload))
 
     def schedule(self, t: Fraction, kind: int, node: int, payload) -> None:
         if t < self.now:
             raise SimulatorBug(f"event at {t} scheduled in the past (now={self.now})")
-        self._push(t.numerator, t.denominator, kind, node, payload)
+        num, den = t.numerator, t.denominator
+        self._push(num / den, Fraction(num, den), kind, node, payload)
 
     def alarm(self, node: int, local_units: int, tag) -> None:
         """Fire a THRESHOLD event when `node`'s clock reaches local_units."""
@@ -192,7 +195,8 @@ class Simulator:
             raise SimulatorBug(f"alarm for node {node} at local "
                                f"{self.p.grid.from_units(local_units)} already passed")
         num, den = clock.invert_units(local_units)
-        self._push(num, den, THRESHOLD, node, (local_units, tag))
+        self._push(num / den, Fraction(num, den), THRESHOLD, node,
+                   (local_units, tag))
 
     def multicast(self, sender: int, envelopes,
                   delay: Optional[int] = None) -> None:
@@ -201,7 +205,9 @@ class Simulator:
         Each distinct envelope object is priced and checked by
         `messages.well_formed` once.  Then, in receiver order, each send draws
         its delay, unless one is given, appends its `send` record and queues
-        its delivery with the envelope's validity."""
+        its delivery with the envelope's validity.  A given delay's delivery
+        time is built once, at the first receiver, and every delivery of the
+        send set shares that one float and one `Fraction`."""
         if envelopes[sender] is not None:
             raise SimulatorBug("self-delivery is local state, not a channel send")
         p = self.p
@@ -218,17 +224,21 @@ class Simulator:
         # after now for 0 < k.
         td, sd = self._now_d, self._step_d
         base, scale, den = self._now_n * sd, self._step_n * td, td * sd
+        t = None
         for receiver, envelope in enumerate(envelopes):
             if envelope is None:
                 continue
-            k = policy(receiver, rng) if delay is None else delay
-            if type(k) is not int or not 0 < k < DELAY_STEPS:
-                raise SimulatorBug(f"delay {k!r} is not an int count of "
-                                   f"d/{DELAY_STEPS} in (0, {DELAY_STEPS})")
+            if delay is None or t is None:
+                k = policy(receiver, rng) if delay is None else delay
+                if type(k) is not int or not 0 < k < DELAY_STEPS:
+                    raise SimulatorBug(f"delay {k!r} is not an int count of "
+                                       f"d/{DELAY_STEPS} in (0, {DELAY_STEPS})")
+                num = base + k * scale
+                key, t = num / den, Fraction(num, den)
             kind, frame, bits, delivery = facts[id(envelope)]
             trace.append(("send", now, sender, receiver, kind, frame, bits,
                           envelope))
-            self._push(base + k * scale, den, DELIVERY, receiver, delivery)
+            self._push(key, t, DELIVERY, receiver, delivery)
 
     def send(self, sender: int, receiver: int, envelope,
              delay: Optional[int] = None) -> None:

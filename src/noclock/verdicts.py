@@ -131,11 +131,14 @@ class _Index:
             rec.nonzero = any(part[2] != 0 for part in rec.parts.values())
 
 
-def evaluate(trace, sc, p: Params, clocks, correct,
-             proto_factory) -> List[Verdict]:
+def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
+             ix: Optional[_Index] = None) -> List[Verdict]:
     """The verdicts on one run's trace; `clocks` are the run's
-    `HardwareClock`s by node, the run's own or fresh ones."""
-    ix = _Index(trace, correct)
+    `HardwareClock`s by node, the run's own or fresh ones.  `ix` is the
+    trace's `_Index` over the same `correct`, if the caller already built
+    it."""
+    if ix is None:
+        ix = _Index(trace, correct)
     duration = frac(sc.duration)
     corrupted = sc.lookup("corruption", "kind") is not clean_boot
     cutoff = p.judging_horizon if corrupted else Fraction(0)
@@ -506,14 +509,17 @@ def _stabilization_suite(ix, judged, cutoff, per_instance) -> Verdict:
                     "repeat_quarantine": repeat})
 
 
-def run_metrics(trace, sc, p: Params, correct) -> dict:
-    """Every number of the metrics export, read from the trace's `_Index`.
+def run_metrics(trace, sc, p: Params, correct,
+                ix: Optional[_Index] = None) -> dict:
+    """Every number of the metrics export, read from the trace's `_Index`
+    (`ix`, if the caller already built it over the same `correct`).
 
     Per correct node: bits sent by layer (`send` records), instances joined
     (`participate` records) and quarantines (`quarantine` records); then the
     same node's bits per `bits_window`, each row carrying the node's counts.
     """
-    ix = _Index(trace, correct)
+    if ix is None:
+        ix = _Index(trace, correct)
     quarantines = Counter(ix.quarantines)
     window = p.bits_window
     count = max(1, int(frac(sc.duration) / window))

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from noclock import cli
+from noclock import cli, verdicts
 from noclock.scenario import Scenario
 
 
@@ -25,6 +26,35 @@ def test_run_writes_outputs_and_exits_zero(scenario_file, tmp_path, capsys):
         "metrics.json", "scenario.json", "trace.jsonl", "verdicts.json"]
     stored = json.loads((out / "verdicts.json").read_text())
     assert all(v["passed"] for v in stored)
+
+
+# The fixture scenario's outputs, pinned before `run` shared one trace index
+# between its verdicts and its metrics export.
+RUN_OUTPUTS = {
+    "trace.jsonl":
+        "59ce1a95061276a11575e26500a30f7400f592fd110db2d853a7b8e6e0692f20",
+    "verdicts.json":
+        "e478716228b5377616a1db733444e39cd4ed7bfa6106bd88f008ba70234ba7f2",
+    "metrics.json":
+        "18548a661b17dbb7be68b39e53a4a92ce624dd400651c0fb76d131f3119a55a6",
+}
+
+
+def test_run_indexes_the_trace_once(scenario_file, tmp_path, capsys,
+                                    monkeypatch):
+    built = []
+    index = verdicts._Index.__init__
+
+    def counted(self, trace, correct):
+        built.append(len(trace))
+        index(self, trace, correct)
+    monkeypatch.setattr(verdicts._Index, "__init__", counted)
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    assert len(built) == 1
+    for name, digest in RUN_OUTPUTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_check_trace_reevaluates(scenario_file, tmp_path, capsys):

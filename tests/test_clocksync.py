@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noclock import adversary, harness, protocols
-from noclock.clocksync import ClockSync
+from noclock.clocksync import ClockRelay, ClockSync
 from noclock.kernel import Simulator
 from noclock.node import NodeRuntime
 from noclock.params import derive
@@ -243,3 +243,57 @@ def test_corrupted_boot_leaves_exact_support_counts(seed):
     cs = rt.clocksync
     assert any(v is None for row in cs.rows for v in row)
     assert cs.support == [recount(cs, x) for x in range(7)]
+
+
+# -- the relay state -------------------------------------------------------------
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.sampled_from([4, 7]))
+def test_relay_broadcasts_what_clock_sync_broadcasts(data, n):
+    """A `ClockRelay` and a `ClockSync` fed the same updates and ticks keep
+    the same relay registers and broadcast the same vectors."""
+    p = derive(n, (n - 1) // 3, "1.1", "1", 8, 38)
+    node = data.draw(st.integers(0, n - 1))
+    relay, full = ClockRelay(p, node), ClockSync(p, node)
+    now = data.draw(st.integers(0, p.update_period))
+    start = data.draw(st.lists(claims(p), min_size=n, max_size=n))
+    for cs in (relay, full):
+        cs.boot_clean(start, now)
+    rows = st.lists(values(p), min_size=n, max_size=n)
+    # Gaps below min_update_gap make stale updates; above max_update_gap a
+    # tick flags the quiet senders.
+    gaps = st.sampled_from([0, 1, p.min_update_gap - 1, p.min_update_gap,
+                            p.update_period, p.max_update_gap + 1])
+    # One period is a legal step; the others break the step check, and None
+    # leaves the sender's own entry empty.
+    steps = st.sampled_from([p.update_period, p.update_period, 0,
+                             p.update_period + 1, -p.update_period, None])
+    for _ in range(data.draw(st.integers(1, 20))):
+        now += data.draw(gaps)
+        op = data.draw(st.sampled_from(["tick", "update", "update", "load"]))
+        if op == "tick":
+            # The tick's own entry is the unbounded local time, so it wraps.
+            tick = now + data.draw(st.sampled_from([0, 0, 1])) * p.clock_modulus
+            assert relay.on_tick(tick) == full.on_tick(tick)
+        elif op == "update":
+            sender = data.draw(st.integers(0, n - 2).map(
+                lambda w: w + (w >= node)))
+            row = data.draw(rows)
+            step, prev = data.draw(steps), relay.claims[sender]
+            if step is None or prev is None:
+                row[sender] = None
+            else:
+                row[sender] = (prev + step) % p.clock_modulus
+            sent = tuple(row)
+            for cs in (relay, full):
+                cs.on_update(sender, sent, now)
+        else:
+            # A corrupted boot writes whole rows, this node's own included.
+            w, row = data.draw(st.integers(0, n - 1)), data.draw(rows)
+            for cs in (relay, full):
+                cs.load_row(w, row)
+        assert relay.report_hold_until == full.report_hold_until
+        assert relay.last_update_at == full.last_update_at
+        assert relay.claims == full.claims == [r[w] for w, r
+                                               in enumerate(full.rows)]

@@ -378,11 +378,16 @@ def test_multicast_equals_a_loop_of_single_sends(data):
 
 @pytest.mark.parametrize("policy, delay", [
     (draws(1, DELAY_STEPS - 1), 0), (draws(1, DELAY_STEPS - 1), DELAY_STEPS),
+    (draws(1, DELAY_STEPS - 1), True), (draws(1, DELAY_STEPS - 1), 0.5),
     (draws(DELAY_STEPS, DELAY_STEPS), None), (lambda *a: 0.5, None)])
 def test_multicast_rejects_a_bad_delay(policy, delay):
-    sim, _ = timed_sim(policy)
+    sim, events = timed_sim(policy)
+    sim.run_until(1)
     with pytest.raises(SimulatorBug):
-        sim.multicast(0, [None, Init(5), Init(5), None], delay)
+        sim.multicast(0, [None, Init(5), Init(5), Init(6)], delay)
+    assert sim.trace == [] and sim._queue == []
+    sim.run_until(3)
+    assert events == []
 
 
 def test_multicast_rejects_a_self_entry():
@@ -391,6 +396,21 @@ def test_multicast_rejects_a_self_entry():
         sim.multicast(2, [Init(5), None, Init(5), None])
     sim.run_until(2)
     assert sim.trace == [] and events == []
+
+
+def test_a_fixed_delay_multicast_shares_one_delivery_time():
+    sim, events = timed_sim(draws(1, DELAY_STEPS - 1))
+    sim.run_until(Fraction(7, 3))
+    state = sim.rng.getstate()
+    sim.multicast(1, [Init(5), None, Update((1, 2, 3, 4)), Init(5)], 300)
+    assert sim.rng.getstate() == state          # no delay was drawn
+    keys = [entry[:2] for entry in sim._queue]
+    assert len(keys) == 3
+    assert all(f is keys[0][0] and t is keys[0][1] for f, t in keys)
+    assert keys[0][1] == Fraction(7, 3) + sim.p.d * Fraction(300, DELAY_STEPS)
+    sim.run_until(4)
+    assert [rec[2] for rec in sim.trace if rec[0] == "recv"] == [0, 2, 3]
+    assert [e[1] for e in events] == [keys[0][1]] * 3
 
 
 def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
