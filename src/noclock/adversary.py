@@ -233,7 +233,7 @@ class ClockSkewNode(SilentNode):
     def on_threshold(self, units, tag):
         p = self.p
         self.claim_units += p.update_period
-        vec = self.clocksync.on_tick(units)
+        vec = list(self.clocksync.on_tick(units))
         vec[self.node] = self.claim_units % p.clock_modulus
         envelopes = [msg.Update(tuple(vec))] * p.n
         envelopes[self.node] = None

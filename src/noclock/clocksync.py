@@ -12,17 +12,23 @@ Consistent behavior therefore regains trust after a fixed quiet period.
 
 The state comes in two layers.  `ClockRelay` is what the broadcast needs:
 each sender's last claim, the time of its last update, the report holds, and
-the pace and step checks.  A byzantine node that relays honestly to stay
-trusted keeps only this.  `ClockSync` extends it with what the estimates
-need: every sender's whole row, the support counts, the trust holds,
-`estimate` and `sanitize`.  Both broadcast the same vector from the same
-updates and ticks.
+the pace and step checks (`_check`).  A byzantine node that relays honestly
+to stay trusted keeps only this.  `ClockSync` extends it with what the
+estimates need: every sender's whole row, the support counts, the set of
+under-supported columns, the trust holds, `estimate`, `estimates` and
+`sanitize`.  Both broadcast the same vector from the same updates and ticks.
 
 The corroboration count is maintained, not recomputed: `support[x]` is the
 number of stored rows whose value for x lies within `relay_band` of x's own
-claim.  Every whole-row write goes through `load_row`, which adjusts only the
-replaced row's contribution to the other columns and recounts the replaced
-node's own column, so one update costs O(n) instead of O(n^2).
+claim, and `low` is the set of columns x other than the node's own with
+`support[x] < n - f`.  Every whole-row write goes through `load_row`, which
+adjusts only the replaced row's changed entries and recounts the replaced
+node's own column, moving a column in or out of `low` as its count crosses
+n - f.  An update therefore costs the row diff plus one column recount, and
+its trust refresh visits only the columns in `low`: O(n), not O(n^2).
+
+Rows are stored as tuples, so an `Update`'s values are kept without a copy,
+and a tick's vector is one tuple: the node's own row and what it broadcasts.
 
 All message-borne clock values are modular; registers indexed by local time
 are unbounded node memory.
@@ -30,10 +36,12 @@ are unbounded node memory.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .params import Params
-from .timebase import expired, mod_signed
+from .timebase import expired
+
+Row = Tuple[Optional[int], ...]
 
 
 class ClockRelay:
@@ -48,49 +56,68 @@ class ClockRelay:
         self.claims: List[Optional[int]] = [None] * n
         self.last_update_at: List[int] = [0] * n     # local time of last update from w
         self.report_hold_until: List[Optional[int]] = [None] * n
+        # Read on every update and tick.
+        self._mod = p.clock_modulus
+        self._period = p.update_period
+        self._min_gap = p.min_update_gap
+        self._max_gap = p.max_update_gap
 
     # -- boot states ----------------------------------------------------------
 
     def boot_clean(self, claims_mod: List[int], now: int) -> None:
         """Idealized warm start: everyone agrees on everyone's claim already."""
+        row = tuple(claims_mod)
         for u in range(self.p.n):
-            self.load_row(u, claims_mod)
+            self.load_row(u, row)
         self.last_update_at = [now] * self.p.n
         self.report_hold_until = [None] * self.p.n
 
     # -- transitions ----------------------------------------------------------
 
-    def on_tick(self, now: int) -> list:
+    def on_tick(self, now: int) -> Row:
         """Periodic broadcast; `now` is the exact tick value (unbounded units).
 
-        Returns the report vector to broadcast.
+        Returns the report vector to broadcast, which is also stored as this
+        node's own row.
         """
-        p = self.p
         v = self.node
         claims = self.claims
-        out: List[Optional[int]] = [None] * p.n
-        for w in range(p.n):
+        last = self.last_update_at
+        held = self.report_hold_until
+        max_gap = self._max_gap
+        out: List[Optional[int]] = [None] * self.p.n
+        for w in range(self.p.n):
             if w == v:
                 continue
-            if now - self.last_update_at[w] > p.max_update_gap:
+            if now - last[w] > max_gap:
                 self._flag(w, now)
-            out[w] = claims[w] if expired(self.report_hold_until[w], now) else None
-        out[v] = now % p.clock_modulus
-        self.load_row(v, out)
-        return out
+            hold = held[w]
+            if hold is None or now >= hold:
+                out[w] = claims[w]
+        out[v] = now % self._mod
+        row = tuple(out)
+        self.load_row(v, row)
+        return row
 
     def on_update(self, sender: int, values, now: int) -> None:
-        """Check an update's pace and step, then store it as the sender's
-        row."""
-        p = self.p
-        w = sender
+        """Check an update's pace and step, then keep the sender's claim."""
+        self._check(sender, values, now)
+        self.claims[sender] = values[sender]
+
+    def _check(self, w: int, values, now: int) -> None:
+        """The pace and step checks of an update from w, before it is stored:
+        flag w if the update came sooner than `min_update_gap` after the last
+        one, or does not advance w's claim by exactly one update period; then
+        note the update's time.
+
+        The step test `(claim - prev) % modulus == update_period` is
+        `mod_signed(claim - prev) == update_period`, as the period is below
+        half the modulus."""
         prev = self.claims[w]
-        stale = now - self.last_update_at[w]
-        step_ok = (prev is not None and values[w] is not None and
-                   mod_signed(values[w] - prev, p.clock_modulus) == p.update_period)
-        if stale < p.min_update_gap or not step_ok:
+        claim = values[w]
+        if (now - self.last_update_at[w] < self._min_gap or prev is None
+                or claim is None or (claim - prev) % self._mod != self._period):
             self._flag(w, now)
-        self.load_row(w, values)
         self.last_update_at[w] = now
 
     def _flag(self, w: int, now: int) -> None:
@@ -110,10 +137,18 @@ class ClockSync(ClockRelay):
         n = p.n
         # rows[u][w]: the clock value u most recently relayed for w (mod), or
         # None; rows[w][w] is claims[w].
-        self.rows: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+        self.rows: List[Row] = [(None,) * n] * n
         # support[x]: how many rows hold a value for x near x's claim.
         self.support: List[int] = [0] * n
+        # low: every column x != node with support[x] < n - f.
+        self.low = set(range(n)) - {node}
         self.trust_hold_until: List[Optional[int]] = [None] * n
+        # A value v is near a claim c on the clock circle iff
+        # (c - v + band) % modulus <= 2 band, as 2 band < modulus.
+        self._band = p.relay_band
+        self._width = 2 * p.relay_band
+        self._need = n - p.f
+        self._regain = p.trust_regain
 
     def boot_clean(self, claims_mod: List[int], now: int) -> None:
         super().boot_clean(claims_mod, now)
@@ -122,25 +157,23 @@ class ClockSync(ClockRelay):
     def on_update(self, sender: int, values, now: int) -> None:
         """Check and store the update as the relay does, then distrust every
         column left with fewer than n - f supporting rows."""
-        # Called directly: building a super() object per update is a
-        # measurable share of a correct node's update.
-        ClockRelay.on_update(self, sender, values, now)
-        v = self.node
-        need = self.p.n - self.p.f
-        regain = now + self.p.trust_regain
-        hold = self.trust_hold_until
-        for x, count in enumerate(self.support):
-            if count < need and x != v:
+        self._check(sender, values, now)
+        self.load_row(sender, values)
+        if self.low:
+            regain = now + self._regain
+            hold = self.trust_hold_until
+            for x in self.low:
                 hold[x] = regain
 
     def _flag(self, w: int, now: int) -> None:
         super()._flag(w, now)
-        self.trust_hold_until[w] = now + self.p.trust_regain
+        self.trust_hold_until[w] = now + self._regain
 
     # -- stored rows ------------------------------------------------------------
 
     def load_row(self, w: int, values) -> None:
-        """Store a copy of `values` as row w and keep `support` exact.
+        """Store `values` as row w (a tuple is kept as it is, anything else is
+        copied into one) and keep `support` and `low` exact.
 
         Row w's value for a column x != w counts toward x's support when it
         lies within `relay_band` of x's claim, which row w does not hold; so
@@ -149,48 +182,54 @@ class ClockSync(ClockRelay):
         """
         rows = self.rows
         old = rows[w]
-        rows[w] = new = list(values)
+        rows[w] = new = tuple(values)
         claims = self.claims
-        claims[w] = new[w]
-        band, width, mod = self._band()
+        claims[w] = own = new[w]
+        band, width, mod, need = self._band, self._width, self._mod, self._need
         support = self.support
-        for x, (val, was, claim) in enumerate(zip(new, old, claims)):
+        low = self.low
+        v = self.node
+        for x, val, was, claim in zip(range(len(new)), new, old, claims):
             if val == was or x == w or claim is None:
                 continue
             if was is not None and (claim - was + band) % mod <= width:
-                support[x] -= 1
-            if val is not None and (claim - val + band) % mod <= width:
+                if val is None or (claim - val + band) % mod > width:
+                    support[x] -= 1
+                    if support[x] < need and x != v:
+                        low.add(x)
+            elif val is not None and (claim - val + band) % mod <= width:
                 support[x] += 1
-        support[w] = self._count(w)
-
-    def _band(self):
-        """(band, 2 band, modulus): a value v is near a claim c on the clock
-        circle iff (c - v + band) % modulus <= 2 band, as 2 band < modulus."""
-        band = self.p.relay_band
-        return band, 2 * band, self.p.clock_modulus
-
-    def _count(self, x: int) -> int:
-        """From-scratch support of x's claim: rows within `relay_band` of it."""
-        claim = self.claims[x]
-        if claim is None:
-            return 0
-        band, width, mod = self._band()
+                if support[x] >= need:
+                    low.discard(x)
         count = 0
-        for row in self.rows:
-            val = row[x]
-            if val is not None and (claim - val + band) % mod <= width:
-                count += 1
-        return count
+        if own is not None:
+            own += band                   # the claim's side of the test
+            for row in rows:
+                val = row[w]
+                if val is not None and (own - val) % mod <= width:
+                    count += 1
+        support[w] = count
+        if count >= need:
+            low.discard(w)
+        elif w != v:
+            low.add(w)
 
     # -- queries --------------------------------------------------------------
 
     def estimate(self, w: int, now: int) -> Optional[int]:
         """Trusted clock estimate of w (modular), or None while distrusted."""
         if w == self.node:
-            return now % self.p.clock_modulus
+            return now % self._mod
         if expired(self.trust_hold_until[w], now):
             return self.claims[w]
         return None
+
+    def estimates(self, now: int) -> Row:
+        """Every node's `estimate` at `now`, in one pass."""
+        out = [claim if hold is None or now >= hold else None
+               for claim, hold in zip(self.claims, self.trust_hold_until)]
+        out[self.node] = now % self._mod
+        return tuple(out)
 
     def sanitize(self, now: int) -> None:
         """Clamp registers a corrupted boot may have left in the future."""

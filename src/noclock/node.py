@@ -112,10 +112,8 @@ class NodeRuntime:
     # -- the periodic tick --------------------------------------------------------
 
     def _tick(self, units: int) -> None:
-        vec = self.clocksync.on_tick(units)
-        self.broadcast(msg.Update(tuple(vec)))
-        ests = tuple(self.clocksync.estimate(w, units) for w in range(self.p.n))
-        self.log("est", ests)
+        self.broadcast(msg.Update(self.clocksync.on_tick(units)))
+        self.log("est", self.clocksync.estimates(units))
         self.clocksync.sanitize(units)
         self.initiation.sweep(units)
         self.rounds.sweep(units)

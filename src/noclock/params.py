@@ -253,5 +253,6 @@ def _check(p: Params) -> None:
     assert p.clock_modulus % p.update_period == 0
     assert p.clock_modulus > 8 * p.trust_regain
     assert p.clock_modulus > 2 * p.relay_band     # ClockSync's band test
+    assert p.clock_modulus > 2 * p.update_period  # ClockRelay's step test
     assert g.from_units(p.max_update_gap) <= (2 * p.theta**2 + p.theta) * p.d_clk + g.quantum
     assert g.from_units(p.relay_band) <= (2 * p.theta**2 + 4 * p.theta) * p.d_clk + g.quantum

@@ -150,8 +150,14 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The scenario a JSON file holds; a file that is not UTF-8 JSON
+        is a `ScenarioError`, like one that holds no valid scenario."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+                raise ScenarioError([f"{path}: not JSON: {exc}"]) from None
+        return cls.from_dict(data)
 
 
 def _reject_floats(obj, path: str) -> None:

@@ -86,6 +86,36 @@ def test_invalid_scenario_exits_two(tmp_path, capsys):
     assert "f < n/3" in capsys.readouterr().err
 
 
+NOT_JSON = [b'{"n": 4,', b"\x80\xff\x00binary\xfe"]
+
+
+@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "binary"])
+def test_run_on_a_file_that_is_not_json_exits_two(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("scenario invalid:")
+    assert f"{bad}: not JSON" in out.err
+    assert cli.main(["sweep", "--scenario", str(bad),
+                     "--axis", "seed=1,2"]) == 2
+    assert f"{bad}: not JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "binary"])
+def test_check_trace_on_a_scenario_that_is_not_json_exits_two(
+        scenario_file, tmp_path, capsys, content):
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "scenario.json").write_bytes(content)
+    assert cli.main(["check-trace", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario invalid:")
+    assert "scenario.json: not JSON" in err
+
+
 def test_unknown_strategy_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"adversary": {"byzantine": "silnt"}}))

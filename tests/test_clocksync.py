@@ -15,7 +15,7 @@ from noclock.kernel import Simulator
 from noclock.node import NodeRuntime
 from noclock.params import derive
 from noclock.scenario import Scenario
-from noclock.timebase import mod_near
+from noclock.timebase import mod_near, mod_signed
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def test_update_with_exact_step_accepted(p):
     incoming = [0, 2044, 0, 0]               # 102.2 = +2.2 exactly
     cs.on_update(1, incoming, 40)            # arrives 2.0 local later
     assert cs.trust_hold_until[1] is None
-    assert cs.rows[1] == incoming
+    assert cs.rows[1] == tuple(incoming)
     assert cs.last_update_at[1] == 40
 
 
@@ -204,9 +204,28 @@ def values(p):
     return st.one_of(st.none(), claims(p))
 
 
+def low_reference(cs):
+    """The under-supported columns from scratch: every x but the node's own
+    whose claim fewer than n - f rows support."""
+    need = cs.p.n - cs.p.f
+    return {x for x in range(cs.p.n)
+            if x != cs.node and recount(cs, x) < need}
+
+
+def flagged_by_checks(cs, sender, values, now):
+    """Whether an update fails the pace or step check, by their definitions."""
+    p = cs.p
+    prev, claim = cs.claims[sender], values[sender]
+    return (now - cs.last_update_at[sender] < p.min_update_gap
+            or prev is None or claim is None
+            or mod_signed(claim - prev, p.clock_modulus) != p.update_period)
+
+
 @settings(max_examples=150)
 @given(data=st.data(), n=st.sampled_from([4, 7]))
 def test_support_counts_equal_a_recount(data, n):
+    """`support` and `low` stay equal to a recount after every write, and an
+    update sets exactly the trust holds the rule names."""
     p = derive(n, (n - 1) // 3, "1.1", "1", 8, 38)
     node = data.draw(st.integers(0, n - 1))
     cs = ClockSync(p, node)
@@ -225,10 +244,57 @@ def test_support_counts_equal_a_recount(data, n):
             # Any node but this one.
             sender = data.draw(st.integers(0, n - 2).map(
                 lambda w: w + (w >= node)))
-            cs.on_update(sender, data.draw(rows), now)
+            row = data.draw(rows)
+            prev = cs.claims[sender]
+            if prev is not None and data.draw(st.booleans()):
+                row[sender] = (prev + p.update_period) % p.clock_modulus
+            flagged = flagged_by_checks(cs, sender, row, now)
+            before = list(cs.trust_hold_until)
+            cs.on_update(sender, row, now)
+            low = low_reference(cs)
+            assert cs.trust_hold_until == [
+                now + p.trust_regain if x in low or (x == sender and flagged)
+                else before[x] for x in range(n)]
         else:
             cs.load_row(data.draw(st.integers(0, n - 1)), data.draw(rows))
         assert cs.support == [recount(cs, x) for x in range(n)]
+        assert cs.low == low_reference(cs)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.sampled_from([4, 7]))
+def test_estimates_equal_estimate_per_node(data, n):
+    """The one-pass `estimates` record is `estimate` for every node, with
+    trust holds unset, running, just expiring and long expired."""
+    p = derive(n, (n - 1) // 3, "1.1", "1", 8, 38)
+    node = data.draw(st.integers(0, n - 1))
+    cs = ClockSync(p, node)
+    cs.boot_clean(data.draw(st.lists(claims(p), min_size=n, max_size=n)), 0)
+    cs.load_row(data.draw(st.integers(0, n - 1)),
+                data.draw(st.lists(values(p), min_size=n, max_size=n)))
+    now = data.draw(st.integers(0, 3 * p.trust_regain))
+    cs.trust_hold_until = data.draw(st.lists(
+        st.sampled_from([None, 0, now - 1, now, now + 1, now + p.trust_regain]),
+        min_size=n, max_size=n))
+    assert cs.estimates(now) == tuple(cs.estimate(w, now) for w in range(n))
+
+
+def test_tick_vector_is_the_stored_own_row(p):
+    cs = healthy(p, node=2)
+    vec = cs.on_tick(88)
+    assert type(vec) is tuple
+    assert cs.rows[2] is vec
+
+
+def test_load_row_keeps_no_alias_of_a_list(p):
+    cs = healthy(p)
+    row = [0, 44, 44, 44]
+    cs.load_row(1, row)
+    row[2] = 5000
+    row[1] = None
+    assert cs.rows[1] == (0, 44, 44, 44)
+    assert cs.claims[1] == 44
+    assert cs.support == [recount(cs, x) for x in range(4)]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -243,6 +309,7 @@ def test_corrupted_boot_leaves_exact_support_counts(seed):
     cs = rt.clocksync
     assert any(v is None for row in cs.rows for v in row)
     assert cs.support == [recount(cs, x) for x in range(7)]
+    assert cs.low == low_reference(cs)
 
 
 # -- the relay state -------------------------------------------------------------
@@ -275,7 +342,9 @@ def test_relay_broadcasts_what_clock_sync_broadcasts(data, n):
         if op == "tick":
             # The tick's own entry is the unbounded local time, so it wraps.
             tick = now + data.draw(st.sampled_from([0, 0, 1])) * p.clock_modulus
-            assert relay.on_tick(tick) == full.on_tick(tick)
+            sent = relay.on_tick(tick)
+            assert type(sent) is tuple
+            assert sent == full.on_tick(tick)
         elif op == "update":
             sender = data.draw(st.integers(0, n - 2).map(
                 lambda w: w + (w >= node)))
