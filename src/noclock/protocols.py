@@ -1,14 +1,21 @@
 """Synchronous consensus plugins and the silent-consensus wrapper.
 
-A plugin is a stateless object, one per run, describing a pure state machine
-over rounds 1..R:
+A plugin is an object, one per run, describing a pure state machine over
+rounds 1..R:
 
     fresh(input_bit, index) -> state             # state["self"] is the node index
     step(state, i, received) -> (state, sends)   # received: payloads of round
                                                  # i-1 (None entries allowed),
-                                                 # ignored for i == 1
+                                                 # None for i == 1
     finish(state, received) -> output bit        # received: round-R payloads
     missing_payload(i, sender) -> payload        # canonical stand-in
+
+`received` and `sends` are tuples with one entry per node, in node order.
+A plugin keeps no state between calls: all a node knows lives in `state`, so
+equal inputs (input bit, index, received tuples) give equal sends and equal
+output, whatever other executions ran on the same plugin object in between.
+The oracle-equivalence verdict relies on this to replay each distinct
+execution once.
 
 Payloads are bit tuples; `None` means "no message".  `SilentWrapper` turns any
 such plugin into one that sends nothing when every correct input is 0: two
@@ -92,7 +99,7 @@ class PhaseKing:
             out = (0, 0) if p is None else (1, p)
         else:
             out = (state["value"],) if self._king(i) == state["self"] else ()
-        return state, [out] * self.n
+        return state, (out,) * self.n
 
     def finish(self, state: dict, received: Sequence[Optional[Payload]]) -> int:
         self._absorb(state, self.rounds, received)
@@ -127,23 +134,23 @@ class SilentWrapper:
     def _ones(self, received: Sequence[Optional[Payload]]) -> int:
         return sum(1 for m in received if m == ONE)
 
-    def _canonical(self, j: int, received: Sequence[Optional[Payload]]) -> list:
-        return [m if m is not None else self.inner.missing_payload(j, u)
-                for u, m in enumerate(received)]
+    def _canonical(self, j: int, received: Sequence[Optional[Payload]]) -> tuple:
+        return tuple([m if m is not None else self.inner.missing_payload(j, u)
+                      for u, m in enumerate(received)])
 
     def step(self, state: dict, i: int,
              received: Optional[Sequence[Optional[Payload]]]) -> tuple:
         n = self.n
         if i == 1:
             out = ONE if state["input"] == 1 else None
-            return state, [out] * n
+            return state, (out,) * n
         if i == 2:
             state["r1_ones"] = self._ones(received)
             if state["r1_ones"] < n - self.f:
                 state["input"] = 0
             state["inner_active"] = state["r1_ones"] >= self.f + 1
             out = ONE if state["input"] == 1 else None
-            return state, [out] * n
+            return state, (out,) * n
         # Rounds 3..R+2 carry the inner protocol's rounds 1..R.
         j = i - 2
         if i == 3:
@@ -153,12 +160,12 @@ class SilentWrapper:
             if state["inner_active"]:
                 state["inner"] = self.inner.fresh(state["input"], state["self"])
         if not state["inner_active"] or state["aborted"]:
-            return state, [None] * n
+            return state, (None,) * n
         if state["inner"] is None:
             # Rounds fired out of order (possible only from a corrupted boot
             # state); the inner run is undefined, so abort locally.
             state["aborted"] = True
-            return state, [None] * n
+            return state, (None,) * n
         prev = self._canonical(j - 1, received) if j > 1 else None
         state["inner"], sends = self.inner.step(state["inner"], j, prev)
         cost = sum(len(m) for u, m in enumerate(sends)
@@ -166,8 +173,8 @@ class SilentWrapper:
         state["inner_bits"] += cost
         if state["inner_bits"] > self.inner.bit_bound:
             state["aborted"] = True
-            return state, [None] * n
-        return state, list(sends)
+            return state, (None,) * n
+        return state, tuple(sends)
 
     def finish(self, state: dict, received: Sequence[Optional[Payload]]) -> int:
         if (not state["inner_active"] or state["aborted"]
@@ -211,17 +218,16 @@ def run_lockstep(proto, inputs: Dict[int, int], n: int,
               if v in participants}
     sent: Dict[int, dict] = {}
     received: Dict[int, dict] = {}
-    last_received = {v: [None] * n for v in states}
+    last_received = {v: (None,) * n for v in states}
     for i in range(1, proto.rounds + 1):
         sent[i] = {}
         for v in states:
             prev = None if i == 1 else last_received[v]
-            states[v], sends = proto.step(states[v], i, prev)
-            sent[i][v] = list(sends)
+            states[v], sent[i][v] = proto.step(states[v], i, prev)
         for u, fn in byzantine.items():
-            sent[i][u] = [fn(i, w) for w in range(n)]
-        received[i] = {v: [sent[i][u][v] if u in sent[i] else None
-                           for u in range(n)]
+            sent[i][u] = tuple([fn(i, w) for w in range(n)])
+        received[i] = {v: tuple([sent[i][u][v] if u in sent[i] else None
+                                 for u in range(n)])
                        for v in states}
         last_received = received[i]
     outputs = {v: proto.finish(states[v], last_received[v]) for v in states}
@@ -232,7 +238,7 @@ def replay(proto, index: int, input_bit: int,
            received_by_round: Sequence[Sequence[Optional[Payload]]]) -> int:
     """Re-run one node's recorded execution through the plugin state machine.
 
-    received_by_round[k] is the payload vector the node fed to its round-(k+1)
+    received_by_round[k] is the payload tuple the node fed to its round-(k+1)
     computation; the last entry feeds the output computation.
     """
     state = proto.fresh(input_bit, index)

@@ -108,15 +108,15 @@ class Rounds:
         received = None
         if i > 1:
             prev = inst.inbox[i - 1]
-            received = [prev.get(u) for u in range(p.n)]
-            self.rt.log("rrcv", inst.label, i - 1, tuple(received))
+            received = tuple(map(prev.get, range(p.n)))
+            self.rt.log("rrcv", inst.label, i - 1, received)
         if i == rounds + 1:
             output = self.proto.finish(inst.state, received)
             inst.done = True
             self.rt.log("output", inst.label, output, "ok")
             return
         inst.state, sends = self.proto.step(inst.state, i, received)
-        self.rt.log("remit", inst.label, i, tuple(sends))
+        self.rt.log("remit", inst.label, i, sends)
         if i >= 3 or any(m is not None for m in sends):
             inst.nontrivial = True
         # One envelope and one price per distinct payload; the receivers in

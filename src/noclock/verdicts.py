@@ -19,7 +19,11 @@ which is time order.  After it, exact times are compared per window (a
 bisection for each edge of an amortized-bits window), per instance (the
 timing constants, each divided by its pace once) and per sample (one integer
 clock reading per estimate, each clock's cursor walking forward, and one
-float time per envelope sample).
+float time per envelope sample).  The oracle-equivalence suite runs the
+plugin once per distinct execution, not once per judged one: executions with
+equal (node, input bit, received tuples) share one replay within an
+`evaluate` call, and a run that starts many instances from the same inputs
+repeats few distinct ones.
 """
 
 from __future__ import annotations
@@ -180,8 +184,13 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
 
 
 def _replay_suite(judged, p, proto) -> Verdict:
+    """Replay every judged execution of a correct node and compare outputs.
+    The plugin is a pure state machine, so equal executions share one
+    replay."""
     bad = []
     checked = 0
+    rounds = range(1, p.rounds + 1)
+    replayed = {}   # (node, input bit, received tuples) -> replayed output
     for label, rec in judged:
         if not rec.nonzero:
             continue
@@ -196,16 +205,15 @@ def _replay_suite(judged, p, proto) -> Verdict:
                 bad.append(("forced_termination", label, node, reason))
                 continue
             rounds_seen = rec.received.get(node, {})
-            received = []
-            for i in range(1, p.rounds + 1):
-                if i not in rounds_seen:
-                    received = None
-                    bad.append(("missing_round_record", label, node, i))
-                    break
-                received.append(rounds_seen[i])
-            if received is None:
+            try:
+                key = (node, input_bit, tuple([rounds_seen[i] for i in rounds]))
+            except KeyError as missing:
+                bad.append(("missing_round_record", label, node,
+                            missing.args[0]))
                 continue
-            got = replay(proto, node, input_bit, received)
+            got = replayed.get(key)
+            if got is None:
+                got = replayed[key] = replay(proto, node, input_bit, key[2])
             checked += 1
             if got != value:
                 bad.append(("replay_mismatch", label, node, got, value))

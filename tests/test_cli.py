@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from noclock import cli, verdicts
+from noclock import cli, harness, verdicts
 from noclock.scenario import Scenario
 
 
@@ -55,6 +55,13 @@ def test_run_indexes_the_trace_once(scenario_file, tmp_path, capsys,
     assert len(built) == 1
     for name, digest in RUN_OUTPUTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    # The shared index gives the metrics a fresh one gives.
+    sc = Scenario.load(scenario_file)
+    _rng, p, _byz, correct, _offsets, _clocks = harness.build_env(sc)
+    trace = verdicts.trace_from_jsonl((out / "trace.jsonl").read_text(), sc.n)
+    fresh = json.loads(json.dumps(verdicts.run_metrics(trace, sc, p, correct)))
+    assert len(built) == 2
+    assert json.loads((out / "metrics.json").read_text()) == fresh
 
 
 def test_check_trace_reevaluates(scenario_file, tmp_path, capsys):

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from noclock import harness, verdicts
 from noclock.protocols import (ONE, PROTOCOLS, PhaseKing, SilentWrapper,
                                make_protocol, phase_king_silent, replay,
                                run_lockstep)
@@ -217,3 +219,113 @@ def test_wrapper_agreement_validity_under_random_byzantine_matrices():
         assert len(vals) == 1, (trial, inputs, outputs)
         if len(set(inputs.values())) == 1:
             assert vals == {inputs[correct[0]]}
+
+
+# -- the plugin contract -------------------------------------------------------
+
+
+class SpyPlugin:
+    """The silent phase king, noting the type of every vector it takes or
+    gives."""
+
+    def __init__(self, n, f, seen):
+        self.inner = phase_king_silent(n, f)
+        self.rounds = self.inner.rounds
+        self.bit_bound = self.inner.bit_bound
+        self.seen = seen
+
+    def fresh(self, input_bit, index):
+        return self.inner.fresh(input_bit, index)
+
+    def step(self, state, i, received):
+        if i > 1:
+            self.seen.append(("received", type(received)))
+        state, sends = self.inner.step(state, i, received)
+        self.seen.append(("sends", type(sends)))
+        return state, sends
+
+    def finish(self, state, received):
+        self.seen.append(("received", type(received)))
+        return self.inner.finish(state, received)
+
+    def missing_payload(self, i, sender):
+        return self.inner.missing_payload(i, sender)
+
+
+def test_the_plugin_takes_and_gives_tuples_in_the_run_and_in_replay(
+        monkeypatch):
+    seen = []
+    monkeypatch.setitem(PROTOCOLS, "spy", lambda n, f: SpyPlugin(n, f, seen))
+    sc = Scenario(n=4, f=1, theta="1.1", duration="110", seed=3,
+                  protocol={"name": "spy"},
+                  adversary={"byzantine": "silent", "byzantine_set": [3]},
+                  script=[{"t": "8", "node": 0, "action": "initiate"}])
+    res = harness.run(sc, evaluate=False)
+    assert set(seen) == {("received", tuple), ("sends", tuple)}
+    remits = [rec[5] for rec in res.trace if rec[0] == "remit"]
+    assert remits and all(type(vec) is tuple for vec in remits)
+    seen.clear()
+    vds = verdicts.evaluate(res.trace, sc, res.params, harness.build_env(sc)[5],
+                            res.correct, lambda: SpyPlugin(4, 1, seen))
+    replayed = next(v for v in vds if v.name == "oracle-equivalence")
+    assert replayed.passed and replayed.measured["instances_replayed"] == 3
+    assert set(seen) == {("received", tuple), ("sends", tuple)}
+
+
+PAYLOADS = st.one_of(
+    st.sampled_from([None, (), (0,), (1,), (0, 0), (1, 0), (1, 1)]),
+    st.lists(st.integers(0, 1), max_size=3).map(tuple))
+
+
+@st.composite
+def executions(draw):
+    """A plugin and a few executions of it: (index, input bit, received
+    tuples per round).  Each vector mostly repeats one payload, so the
+    quorum rules fire as well as fail."""
+    n, f = draw(st.sampled_from([(4, 1), (7, 2)]))
+    make = draw(st.sampled_from([PhaseKing, phase_king_silent]))
+    rounds = make(n, f).rounds
+
+    @st.composite
+    def vector(draw):
+        base = draw(PAYLOADS)
+        return tuple(draw(st.one_of(st.just(base), PAYLOADS))
+                     for _ in range(n))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, 1),
+                  st.lists(vector(), min_size=rounds,
+                           max_size=rounds).map(tuple)),
+        min_size=1, max_size=4))
+    return lambda: make(n, f), runs
+
+
+def calls(proto, index, input_bit, received):
+    """One execution on `proto`, one plugin call per `next`: each round's
+    sends, then the output."""
+    state = proto.fresh(input_bit, index)
+    for i in range(1, proto.rounds + 1):
+        state, sends = proto.step(state, i,
+                                  None if i == 1 else received[i - 2])
+        yield sends
+    yield proto.finish(state, received[proto.rounds - 1])
+
+
+@settings(max_examples=40)
+@given(executions(), st.randoms(use_true_random=False))
+def test_replay_output_depends_only_on_its_inputs(case, rnd):
+    make, runs = case
+    alone = [list(calls(make(), *run)) for run in runs]
+    # One plugin object, the executions replayed in a shuffled order, twice.
+    shared = make()
+    order = list(range(len(runs))) * 2
+    rnd.shuffle(order)
+    for k in order:
+        assert replay(shared, *runs[k]) == alone[k][-1]
+    # The same object, the executions' calls interleaved one by one.
+    running = [calls(shared, *run) for run in runs]
+    schedule = [k for k in range(len(runs)) for _ in range(shared.rounds + 1)]
+    rnd.shuffle(schedule)
+    trails = [[] for _ in runs]
+    for k in schedule:
+        trails[k].append(next(running[k]))
+    assert trails == alone

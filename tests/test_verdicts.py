@@ -60,6 +60,88 @@ def test_tampered_receipt_breaks_replay_coherence(good_run):
     assert not by_name(vds, "oracle-equivalence").passed
 
 
+@pytest.fixture(scope="module")
+def repeated_run():
+    """Three instances whose executions repeat: every node joins each with
+    input 1 and hears the same vectors, so each node has one distinct
+    execution."""
+    sc = Scenario(n=4, f=1, theta="1.1", duration="110", seed=3,
+                  adversary={"byzantine": "silent", "delays": "uniform",
+                             "byzantine_set": [3]},
+                  oracle={"kind": "const", "value": 1},
+                  script=[{"t": str(t), "node": v, "action": "initiate"}
+                          for t, v in [(8, 0), (30, 1), (52, 2)]])
+    res = harness.run(sc)
+    assert res.passed
+    return sc, res
+
+
+def test_replay_runs_once_per_distinct_execution(repeated_run, monkeypatch):
+    sc, res = repeated_run
+    calls = []
+    real = verdicts.replay
+
+    def counted(proto, index, input_bit, received):
+        calls.append((index, input_bit, received))
+        return real(proto, index, input_bit, received)
+    monkeypatch.setattr(verdicts, "replay", counted)
+    oracle = by_name(reevaluate(sc, res, res.trace), "oracle-equivalence")
+    assert oracle.passed and oracle.measured["instances_replayed"] == 9
+    assert len(calls) == len(set(calls)) == 3
+
+
+def last_judged_output(trace):
+    """The index of the first output record of the instance judged last, so
+    its execution repeats one replayed before it."""
+    label = max(r[3] for r in trace if r[0] == "output")
+    return next(i for i, r in enumerate(trace)
+                if r[0] == "output" and r[3] == label)
+
+
+def test_a_repeated_execution_with_a_flipped_output_still_mismatches(
+        repeated_run):
+    sc, res = repeated_run
+    trace = list(res.trace)
+    idx = last_judged_output(trace)
+    r = trace[idx]
+    trace[idx] = (r[0], r[1], r[2], r[3], 1 - r[4], r[5])
+    untampered = by_name(res.verdicts, "oracle-equivalence")
+    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    assert not oracle.passed
+    assert ("replay_mismatch", r[3], r[2], r[4], 1 - r[4]) in \
+        oracle.counterexample
+    assert oracle.measured["instances_replayed"] == \
+        untampered.measured["instances_replayed"]
+
+
+def test_a_repeated_execution_with_a_tampered_receipt_fails(repeated_run):
+    sc, res = repeated_run
+    trace = list(res.trace)
+    out = trace[last_judged_output(trace)]
+    idx = next(i for i, r in enumerate(trace)
+               if r[0] == "rrcv" and r[2:5] == (out[2], out[3], 1))
+    r = trace[idx]
+    vec = list(r[5])
+    vec[(r[2] + 1) % 3] = None
+    trace[idx] = (r[0], r[1], r[2], r[3], r[4], tuple(vec))
+    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    assert not oracle.passed
+    assert any(cex[1] == out[3] for cex in oracle.counterexample)
+
+
+def test_missing_receipt_is_named_not_replayed(good_run):
+    sc, res = good_run
+    trace = list(res.trace)
+    r = next(r for r in trace if r[0] == "rrcv" and r[4] == 4)
+    trace.remove(r)
+    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    assert not oracle.passed
+    assert ("missing_round_record", r[3], r[2], 4) in oracle.counterexample
+    assert oracle.measured["instances_replayed"] == \
+        by_name(res.verdicts, "oracle-equivalence").measured[
+            "instances_replayed"] - 1
+
+
 def test_missing_participant_breaks_timing(good_run):
     sc, res = good_run
     trace = [r for r in res.trace
