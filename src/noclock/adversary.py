@@ -72,6 +72,8 @@ DELAYS = {
 
 
 def _random_steps(theta: Fraction, duration: Fraction, rng):
+    if theta == 1:
+        return [(0, Fraction(1))]     # one rate: nothing to draw
     segs = []
     t = Fraction(0)
     while t < duration:
@@ -81,18 +83,13 @@ def _random_steps(theta: Fraction, duration: Fraction, rng):
     return segs
 
 
+# Each schedule is `schedule(theta, duration, rng)`: piecewise-constant rates
+# in [1, theta], as (start, rate) segments.
 RATE_SCHEDULES = {
     "fixed_min": lambda theta, duration, rng: [(0, Fraction(1))],
     "fixed_max": lambda theta, duration, rng: [(0, theta)],
     "random_steps": _random_steps,
 }
-
-
-def make_rate_schedule(schedule, theta: Fraction, duration: Fraction, rng):
-    """Piecewise-constant rates in [1, theta] from a `RATE_SCHEDULES` entry."""
-    if theta == 1:
-        return [(0, Fraction(1))]
-    return schedule(theta, duration, rng)
 
 
 # -- byzantine strategies ----------------------------------------------------------
@@ -102,10 +99,10 @@ class SilentNode:
     """Sends nothing, ever.  The handlers that do not run the honest node
     stack inherit its no-op event methods."""
 
-    def __init__(self, sim, node, p: Params, proto=None, oracle=None):
+    def __init__(self, sim, node, proto=None, oracle=None):
         self.sim = sim
         self.node = node
-        self.p = p
+        self.p = sim.p
 
     def start(self):
         pass
@@ -218,10 +215,10 @@ class ClockSkewNode(SilentNode):
     PACES = {"fastest": (True,), "slowest": (False,),
              "alternating": (True, False)}
 
-    def __init__(self, sim, node, p: Params, proto=None, oracle=None, *, pace):
-        super().__init__(sim, node, p)
+    def __init__(self, sim, node, proto=None, oracle=None, *, pace):
+        super().__init__(sim, node)
         self.pace = itertools.cycle(pace)
-        self.clocksync = ClockRelay(p, node)
+        self.clocksync = ClockRelay(self.p, node)
         self.claim_units = 0          # unbounded claim counter, period grid
 
     def start(self):
@@ -259,11 +256,11 @@ STRATEGIES = {
 }
 
 
-def make_byzantine(cls, sim, node: int, p: Params, proto, oracle, pace):
+def make_byzantine(cls, sim, node: int, proto, oracle, pace):
     """A `STRATEGIES` entry's handler; only `ClockSkewNode` reads `pace`."""
     if cls is ClockSkewNode:
-        return cls(sim, node, p, proto, oracle, pace=pace)
-    return cls(sim, node, p, proto, oracle)
+        return cls(sim, node, proto, oracle, pace=pace)
+    return cls(sim, node, proto, oracle)
 
 
 # -- input oracles ------------------------------------------------------------------
@@ -271,44 +268,46 @@ def make_byzantine(cls, sim, node: int, p: Params, proto, oracle, pace):
 
 def _const_oracle(config: dict, seed: int):
     value = config.get("value", 1)
-    return lambda label, node, now: value
+    return lambda label, node: value
 
 
 def _mixed_oracle(config: dict, seed: int):
-    def oracle(label, node, now):
+    def oracle(label, node):
         x = (label[0] * 1000003 + label[1] * 7919 + node * 104729 + seed)
         return (x * 2654435761 >> 7) & 1
     return oracle
 
 
-# Each kind is `oracle(config, seed)`, which gives the input bit of each
-# correct node in each instance it joins.
+# Each kind is `kind(config, seed)`, which gives the run's oracle: the input
+# bit `oracle(label, node)` of each correct node in each instance it joins.
 ORACLES = {"const": _const_oracle, "mixed": _mixed_oracle}
 
 
 # -- boot states ---------------------------------------------------------------------
 
 
-def clean_boot(sim, p: Params, rng, runtimes) -> None:
+def clean_boot(sim, rng, runtimes) -> None:
     """Every handler with a clock layer (a `ClockSync` or a `ClockRelay`),
     byzantine ones included, starts knowing everyone's claim.  At time 0 each clock reads its offset,
     which lies on the update-period grid, so each reading is exact and is
     that clock's claim."""
-    units = [sim.local_units(w) for w in range(p.n)]
-    claims = [u % p.clock_modulus for u in units]
+    units = [sim.local_units(w) for w in range(sim.p.n)]
+    claims = [u % sim.p.clock_modulus for u in units]
     for v, handler in sim.handlers.items():
         if hasattr(handler, "clocksync"):
             handler.clocksync.boot_clean(claims, units[v])
 
 
-def corrupted_boot(sim, p: Params, rng, runtimes) -> None:
+def corrupted_boot(sim, rng, runtimes) -> None:
     """Arbitrary correct-node registers and channel contents."""
-    horizon = 4 * p.stall_after
+    horizon = 4 * sim.p.stall_after
     for rt in runtimes.values():
         corrupt_runtime(rt, rng, horizon)
-    random_garbage(sim, p, rng)
+    random_garbage(sim, rng)
 
 
+# Each boot is `boot(sim, rng, runtimes)`; it runs once, before any handler
+# starts.  `runtimes` maps each correct node to its `NodeRuntime`.
 BOOTS = {"none": clean_boot, "random": corrupted_boot}
 
 
@@ -324,15 +323,16 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
     now = rt.sim.local_units(rt.node)
     span = 2 * p.trust_regain
 
+    def unset_or_near():   # a register: unset, or within `span` of now
+        return None if rng.random() < 0.5 else now + rng.randint(-span, span)
+
     cs = rt.clocksync
     for u in range(n):
         cs.load_row(u, [None if rng.random() < 0.25
                         else rng.randrange(p.clock_modulus) for _ in range(n)])
         cs.last_update_at[u] = now + rng.randint(-span, span)
-        cs.report_hold_until[u] = (None if rng.random() < 0.5
-                                   else now + rng.randint(-span, span))
-        cs.trust_hold_until[u] = (None if rng.random() < 0.5
-                                  else now + rng.randint(-span, span))
+        cs.report_hold_until[u] = unset_or_near()
+        cs.trust_hold_until[u] = unset_or_near()
 
     ini = rt.initiation
     for _ in range(rng.randint(0, 3 * n)):
@@ -347,9 +347,8 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
             if now < deadline <= now + horizon_units:
                 rt.alarm(deadline, (ini.on_gate, label))
     for w in range(n):
-        ini.last_init_rx[w] = (None if rng.random() < 0.5
-                               else now + rng.randint(-span, span))
-    ini.last_own_init = None if rng.random() < 0.5 else now + rng.randint(-span, span)
+        ini.last_init_rx[w] = unset_or_near()
+    ini.last_own_init = unset_or_near()
 
     rounds = rt.rounds
     count = rng.randint(0, 4)
@@ -392,8 +391,9 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
         guard.suppress_until = now + rng.randint(0, 4 * p.quarantine_hold)
 
 
-def random_garbage(sim, p: Params, rng) -> None:
+def random_garbage(sim, rng) -> None:
     """Arbitrary channel contents delivered before time d."""
+    p = sim.p
     for s in range(p.n):
         for r in range(p.n):
             if s == r:

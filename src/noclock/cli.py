@@ -84,7 +84,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_trace(args) -> int:
-    from . import protocols
     sc = Scenario.load(os.path.join(args.dir, "scenario.json"))
     with open(os.path.join(args.dir, "trace.jsonl")) as fh:
         try:
@@ -94,8 +93,7 @@ def _cmd_check_trace(args) -> int:
             return 2
     _rng, p, _byz, correct, _offsets, clocks = harness.build_env(sc)
     vds = verdicts.evaluate(trace, sc, p, clocks, correct,
-                            lambda: protocols.make_protocol(
-                                sc.protocol["name"], sc.n, sc.f))
+                            lambda: sc.lookup("protocol", "name")(sc.n, sc.f))
     for v in vds:
         flag = "PASS" if v.passed else "FAIL"
         print(f"[{flag}] {v.name}  {v.measured}")

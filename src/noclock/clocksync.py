@@ -70,7 +70,6 @@ class ClockRelay:
         for u in range(self.p.n):
             self.load_row(u, row)
         self.last_update_at = [now] * self.p.n
-        self.report_hold_until = [None] * self.p.n
 
     # -- transitions ----------------------------------------------------------
 
@@ -149,10 +148,6 @@ class ClockSync(ClockRelay):
         self._width = 2 * p.relay_band
         self._need = n - p.f
         self._regain = p.trust_regain
-
-    def boot_clean(self, claims_mod: List[int], now: int) -> None:
-        super().boot_clean(claims_mod, now)
-        self.trust_hold_until = [None] * self.p.n
 
     def on_update(self, sender: int, values, now: int) -> None:
         """Check and store the update as the relay does, then distrust every

@@ -13,7 +13,7 @@ trace, not kept here.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional
 
 
@@ -21,7 +21,7 @@ class Guard:
     def __init__(self, rt):
         self.rt = rt                      # the node's port to the kernel
         self.p = rt.p
-        self.joins: Dict[int, deque] = {v: deque() for v in range(self.p.n)}
+        self.joins: Dict[int, List[int]] = {v: [] for v in range(self.p.n)}
         self.suppress_until: Optional[int] = None
 
     # -- counters -------------------------------------------------------------
@@ -38,10 +38,15 @@ class Guard:
                 busy[label[0]] += 1
         return busy
 
-    def _prune(self, q: deque, now: int) -> None:
+    def _prune(self, q: List[int], now: int) -> None:
+        """Drop every join outside the window.  A corrupted boot appends its
+        joins out of time order; once sorted, they sit at the ends.
+        `note_join` appends in time order, so the sort is one pass of
+        comparisons."""
+        q.sort()
         floor = now - self.p.overload_window
-        while q and (q[0] < floor or q[0] > now):
-            q.popleft()
+        if q and (q[0] < floor or q[-1] > now):
+            q[:] = q[bisect_left(q, floor):bisect_right(q, now)]
 
     # -- overload detection -----------------------------------------------------
 

@@ -65,8 +65,8 @@ def build_env(sc: Scenario):
     period_frac = p.grid.from_units(p.update_period)
     offsets = [rng.randint(0, 4 * sc.n) * period_frac for _ in range(sc.n)]
     rates = sc.lookup("clocks", "rates")
-    clocks = {v: HardwareClock(offsets[v], adversary.make_rate_schedule(
-                  rates, p.theta, duration, rng), p.grid.unit)
+    clocks = {v: HardwareClock(offsets[v], rates(p.theta, duration, rng),
+                               p.grid.unit)
               for v in range(sc.n)}
     return rng, p, byz, correct, offsets, clocks
 
@@ -86,12 +86,12 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
     runtimes = {}
     for v in range(sc.n):
         if v in byz:
-            handlers[v] = adversary.make_byzantine(strategy, sim, v, p, proto,
+            handlers[v] = adversary.make_byzantine(strategy, sim, v, proto,
                                                    oracle, pace)
         else:
-            handlers[v] = runtimes[v] = NodeRuntime(sim, v, p, proto, oracle)
+            handlers[v] = runtimes[v] = NodeRuntime(sim, v, proto, oracle)
 
-    sc.lookup("corruption", "kind")(sim, p, rng, runtimes)
+    sc.lookup("corruption", "kind")(sim, rng, runtimes)
 
     for handler in handlers.values():
         handler.start()

@@ -23,7 +23,7 @@ class Initiation:
         self.node = rt.node
         self.clocksync = clocksync
         self.rounds = rounds
-        self.oracle = oracle              # (label, node, now) -> bit
+        self.oracle = oracle              # (label, node) -> bit
         # label -> {sender: local reading when its echo was stored}
         self.stored: Dict[Label, Dict[int, int]] = {}
         self.gate_deadline: Dict[Label, int] = {}
@@ -91,7 +91,7 @@ class Initiation:
             # a corrupted gate register can get here, and joining would be unsafe.
             self.rt.log("gate_underflow", label)
             return
-        oracle_val = self.oracle(label, self.node, now)
+        oracle_val = self.oracle(label, self.node)
         if count >= self.p.n - self.p.f:
             confidence, input_bit = 2, oracle_val
         else:

@@ -36,7 +36,6 @@ from . import messages as msg
 from .clocksync import ClockSync
 from .guard import Guard
 from .initiation import Initiation
-from .params import Params
 from .rounds import Rounds
 
 # Script action a scenario may give -> the handler method that carries it out.
@@ -44,11 +43,11 @@ ACTIONS = {"initiate": "initiate"}
 
 
 class NodeRuntime:
-    def __init__(self, sim, node: int, p: Params, proto, oracle):
+    def __init__(self, sim, node: int, proto, oracle):
         self.sim = sim
         self.node = node
-        self.p = p
-        self.clocksync = ClockSync(p, node)
+        self.p = sim.p
+        self.clocksync = ClockSync(self.p, node)
         self.guard = Guard(self)
         self.rounds = Rounds(self, proto, self.guard)
         self.initiation = Initiation(self, self.clocksync, self.rounds, oracle)

@@ -8,7 +8,8 @@ rounds 1..R:
                                                  # i-1 (None entries allowed),
                                                  # None for i == 1
     finish(state, received) -> output bit        # received: round-R payloads
-    missing_payload(i, sender) -> payload        # canonical stand-in
+    missing_payload(i, sender) -> payload        # canonical stand-in; only a
+                                                 # wrapped plugin gives one
 
 `received` and `sends` are tuples with one entry per node, in node order.
 A plugin keeps no state between calls: all a node knows lives in `state`, so
@@ -182,9 +183,6 @@ class SilentWrapper:
             return 0
         last = self._canonical(self.inner.rounds, received)
         return self.inner.finish(state["inner"], last)
-
-    def missing_payload(self, i: int, sender: int) -> Payload:
-        return ()
 
 
 def phase_king_silent(n: int, f: int) -> SilentWrapper:

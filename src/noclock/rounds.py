@@ -144,12 +144,12 @@ class Rounds:
         inst.bits = bits
         self.rt.send_round(envelopes)
         if over:
-            self.abort(inst.label, now, "bit_budget")
+            self.abort(inst.label, "bit_budget")
             return
         # Own message is local state, stored through the same quorum path.
         self.on_round_msg(self.node, inst.label, i, sends[self.node], now)
 
-    def abort(self, label: Label, now: int, reason: str) -> None:
+    def abort(self, label: Label, reason: str) -> None:
         inst = self.instances.get(label)
         if inst is None or inst.done:
             return
@@ -168,7 +168,7 @@ class Rounds:
             if inst.last_progress > now:
                 inst.last_progress = now
             if not inst.done and now - inst.last_progress > p.stall_after:
-                self.abort(label, now, "stall")
+                self.abort(label, "stall")
         for label in dead:
             self.rt.log("gc_instance", label)
             del self.instances[label]

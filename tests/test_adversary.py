@@ -2,8 +2,13 @@
 seeded RNG stream is part of every pinned trace."""
 
 import random
+from fractions import Fraction
 
-from noclock import adversary
+import pytest
+
+from noclock import adversary, harness
+from noclock.node import NodeRuntime
+from noclock.scenario import Scenario
 
 # Every (a, b) range a delay policy draws from.
 RANGES = [(adversary._LO, adversary._HI),
@@ -20,3 +25,53 @@ def test_randint_helper_matches_random_randint_value_and_state():
             assert adversary._randint(ours, a, b) == ref.randint(a, b)
         assert ours.getstate() == ref.getstate()
 
+
+
+def test_every_rate_schedule_at_theta_one_is_one_rate_and_draws_nothing():
+    for schedule in adversary.RATE_SCHEDULES.values():
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert schedule(Fraction(1), Fraction(50), rng) == [(0, 1)]
+        assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("seed", range(30))
+def test_corrupted_registers_are_in_bounds_after_the_first_tick(
+        monkeypatch, n, seed):
+    """Each correct node's first tick brings every register a corrupted boot
+    wrote back within its bound of the node's local time."""
+    tick = NodeRuntime._tick
+    checked = set()
+
+    def checked_tick(rt, now):
+        tick(rt, now)
+        if rt.node in checked:
+            return
+        checked.add(rt.node)
+        p = rt.p
+        cs, ini, guard = rt.clocksync, rt.initiation, rt.guard
+        assert max(cs.last_update_at) <= now
+        assert all(at <= now for ats in ini.stored.values()
+                   for at in ats.values())
+        assert all(h <= now + p.report_hold
+                   for h in cs.report_hold_until if h is not None)
+        assert all(h <= now + p.trust_regain
+                   for h in cs.trust_hold_until if h is not None)
+        assert all(rx <= now for rx in ini.last_init_rx if rx is not None)
+        assert ini.last_own_init is None or ini.last_own_init <= now
+        for inst in rt.rounds.instances.values():
+            assert now - p.instance_ttl <= inst.joined_at <= now
+            assert inst.last_progress <= now
+        assert (guard.suppress_until is None
+                or guard.suppress_until <= now + p.quarantine_hold)
+        if not guard.suppressed(now):
+            assert all(t <= now for q in guard.joins.values() for t in q)
+
+    monkeypatch.setattr(NodeRuntime, "_tick", checked_tick)
+    res = harness.run(Scenario(
+        n=n, f=(n - 1) // 3, duration="3", seed=seed,
+        adversary={"byzantine": ("noise", "silent")[seed % 2],
+                   "delays": "split"},
+        corruption={"kind": "random"}), evaluate=False)
+    assert checked == set(res.correct)

@@ -304,7 +304,7 @@ def test_corrupted_boot_leaves_exact_support_counts(seed):
     sim = Simulator(p, clocks, {}, lambda receiver, rng: 512,
                     random.Random(seed))
     proto = protocols.make_protocol("phase-king-silent", 7, 2)
-    rt = sim.handlers[0] = NodeRuntime(sim, 0, p, proto, lambda *a: 1)
+    rt = sim.handlers[0] = NodeRuntime(sim, 0, proto, lambda *a: 1)
     adversary.corrupt_runtime(rt, random.Random(seed), 4 * p.stall_after)
     cs = rt.clocksync
     assert any(v is None for row in cs.rows for v in row)

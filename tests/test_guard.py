@@ -57,6 +57,16 @@ def test_join_window_slides(ctx):
     assert not guard.overloaded(3, p.overload_window + 1, guard.busy_counts())
 
 
+def test_window_drops_every_join_outside_it(ctx):
+    # A corrupted boot appends joins in instance-table order, so a future or
+    # an expired join can sit behind one inside the window; neither counts.
+    p, guard, rt = ctx
+    now = p.overload_window + 1000
+    guard.joins[3].extend([now - 1, now + 50, now - p.overload_window - 1])
+    guard.overloaded(3, now, guard.busy_counts())
+    assert len(guard.joins[3]) == 1
+
+
 def test_quarantine_timing_and_wipe(ctx):
     # Trigger at local 50.0: sends suppressed until 51.1 (theta * d), then
     # the wipe clears counters and instance memory.
@@ -135,7 +145,7 @@ def test_busy_count_follows_the_instance_table(ctx, end):
         rounds.on_alarm((1, 0), last, now)
         assert inst.done and rt.trace[-1][5] == "ok"
     elif end == "abort":
-        rounds.abort((1, 0), now, "stall")
+        rounds.abort((1, 0), "stall")
         assert inst.done
     elif end == "gc":
         rounds.sweep(now)

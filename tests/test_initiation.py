@@ -30,7 +30,7 @@ class StubRounds:
 def ctx(rt):
     sync = FakeSync({}, node=0, modulus=rt.p.clock_modulus)
     rounds = StubRounds()
-    ini = Initiation(rt, sync, rounds, lambda label, node, now: 1)
+    ini = Initiation(rt, sync, rounds, lambda label, node: 1)
     return rt.p, ini, sync, rounds, rt
 
 

@@ -431,8 +431,8 @@ def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
                     random.Random(5))
     proto = make_protocol("phase-king-silent", 4, 1)
     for v in range(3):
-        handlers[v] = NodeRuntime(sim, v, p, proto, lambda *a: 1)
-    handlers[3] = SilentNode(sim, 3, p)
+        handlers[v] = NodeRuntime(sim, v, proto, lambda *a: 1)
+    handlers[3] = SilentNode(sim, 3)
     # By injection: a fresh object per delivery.
     injected = [Update((1, 2)), Garbage((1,)), Update((None,) * 5)]
     for v, envelope in enumerate(injected):
