@@ -367,7 +367,7 @@ def corrupt_runtime(rt: NodeRuntime, rng, horizon_units: int) -> None:
         # their draws are part of the seeded stream the trace digests fix.
         rng.choice((1, 2))
         rng.randrange(2)
-        inst = Instance(label, input_bit,
+        inst = Instance(input_bit,
                         now + rng.randint(-p.instance_ttl, p.instance_ttl),
                         rounds.proto, rt.node)
         for i in range(1, rounds.proto.rounds + 2):

@@ -91,9 +91,8 @@ def _cmd_check_trace(args) -> int:
         except ValueError as exc:
             print(f"trace unreadable: {exc}", file=sys.stderr)
             return 2
-    _rng, p, _byz, correct, _offsets, clocks = harness.build_env(sc)
-    vds = verdicts.evaluate(trace, sc, p, clocks, correct,
-                            lambda: sc.lookup("protocol", "name")(sc.n, sc.f))
+    _rng, p, _byz, correct, proto, clocks = harness.build_env(sc)
+    vds = verdicts.evaluate(trace, sc, p, clocks, correct, lambda: proto)
     for v in vds:
         flag = "PASS" if v.passed else "FAIL"
         print(f"[{flag}] {v.name}  {v.measured}")
@@ -101,14 +100,20 @@ def _cmd_check_trace(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    with open(os.path.join(args.dir, "verdicts.json")) as fh:
-        stored = json.load(fh)
-    for v in stored:
-        if v["name"] == args.verdict:
-            print(json.dumps(v, indent=2))
-            return 0 if v["passed"] else 1
-    print(f"no verdict named {args.verdict!r}", file=sys.stderr)
-    return 2
+    path = os.path.join(args.dir, "verdicts.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            v = next((v for v in json.load(fh) if v["name"] == args.verdict),
+                     None)
+            passed = v is not None and v["passed"]
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"{path}: unreadable: {exc!r}", file=sys.stderr)
+            return 2
+    if v is None:
+        print(f"no verdict named {args.verdict!r}", file=sys.stderr)
+        return 2
+    print(json.dumps(v, indent=2))
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:

@@ -42,20 +42,20 @@ class RunResult:
 
 
 def build_params(sc: Scenario) -> Params:
-    proto = sc.lookup("protocol", "name")(sc.n, sc.f)
-    return derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds, proto.bit_bound,
-                  T=sc.T, clock_update_period=sc.clock_update_period)
+    return build_env(sc)[1]
 
 
 def build_env(sc: Scenario):
-    """Deterministic run environment: params, node roles, hardware clocks.
+    """Deterministic run environment: RNG, params, node roles, the run's
+    protocol plugin, hardware clocks.
 
     The RNG draw order here is part of the reproducibility contract; the same
     RNG continues into the run itself (delays, adversary choices).
     """
     rng = random.Random(sc.seed)
-    p = build_params(sc)
-    duration = frac(sc.duration)
+    proto = sc.lookup("protocol", "name")(sc.n, sc.f)
+    p = derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds, proto.bit_bound,
+               T=sc.T, clock_update_period=sc.clock_update_period)
     byz = sc.adversary.get("byzantine_set")
     if byz is None:
         byz = sorted(rng.sample(range(sc.n), sc.f)) if sc.f else []
@@ -65,21 +65,20 @@ def build_env(sc: Scenario):
     period_frac = p.grid.from_units(p.update_period)
     offsets = [rng.randint(0, 4 * sc.n) * period_frac for _ in range(sc.n)]
     rates = sc.lookup("clocks", "rates")
+    duration = frac(sc.duration)
     clocks = {v: HardwareClock(offsets[v], rates(p.theta, duration, rng),
                                p.grid.unit)
               for v in range(sc.n)}
-    return rng, p, byz, correct, offsets, clocks
+    return rng, p, byz, correct, proto, clocks
 
 
 def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResult:
     sc.validate()
-    rng, p, byz, correct, _, clocks = build_env(sc)
-    duration = frac(sc.duration)
+    rng, p, byz, correct, proto, clocks = build_env(sc)
 
     handlers: Dict[int, object] = {}
     sim = Simulator(p, clocks, handlers, sc.lookup("adversary", "delays"), rng)
 
-    proto = sc.lookup("protocol", "name")(sc.n, sc.f)
     oracle = sc.lookup("oracle", "kind")(sc.oracle, sc.seed)
     strategy = sc.lookup("adversary", "byzantine")
     pace = sc.lookup("adversary", "mode")
@@ -97,10 +96,8 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
         handler.start()
 
     for entry in sc.script:
-        sim.schedule(frac(entry["t"]), ACTION, entry["node"],
-                     (entry.get("action", "initiate"),))
-
-    sim.run_until(duration)
+        sim.schedule(frac(entry["t"]), ACTION, entry["node"], ())
+    sim.run_until(sc.duration)
 
     # Each runtime and its layers form a reference cycle, so the instance and
     # echo tables would outlive the run until the next full collection; free

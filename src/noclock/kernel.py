@@ -184,8 +184,7 @@ class Simulator:
     def schedule(self, t: Fraction, kind: int, node: int, payload) -> None:
         if t < self.now:
             raise SimulatorBug(f"event at {t} scheduled in the past (now={self.now})")
-        num, den = t.numerator, t.denominator
-        self._push(num / den, Fraction(num, den), kind, node, payload)
+        self._push(t.numerator / t.denominator, t, kind, node, payload)
 
     def alarm(self, node: int, local_units: int, tag) -> None:
         """Fire a THRESHOLD event when `node`'s clock reaches local_units."""

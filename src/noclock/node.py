@@ -38,9 +38,6 @@ from .guard import Guard
 from .initiation import Initiation
 from .rounds import Rounds
 
-# Script action a scenario may give -> the handler method that carries it out.
-ACTIONS = {"initiate": "initiate"}
-
 
 class NodeRuntime:
     def __init__(self, sim, node: int, proto, oracle):
@@ -103,7 +100,7 @@ class NodeRuntime:
         self.log("drop", "malformed", sender)
 
     def on_action(self, payload) -> None:
-        getattr(self, ACTIONS[payload[0]])()
+        self.initiate()
 
     def initiate(self) -> None:
         self.initiation.initiate(self.sim.reading(self.node))

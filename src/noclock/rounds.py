@@ -21,12 +21,10 @@ from .messages import Label, Payload, RoundMsg
 
 
 class Instance:
-    __slots__ = ("label", "joined_at", "state", "thresholds", "inbox",
+    __slots__ = ("joined_at", "state", "thresholds", "inbox",
                  "fired", "last_progress", "bits", "nontrivial", "done")
 
-    def __init__(self, label: Label, input_bit: int, joined_at: int, proto,
-                 node: int):
-        self.label = label
+    def __init__(self, input_bit: int, joined_at: int, proto, node: int):
         self.joined_at = joined_at
         self.state = proto.fresh(input_bit, node)
         self.thresholds: List[Optional[int]] = [None] * (proto.rounds + 2)
@@ -53,7 +51,7 @@ class Rounds:
              oracle_val: int, now: int) -> None:
         if label in self.instances:
             return
-        inst = Instance(label, input_bit, now, self.proto, self.node)
+        inst = Instance(input_bit, now, self.proto, self.node)
         self.instances[label] = inst
         inst.thresholds[1] = now + self.p.first_round_lead
         self.rt.alarm(inst.thresholds[1], (self.on_alarm, label, 1))
@@ -85,38 +83,38 @@ class Rounds:
         if cnt >= p.f + 1 and (inst.thresholds[i] is None
                                or inst.thresholds[i] > now):
             inst.thresholds[i] = now
-            self._fire(inst, i, now)
+            self._fire(label, inst, i, now)
 
     def on_alarm(self, label: Label, i: int, now: int) -> None:
         inst = self.instances.get(label)
         # Skip a moved threshold or a stale alarm; `_fire` skips a repeat.
         if inst is not None and inst.thresholds[i] == now:
-            self._fire(inst, i, now)
+            self._fire(label, inst, i, now)
 
     # -- threshold actions ----------------------------------------------------
 
-    def _fire(self, inst: Instance, i: int, now: int) -> None:
+    def _fire(self, label: Label, inst: Instance, i: int, now: int) -> None:
         if i in inst.fired or inst.done:
             return
         inst.fired.add(i)
         inst.last_progress = now
         p = self.p
         if self.guard.suppressed(now):
-            self.rt.log("suppressed", inst.label, i)
+            self.rt.log("suppressed", label, i)
             return
         rounds = self.proto.rounds
         received = None
         if i > 1:
             prev = inst.inbox[i - 1]
             received = tuple(map(prev.get, range(p.n)))
-            self.rt.log("rrcv", inst.label, i - 1, received)
+            self.rt.log("rrcv", label, i - 1, received)
         if i == rounds + 1:
             output = self.proto.finish(inst.state, received)
             inst.done = True
-            self.rt.log("output", inst.label, output, "ok")
+            self.rt.log("output", label, output, "ok")
             return
         inst.state, sends = self.proto.step(inst.state, i, received)
-        self.rt.log("remit", inst.label, i, sends)
+        self.rt.log("remit", label, i, sends)
         if i >= 3 or any(m is not None for m in sends):
             inst.nontrivial = True
         # One envelope and one price per distinct payload; the receivers in
@@ -132,7 +130,7 @@ class Rounds:
                 continue
             entry = built.get(payload)
             if entry is None:
-                envelope = RoundMsg(inst.label, i, payload)
+                envelope = RoundMsg(label, i, payload)
                 entry = built[payload] = (
                     envelope, envelope.frame_bits(p) + envelope.payload_bits())
             envelope, cost = entry
@@ -144,10 +142,10 @@ class Rounds:
         inst.bits = bits
         self.rt.send_round(envelopes)
         if over:
-            self.abort(inst.label, "bit_budget")
+            self.abort(label, "bit_budget")
             return
         # Own message is local state, stored through the same quorum path.
-        self.on_round_msg(self.node, inst.label, i, sends[self.node], now)
+        self.on_round_msg(self.node, label, i, sends[self.node], now)
 
     def abort(self, label: Label, reason: str) -> None:
         inst = self.instances.get(label)

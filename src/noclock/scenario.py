@@ -12,7 +12,6 @@ from typing import List, Optional
 
 from .adversary import (BOOTS, DELAYS, ORACLES, RATE_SCHEDULES, STRATEGIES,
                         ClockSkewNode)
-from .node import ACTIONS
 from .params import parse_model
 from .protocols import PROTOCOLS
 from .timebase import frac
@@ -86,6 +85,8 @@ class Scenario:
         if byz is not None and not (isinstance(byz, (list, tuple)) and all(
                 type(v) is int and 0 <= v < self.n for v in byz)):
             problems.append("byzantine_set contains invalid node ids")
+        elif byz is not None and len(set(byz)) < len(byz):
+            problems.append("byzantine_set repeats a node id")
         elif byz is not None and len(byz) > self.f:
             problems.append(f"byzantine_set larger than f={self.f}")
         value = self.oracle.get("value", 1)
@@ -107,7 +108,7 @@ class Scenario:
             if not (type(node) is int and 0 <= node < self.n):
                 problems.append(f"script node {node!r} invalid")
             action = entry.get("action", "initiate")
-            if not (isinstance(action, str) and action in ACTIONS):
+            if action != "initiate":
                 problems.append(f"unknown script action {action!r}")
         for section, key in LOOKUPS:
             try:

@@ -60,7 +60,7 @@ class Verdict:
 @dataclass(eq=False, slots=True)
 class _Instance:
     """What the correct nodes recorded about one instance label."""
-    init: Optional[tuple] = None     # (t, initiator) of the first init
+    init: Optional[Fraction] = None  # time of the first correct init
     parts: Dict = field(default_factory=dict)     # node -> (t, conf, input, oracle)
     outs: Dict = field(default_factory=dict)      # node -> first (t, value, reason)
     received: Dict = field(default_factory=dict)  # node -> {round: vector}
@@ -83,8 +83,8 @@ class _Index:
         self.joins = Counter()        # correct node -> its participate records
         self.est: List = []           # the est records of correct nodes
         self.quarantines: List = []   # the node of each quarantine record
-        self.underflows: List = []
-        self.suppressed: List = []
+        self.underflows = 0           # gate_underflow records
+        self.suppressed = 0           # suppressed records
         for rec in trace:
             kind = rec[0]
             if kind == "send":
@@ -124,13 +124,13 @@ class _Index:
                 elif kind == "init":
                     _, t, node, label = rec
                     if node in cset and inst[label].init is None:
-                        inst[label].init = (t, node)
+                        inst[label].init = t
                 elif kind == "quarantine":
                     self.quarantines.append(rec[2])
                 elif kind == "gate_underflow":
-                    self.underflows.append(rec)
+                    self.underflows += 1
                 elif kind == "suppressed":
-                    self.suppressed.append(rec)
+                    self.suppressed += 1
         for rec in self.instances.values():
             rec.nonzero = any(part[2] != 0 for part in rec.parts.values())
 
@@ -158,7 +158,7 @@ def evaluate(trace, sc, p: Params, clocks, correct, proto_factory,
             acts = [t for t, *_ in parts.values()]
             acts += [t for t, _, _ in outs.values()]
             if rec.init is not None:
-                acts.append(rec.init[0])
+                acts.append(rec.init)
             for node in parts:
                 acts += [t for t, _ in rec.emitted.get(node, {}).values()]
             if acts and duration - max(acts) <= p.unfinished_tail:
@@ -294,7 +294,7 @@ def _timing_suite(judged, p, correct) -> Verdict:
         if not everyone:
             bad.append(("missing_participant", label, sorted(parts)))
             continue
-        t0 = rec.init[0]
+        t0 = rec.init
         for node, (t, conf, input_bit, oracle_val) in parts.items():
             lag = t - t0
             join_lag = max(join_lag, lag)
@@ -497,9 +497,9 @@ def _rarity_suite(ix, p, cutoff) -> Verdict:
 
 
 def _hygiene_suite(ix) -> Verdict:
-    bad = [(what + "_on_clean_boot", len(recs)) for what, recs in (
-        ("quarantine", ix.quarantines), ("gate_underflow", ix.underflows),
-        ("suppressed_sends", ix.suppressed)) if recs]
+    bad = [(what + "_on_clean_boot", count) for what, count in (
+        ("quarantine", len(ix.quarantines)), ("gate_underflow", ix.underflows),
+        ("suppressed_sends", ix.suppressed)) if count]
     return Verdict("non-interference", not bad,
                    {"violations": len(bad)}, counterexample=bad or None)
 

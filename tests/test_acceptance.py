@@ -8,51 +8,26 @@ PASS/FAIL line.
 """
 
 import itertools
-import random
 
 import pytest
 
 from noclock import harness
 from noclock.protocols import PhaseKing, run_lockstep
 from noclock.scenario import Scenario
+from shapes import STRATEGIES, byzantine_set, corrupted_scenario, sweep_scenario
 
 CONFIGS = [(n, (n - 1) // 3, theta)
            for n in (4, 7, 10) for theta in ("1.0", "1.1")]
 SEEDS = range(20)
-STRATEGIES = [
-    ("silent", {"kind": "const", "value": 0}, None),
-    ("noise", {"kind": "const", "value": 1}, None),
-    ("split_echo", {"kind": "mixed"}, None),
-    ("equivocate_rounds", {"kind": "const", "value": 1}, None),
-    ("clock_skew", {"kind": "mixed"}, "alternating"),
-]
 CORRUPTED_RUNS = 100
-
-
-def _byzantine_set(n, f, seed):
-    # Nodes 0 and 1 stay correct so the scripted initiators are correct.
-    return sorted(random.Random(9000 + seed).sample(range(2, n), f))
-
-
-def sweep_scenario(n, f, theta, adv, oracle, mode, seed) -> Scenario:
-    byz = _byzantine_set(n, f, seed)
-    script = [{"t": "6", "node": 0, "action": "initiate"},
-              {"t": "13", "node": 1, "action": "initiate"}]
-    if adv == "split_echo":
-        script.append({"t": "10", "node": byz[0], "action": "initiate"})
-    advd = {"byzantine": adv, "delays": "uniform", "byzantine_set": byz}
-    if mode:
-        advd["mode"] = mode
-    return Scenario(n=n, f=f, theta=theta, duration="110", seed=seed,
-                    adversary=advd, oracle=oracle, script=script)
 
 
 @pytest.fixture(scope="module")
 def sweep_results():
     results = []
-    for (n, f, theta), seed, (adv, oracle, mode) in itertools.product(
+    for (n, _, theta), seed, (adv, oracle, mode) in itertools.product(
             CONFIGS, SEEDS, STRATEGIES):
-        sc = sweep_scenario(n, f, theta, adv, oracle, mode, seed)
+        sc = sweep_scenario(n, adv, oracle, mode, theta=theta, seed=seed)
         results.append(harness.run(sc, keep_trace=False))
     return results
 
@@ -62,13 +37,7 @@ def corrupted_results():
     results = []
     advs = ["silent", "noise", "equivocate_rounds"]
     for k in range(CORRUPTED_RUNS):
-        sc = Scenario(n=4, f=1, theta="1.1", duration="1100", seed=k,
-                      adversary={"byzantine": advs[k % 3],
-                                 "delays": ["uniform", "split"][k % 2],
-                                 "byzantine_set": [2 + k % 2]},
-                      corruption={"kind": "random"},
-                      script=[{"t": "1000", "node": 0, "action": "initiate"},
-                              {"t": "1004", "node": 1, "action": "initiate"}])
+        sc = corrupted_scenario(k, advs[k % 3], ["uniform", "split"][k % 2])
         results.append(harness.run(sc, keep_trace=False))
     return results
 
@@ -178,7 +147,7 @@ def bits_results():
             sc = Scenario(n=n, f=f, theta=theta, duration=str(duration),
                           seed=seed,
                           adversary={"byzantine": "noise", "delays": "uniform",
-                                     "byzantine_set": _byzantine_set(n, f, seed)},
+                                     "byzantine_set": byzantine_set(n, f, seed)},
                           script=script)
             results.append(harness.run(sc, keep_trace=False))
     return results

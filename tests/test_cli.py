@@ -4,6 +4,7 @@ import json
 import pytest
 
 from noclock import cli, harness, verdicts
+from noclock.protocols import PROTOCOLS
 from noclock.scenario import Scenario
 
 
@@ -57,7 +58,7 @@ def test_run_indexes_the_trace_once(scenario_file, tmp_path, capsys,
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     # The shared index gives the metrics a fresh one gives.
     sc = Scenario.load(scenario_file)
-    _rng, p, _byz, correct, _offsets, _clocks = harness.build_env(sc)
+    _rng, p, _byz, correct, _proto, _clocks = harness.build_env(sc)
     trace = verdicts.trace_from_jsonl((out / "trace.jsonl").read_text(), sc.n)
     fresh = json.loads(json.dumps(verdicts.run_metrics(trace, sc, p, correct)))
     assert len(built) == 2
@@ -83,6 +84,44 @@ def test_explain_prints_one_verdict(scenario_file, tmp_path, capsys):
     assert rc == 0
     assert "timing-windows" in capsys.readouterr().out
     assert cli.main(["explain", "--dir", str(out), "no-such"]) == 2
+
+
+@pytest.mark.parametrize("content", ['[{"name": "timing-windows",',
+                                     '[{"nam": 1}]'],
+                         ids=["not-json", "no-name"])
+def test_explain_on_unreadable_verdicts_exits_two(scenario_file, tmp_path,
+                                                  capsys, content):
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "verdicts.json").write_text(content)
+    assert cli.main(["explain", "--dir", str(out), "timing-windows"]) == 2
+    assert f"{out / 'verdicts.json'}: unreadable" in capsys.readouterr().err
+
+
+def test_one_plugin_per_run_and_per_check_trace(scenario_file, tmp_path,
+                                                capsys, monkeypatch):
+    built = []
+    make = PROTOCOLS["phase-king-silent"]
+
+    def counted(n, f):
+        built.append(make(n, f))
+        return built[-1]
+    monkeypatch.setitem(PROTOCOLS, "phase-king-silent", counted)
+    sc = Scenario.load(scenario_file)
+    _rng, p, _byz, _correct, proto, _clocks = harness.build_env(sc)
+    assert built == [proto]
+    assert (p.rounds, p.bit_bound) == (proto.rounds, proto.bit_bound)
+    del built[:]
+    harness.run(sc)
+    assert len(built) == 1
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out)]) == 0
+    del built[:]
+    assert cli.main(["check-trace", "--dir", str(out)]) == 0
+    assert len(built) == 1
 
 
 def test_invalid_scenario_exits_two(tmp_path, capsys):
@@ -157,6 +196,14 @@ def test_sweep_axes(scenario_file, capsys):
                    "--axis", "seed=3,4"])
     assert rc == 0
     assert "2/2 runs fully passed" in capsys.readouterr().out
+
+
+def test_repeated_byzantine_id_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 7, "f": 2, "adversary": {
+        "byzantine": "noise", "byzantine_set": [3, 3]}}))
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    assert "byzantine_set repeats a node id" in capsys.readouterr().err
 
 
 def test_unknown_script_action_exits_two(tmp_path, capsys):

@@ -14,7 +14,7 @@ def ctx(rt):
 
 def busy(rt, label):
     """Store a live instance past its trivial rounds in the rounds table."""
-    inst = Instance(label, 1, 100, rt.rounds.proto, rt.node)
+    inst = Instance(1, 100, rt.rounds.proto, rt.node)
     inst.nontrivial = True
     rt.rounds.instances[label] = inst
 

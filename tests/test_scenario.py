@@ -40,6 +40,9 @@ def test_byzantine_set_validation():
         Scenario(adversary={"byzantine_set": [1, 2]}).validate()  # > f
     with pytest.raises(ScenarioError):
         Scenario(adversary={"byzantine_set": [7]}).validate()
+    with pytest.raises(ScenarioError) as err:   # one byzantine node, not two
+        Scenario(n=7, f=2, adversary={"byzantine_set": [3, 3]}).validate()
+    assert err.value.problems == ["byzantine_set repeats a node id"]
 
 
 def test_unknown_protocol_rejected():
@@ -80,14 +83,6 @@ def test_unknown_script_action_rejected():
     with pytest.raises(ScenarioError) as err:
         Scenario(script=[{"t": "10", "node": 0, "action": "initate"}]).validate()
     assert err.value.problems == ["unknown script action 'initate'"]
-
-
-def test_every_script_action_names_a_handler_method():
-    from noclock.adversary import SplitEchoNode
-    from noclock.node import ACTIONS, NodeRuntime
-    for method in ACTIONS.values():
-        assert callable(getattr(NodeRuntime, method))
-        assert callable(getattr(SplitEchoNode, method))
 
 
 @pytest.mark.parametrize("data", [{"n": "4"}, {"f": "1"}, {"seed": "a"},

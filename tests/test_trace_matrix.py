@@ -21,21 +21,13 @@ run's trace.  Each scenario is simulated once for all three checks.
 import functools
 import hashlib
 import json
-import random
 
 import pytest
 
 from noclock import harness
 from noclock.scenario import Scenario
 from noclock.verdicts import run_metrics, trace_from_jsonl, trace_to_jsonl
-
-STRATEGIES = [
-    ("silent", {"kind": "const", "value": 0}, None),
-    ("noise", {"kind": "const", "value": 1}, None),
-    ("split_echo", {"kind": "mixed"}, None),
-    ("equivocate_rounds", {"kind": "const", "value": 1}, None),
-    ("clock_skew", {"kind": "mixed"}, "alternating"),
-]
+from shapes import STRATEGIES, corrupted_scenario, sweep_scenario
 
 DIGESTS = {
     "silent-n4": "d90fe9a5d3fe0742eb5bb41563c751ed5491b34d9aa7faa8b6484ccf92165c1f",
@@ -86,36 +78,13 @@ OUTCOMES = {
 }
 
 
-def sweep_scenario(n, adv, oracle, mode, duration="110") -> Scenario:
-    f = (n - 1) // 3
-    byz = sorted(random.Random(9000).sample(range(2, n), f))
-    script = [{"t": "6", "node": 0, "action": "initiate"},
-              {"t": "13", "node": 1, "action": "initiate"}]
-    if adv == "split_echo":
-        script.append({"t": "10", "node": byz[0], "action": "initiate"})
-    advd = {"byzantine": adv, "delays": "uniform", "byzantine_set": byz}
-    if mode:
-        advd["mode"] = mode
-    return Scenario(n=n, f=f, theta="1.1", duration=duration, seed=0,
-                    adversary=advd, oracle=dict(oracle), script=script)
-
-
 def edge_scenario(duration="110", delays="uniform", **fields) -> Scenario:
     """The n=4 `clock_skew` sweep run with some fields changed."""
     data = sweep_scenario(4, "clock_skew", {"kind": "mixed"}, "alternating",
-                          duration).to_dict()
+                          duration=duration).to_dict()
     data["adversary"]["delays"] = delays
     data.update(fields)
     return Scenario.from_dict(data)
-
-
-def corrupted_scenario(seed, adv, delays) -> Scenario:
-    return Scenario(n=4, f=1, theta="1.1", duration="1100", seed=seed,
-                    adversary={"byzantine": adv, "delays": delays,
-                               "byzantine_set": [2 + seed % 2]},
-                    corruption={"kind": "random"},
-                    script=[{"t": "1000", "node": 0, "action": "initiate"},
-                            {"t": "1004", "node": 1, "action": "initiate"}])
 
 
 MATRIX = (
