@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import ceil
 
 from . import messages as msg
 from .clocksync import ClockRelay
@@ -72,14 +73,17 @@ DELAYS = {
 
 
 def _random_steps(theta: Fraction, duration: Fraction, rng):
+    """Rates 1 + k/8 (theta - 1) for k drawn in 0..8, each held for an int
+    span drawn in 2..12, from time 0 until `duration`."""
     if theta == 1:
         return [(0, Fraction(1))]     # one rate: nothing to draw
+    rates = [1 + Fraction(k, 8) * (theta - 1) for k in range(9)]
+    end = ceil(duration)        # an int t is below duration iff below end
     segs = []
-    t = Fraction(0)
-    while t < duration:
-        step = Fraction(rng.randint(0, 8), 8)
-        segs.append((t, 1 + step * (theta - 1)))
-        t += rng.randint(2, 12)
+    t = 0
+    while t < end:
+        segs.append((t, rates[_randint(rng, 0, 8)]))
+        t += _randint(rng, 2, 12)
     return segs
 
 

@@ -41,8 +41,17 @@ class RunResult:
         raise KeyError(name)
 
 
+def _plugin_params(sc: Scenario):
+    """The run's protocol plugin and the `Params` derived from its round
+    count and bit bound; neither draws from the RNG."""
+    proto = sc.lookup("protocol", "name")(sc.n, sc.f)
+    return proto, derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds,
+                         proto.bit_bound, T=sc.T,
+                         clock_update_period=sc.clock_update_period)
+
+
 def build_params(sc: Scenario) -> Params:
-    return build_env(sc)[1]
+    return _plugin_params(sc)[1]
 
 
 def build_env(sc: Scenario):
@@ -53,9 +62,7 @@ def build_env(sc: Scenario):
     RNG continues into the run itself (delays, adversary choices).
     """
     rng = random.Random(sc.seed)
-    proto = sc.lookup("protocol", "name")(sc.n, sc.f)
-    p = derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds, proto.bit_bound,
-               T=sc.T, clock_update_period=sc.clock_update_period)
+    proto, p = _plugin_params(sc)
     byz = sc.adversary.get("byzantine_set")
     if byz is None:
         byz = sorted(rng.sample(range(sc.n), sc.f)) if sc.f else []
@@ -99,12 +106,13 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
         sim.schedule(frac(entry["t"]), ACTION, entry["node"], ())
     sim.run_until(sc.duration)
 
-    # Each runtime and its layers form a reference cycle, so the instance and
-    # echo tables would outlive the run until the next full collection; free
-    # them now, before the verdicts allocate.
+    # The handlers and their layers refer to each other and to the simulator,
+    # so they, the simulator and its trace would outlive the run until the
+    # next full collection.  Drop the handlers' state now, before the
+    # verdicts allocate, so that refcounting frees all the result does not
+    # keep.
     for handler in handlers.values():
-        if isinstance(handler, NodeRuntime):
-            handler.wipe()
+        vars(handler).clear()
     vds, ix = [], None
     if evaluate:
         ix = verdicts._Index(sim.trace, correct)

@@ -13,10 +13,9 @@ clock in grid units on the alarm's rate segment.  Each event's `Fraction` is
 built once, when it is queued; a send set given one delay builds one delivery
 time for all its receivers, so equal times in the queue compare by identity.
 
-Each node's `HardwareClock` gives its floored grid reading at now's integer
-numerator and denominator in exact integer arithmetic: no `Fraction` is read
-or built per read, and a segment cursor replaces the search of the rate
-schedule.
+Each node's `HardwareClock` is built in one integer pass over its rate
+schedule and read at now's integer numerator and denominator, with no
+`Fraction` built or read; its exact `Fraction` reference is built on first use.
 
 A send set is one `multicast` call, which names, prices and validates each
 distinct envelope object once, however many receivers it goes to; each
@@ -33,6 +32,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -48,44 +48,66 @@ class SimulatorBug(Exception):
     """Internal misuse: events in the past, runaway handlers, bad alarms."""
 
 
+def _ratio(x) -> tuple:
+    return (x if type(x) is int else frac(x)).as_integer_ratio()
+
+
 class HardwareClock:
     """Strictly increasing local clock with drift in [1, theta], read on the
-    grid of `unit` in plain integers.
+    grid of `unit` in plain integers; `schedule` lists (start, rate) pairs.
 
-    `value` and `invert` are the exact references in `Fraction`s.  On rate
-    segment i the clock over the grid unit is a*t + b with rational a and b,
-    so for t = tn/td the floored reading `floor_units` is
-    (A*tn + B*td) // (C*td) with integers A, B, C fixed per segment.  The
-    segment of the last read is kept as a cursor, since simulated time never
-    decreases; a read before the cursor's segment falls back to a search of
-    the schedule.
-
-    Inverted, the clock reaches u grid units on segment i at real time
-    (C*u - B) / A, from the same integers.  Segment i is the last whose start
-    value h_i is at most u units, that is, whose ceil(h_i / unit) is at most u.
-    The integers are built on the first grid read, so building a clock costs
-    only its schedule.
+    One integer pass over the schedule builds each segment's A, B and C:
+    there the clock is (A*t + B) / C units, so the floored reading at
+    t = tn/td is (A*tn + B*td) // (C*td), and the clock reaches u units at
+    (C*u - B) / A on the last segment whose start value h_i has
+    ceil(h_i / unit) <= u.  A cursor keeps the last read's segment, since
+    time never decreases; an earlier read scans the segments from the first.
+    `value` and `invert`, the exact references, read `starts`, `rates` and
+    `h_starts`: `Fraction`s built from the schedule on first use.
     """
 
     def __init__(self, offset: Fraction, schedule, unit: Fraction):
-        # schedule: list of (start_real_time, rate), first start must be 0.
-        self.starts = [frac(t) for t, _ in schedule]
-        self.rates = [frac(r) for _, r in schedule]
-        if not self.starts or self.starts[0] != 0:
+        if not schedule or _ratio(schedule[0][0])[0]:
             raise ValueError("rate schedule must start at time 0")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("clock rates must be positive")
-        self.h_starts = [frac(offset)]   # local value at each segment start
-        for i in range(1, len(self.starts)):
-            span = self.starts[i] - self.starts[i - 1]
-            if span <= 0:
-                raise ValueError("rate schedule times must increase")
-            self.h_starts.append(self.h_starts[-1] + self.rates[i - 1] * span)
-        self.unit = unit
-        self.bounds = [(s.numerator, s.denominator) for s in self.starts]
-        self.last = len(self.bounds) - 1
-        self.i = 0
-        self.coef = self.h_units = []    # built by the first grid read
+        self.offset, self.schedule = offset, schedule
+        (un, ud), (hn, hd) = _ratio(unit), _ratio(offset)   # h: start value
+        bounds, coef, h_units = [], [], []
+        for t, rate in schedule:
+            (sn, sd), (rn, rd) = _ratio(t), _ratio(rate)
+            if rn <= 0:
+                raise ValueError("clock rates must be positive")
+            if bounds:      # h += the last rate q * (t - the last start p)
+                span = sn * pd - pn * sd
+                if span <= 0:
+                    raise ValueError("rate schedule times must increase")
+                hn, hd = hn * qd * sd * pd + qn * span * hd, hd * qd * sd * pd
+                g = gcd(hn, hd)
+                hn, hd = hn // g, hd // g
+            # (A*t + B) / C = (h + rate*(t - start)) / unit, in lowest terms
+            a, c = rn * ud * hd * sd, hd * rd * sd * un
+            b = (hn * rd * sd - rn * sn * hd) * ud
+            g = gcd(a, b, c)
+            coef.append((a // g, b // g, c // g))
+            h_units.append(-(-hn * ud // (hd * un)))    # ceil(h / unit)
+            bounds.append((sn, sd))
+            pn, pd, qn, qd = sn, sd, rn, rd
+        bounds.append((1, 0))       # a start after every real time
+        self.bounds, self.coef, self.h_units, self.i = bounds, coef, h_units, 0
+
+    @cached_property
+    def starts(self) -> list:
+        return [frac(t) for t, _ in self.schedule]
+
+    @cached_property
+    def rates(self) -> list:
+        return [frac(r) for _, r in self.schedule]
+
+    @cached_property
+    def h_starts(self) -> list:
+        h = [frac(self.offset)]     # the local value at each segment start
+        for s0, s1, rate in zip(self.starts, self.starts[1:], self.rates):
+            h.append(h[-1] + rate * (s1 - s0))
+        return h
 
     def value(self, t: Fraction) -> Fraction:
         i = bisect_right(self.starts, t) - 1
@@ -97,50 +119,28 @@ class HardwareClock:
         i = bisect_right(self.h_starts, local) - 1
         return self.starts[i] + (local - self.h_starts[i]) / self.rates[i]
 
-    def _integers(self) -> list:
-        """Build `coef`, each segment's (A, B, C), and `h_units`, each
-        segment's start value ceil((A*sn + B*sd) / (C*sd)) in units."""
-        # a = rate/unit and b = (h - rate*start)/unit over the common
-        # denominator C = hd*rd*sd*un, reduced by the gcd of A, B and C.
-        un, ud = self.unit.numerator, self.unit.denominator
-        self.coef = []
-        for (sn, sd), h, rate in zip(self.bounds, self.h_starts, self.rates):
-            hn, hd = h.numerator, h.denominator
-            rn, rd = rate.numerator, rate.denominator
-            a = rn * ud * hd * sd
-            b = (hn * rd * sd - rn * sn * hd) * ud
-            c = hd * rd * sd * un
-            g = gcd(a, b, c)
-            self.coef.append((a // g, b // g, c // g))
-        self.h_units = [-(-(a * sn + b * sd) // (c * sd))
-                        for (a, b, c), (sn, sd) in zip(self.coef, self.bounds)]
-        return self.coef
-
     def floor_units(self, tn: int, td: int) -> int:
         """The floored reading at real time tn/td (td > 0):
         `grid.floor_units(self.value(tn / td))`."""
-        i = self.i
-        sn, sd = self.bounds[i]
-        if tn * sd < sn * td:
-            i = bisect_right(self.starts, Fraction(tn, td)) - 1
-        else:
-            while i < self.last:
-                sn, sd = self.bounds[i + 1]
-                if tn * sd < sn * td:
-                    break
-                i += 1
+        i, bounds = self.i, self.bounds
+        sn, sd = bounds[i]
+        if tn * sd < sn * td:   # before the cursor's segment: scan from 0
+            i = 0
+        sn, sd = bounds[i + 1]
+        while sn * td <= tn * sd:
+            i += 1
+            sn, sd = bounds[i + 1]
         self.i = i
-        a, b, c = (self.coef or self._integers())[i]
+        a, b, c = self.coef[i]
         return (a * tn + b * td) // (c * td)
 
     def invert_units(self, units: int):
         """(numerator, denominator) of the real time at which the clock
         reaches `units` grid units: `self.invert(grid.from_units(units))`."""
-        coef = self.coef or self._integers()
         i = bisect_right(self.h_units, units) - 1
         if i < 0:
             raise ValueError("local value precedes clock start")
-        a, b, c = coef[i]
+        a, b, c = self.coef[i]
         return c * units - b, a
 
 

@@ -219,13 +219,29 @@ def _replay_suite(judged, p, proto) -> Verdict:
                 bad.append(("replay_mismatch", label, node, got, value))
         # Cross-node coherence: what a node consumed must be what the correct
         # sender (itself included) emitted for it in that round, or nothing.
-        for v in sorted(parts):
-            for i, vec in rec.received.get(v, {}).items():
-                for u in sorted(parts):
-                    sent = rec.emitted.get(u, {}).get(i)
-                    expect = sent[1][v] if sent is not None else None
+        # A receiver that got the rounds each sender emitted, and from each
+        # sender its values over them, is coherent; any other is compared
+        # round by round.
+        nodes = sorted(parts)
+        sent = [rec.emitted.get(u, {}) for u in nodes]
+        # per sender: its rounds, and per receiver its values over them
+        spans = [(tuple(e), list(zip(*[vec for _, vec in e.values()])))
+                 for e in sent]
+        for v in nodes:
+            inbox = rec.received.get(v)
+            if not inbox:
+                continue
+            heard, columns = tuple(inbox), list(zip(*inbox.values()))
+            if all(r == heard and to[v] == columns[u]
+                   for u, (r, to) in zip(nodes, spans)):
+                continue
+            for i, vec in inbox.items():
+                for u, e in zip(nodes, sent):
+                    s = e.get(i)
+                    expect = s[1][v] if s is not None else None
                     if vec[u] != expect:
-                        bad.append(("incoherent", label, v, u, i, vec[u], expect))
+                        bad.append(("incoherent", label, v, u, i, vec[u],
+                                    expect))
     return Verdict("oracle-equivalence", not bad,
                    {"instances_replayed": checked, "violations": len(bad)},
                    counterexample=bad[:12] or None)

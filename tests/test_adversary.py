@@ -27,6 +27,33 @@ def test_randint_helper_matches_random_randint_value_and_state():
 
 
 
+def fraction_random_steps(theta, duration, rng):
+    """The `random_steps` schedule drawn in `Fraction` arithmetic
+    throughout: the reference its table-driven draw must match."""
+    if theta == 1:
+        return [(0, Fraction(1))]
+    segs = []
+    t = Fraction(0)
+    while t < duration:
+        step = Fraction(rng.randint(0, 8), 8)
+        segs.append((t, 1 + step * (theta - 1)))
+        t += rng.randint(2, 12)
+    return segs
+
+
+@pytest.mark.parametrize("theta", ["1", "1.1", "1.25", "2", "4"])
+@pytest.mark.parametrize("duration", ["1", "110", "2400", "221/2"])
+def test_random_steps_draws_the_fraction_schedule_and_rng_state(
+        theta, duration):
+    theta, duration = Fraction(theta), Fraction(duration)
+    for seed in range(6):
+        ours, ref = random.Random(seed), random.Random(seed)
+        got = adversary.RATE_SCHEDULES["random_steps"](theta, duration, ours)
+        want = fraction_random_steps(theta, duration, ref)
+        assert [(Fraction(t), Fraction(r)) for t, r in got] == want
+        assert ours.getstate() == ref.getstate()
+
+
 def test_every_rate_schedule_at_theta_one_is_one_rate_and_draws_nothing():
     for schedule in adversary.RATE_SCHEDULES.values():
         rng = random.Random(3)

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import inspect
 import re
 from collections import Counter
@@ -8,6 +10,8 @@ import pytest
 from noclock import harness, verdicts
 from noclock.protocols import make_protocol
 from noclock.scenario import Scenario
+from shapes import STRATEGIES, sweep_scenario
+from test_trace_matrix import MATRIX
 
 
 def clean_scenario(**over):
@@ -475,3 +479,47 @@ def test_sweep_runs_cross_product():
     assert len(results) == 4
     assert all(r.passed for r in results)
     assert {r.scenario.seed for r in results} == {3, 4}
+
+
+@pytest.mark.parametrize("name, sc", MATRIX)
+def test_build_params_agrees_with_build_env(name, sc):
+    alone, in_env = harness.build_params(sc), harness.build_env(sc)[1]
+    for field in dataclasses.fields(alone):
+        a, b = getattr(alone, field.name), getattr(in_env, field.name)
+        if field.name == "grid":    # a LocalGrid compares by identity
+            a, b = (a.unit, a.quantum), (b.unit, b.quantum)
+        assert a == b, field.name
+
+
+def test_build_params_builds_no_clock(monkeypatch):
+    built = []
+
+    class Counted(harness.HardwareClock):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(harness, "HardwareClock", Counted)
+    sc = sweep_scenario(7, "silent", {"kind": "const", "value": 0}, None)
+    harness.build_params(sc)
+    assert built == []
+    harness.build_env(sc)
+    assert len(built) == sc.n
+
+
+@pytest.mark.parametrize("sc", [
+    *(sweep_scenario(4, adv, oracle, mode) for adv, oracle, mode in STRATEGIES),
+    corrupted_scenario(1, "noise")],
+    ids=[adv for adv, _, _ in STRATEGIES] + ["corrupted-noise"])
+def test_a_run_leaves_no_cyclic_garbage(sc):
+    """Refcounting alone frees the simulator, the handlers and a trace the
+    result does not keep: with collection paused, a run leaves almost
+    nothing for the cyclic collector."""
+    records = len(harness.run(sc, evaluate=False).trace)
+    gc.collect()
+    gc.disable()
+    try:
+        harness.run(sc, keep_trace=False)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left <= 20 < records // 50

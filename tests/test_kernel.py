@@ -192,6 +192,20 @@ def test_delivery_time_is_now_plus_k_steps_of_d(d, start, k):
     assert events == [("msg", start + k * p.d / DELAY_STEPS, 0)]
 
 
+@pytest.mark.parametrize("schedule", [
+    [],                                   # no segment
+    [(1, 1)],                             # the first start is not 0
+    [(frac("0.5"), 1), (1, 1)],
+    [(0, 1), (2, frac("1.1")), (2, 1)],   # a start that does not increase
+    [(0, 1), (3, 1), (frac("5/2"), 1)],
+    [(0, 0)],                             # a rate that is not positive
+    [(0, 1), (1, frac("-1/2"))],
+])
+def test_clock_refuses_a_schedule_it_cannot_follow(schedule):
+    with pytest.raises(ValueError):
+        HardwareClock(0, schedule, UNIT)
+
+
 def random_schedule(data, theta):
     """A rate schedule in [1, theta] with up to five later segments."""
     def rate():

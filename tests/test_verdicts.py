@@ -129,6 +129,74 @@ def test_a_repeated_execution_with_a_tampered_receipt_fails(repeated_run):
     assert any(cex[1] == out[3] for cex in oracle.counterexample)
 
 
+def per_triple_incoherence(judged):
+    """The coherence check one (receiver, round, sender) triple at a time."""
+    bad = []
+    for label, rec in judged:
+        if not rec.nonzero:
+            continue
+        for v in sorted(rec.parts):
+            for i, vec in rec.received.get(v, {}).items():
+                for u in sorted(rec.parts):
+                    sent = rec.emitted.get(u, {}).get(i)
+                    expect = sent[1][v] if sent is not None else None
+                    if vec[u] != expect:
+                        bad.append(("incoherent", label, v, u, i, vec[u],
+                                    expect))
+    return bad
+
+
+
+
+def retold(trace, nodes, rounds, change):
+    """`trace` with the remit records of `nodes` in `rounds` changed:
+    `change` maps each to the records that replace it."""
+    out = []
+    for r in trace:
+        hit = r[0] == "remit" and r[2] in nodes and r[4] in rounds
+        out += change(r) if hit else [r]
+    return out
+
+
+def flipped(r):
+    """The remit record `r` with every entry of its vector changed."""
+    return [r[:5] + (tuple((9,) if x is None else None for x in r[5]),)]
+
+
+# Remit records are what a correct node sent, which no replay reads, so
+# each of these makes incoherence the only violation.
+TAMPERS = {
+    "one-entry": lambda trace: retold(trace, {0}, {2}, flipped),
+    "two-senders": lambda trace: retold(trace, {0, 1}, {2, 3}, flipped),
+    "every-round": lambda trace: retold(trace, {2}, range(99), flipped),
+    "dropped-round": lambda trace: retold(trace, {1}, {3}, lambda r: []),
+    "renamed-round": lambda trace: retold(trace, {0}, {3}, lambda r: [
+        r[:4] + (99, r[5])]),
+    "round-never-received": lambda trace: retold(trace, {0}, {1}, lambda r: [
+        r, r[:4] + (99, r[5])]),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_coherence_names_what_a_per_triple_check_names(repeated_run,
+                                                        monkeypatch, tamper):
+    sc, res = repeated_run
+    judged = []
+    real = verdicts._replay_suite
+
+    def kept(js, p, proto):
+        judged.extend(js)
+        return real(js, p, proto)
+    monkeypatch.setattr(verdicts, "_replay_suite", kept)
+    trace = TAMPERS[tamper](res.trace)
+    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    want = per_triple_incoherence(judged)
+    assert oracle.measured["violations"] == len(want)
+    assert oracle.counterexample == (want[:12] or None)
+    assert oracle.passed == (tamper == "round-never-received")
+    assert len(want) > 12 or tamper != "every-round"
+
+
 def test_missing_receipt_is_named_not_replayed(good_run):
     sc, res = good_run
     trace = list(res.trace)
