@@ -29,9 +29,7 @@ def _report(result) -> str:
     lines = [f"byzantine={result.byzantine} "
              f"n={result.scenario.n} f={result.scenario.f} "
              f"theta={result.scenario.theta} seed={result.scenario.seed}"]
-    for v in result.verdicts:
-        flag = "PASS" if v.passed else "FAIL"
-        lines.append(f"  [{flag}] {v.name}  {v.measured}")
+    lines += [f"  {v}" for v in result.verdicts]
     return "\n".join(lines)
 
 
@@ -94,8 +92,7 @@ def _cmd_check_trace(args) -> int:
     _rng, p, _byz, correct, proto, clocks = harness.build_env(sc)
     vds = verdicts.evaluate(trace, sc, p, clocks, correct, lambda: proto)
     for v in vds:
-        flag = "PASS" if v.passed else "FAIL"
-        print(f"[{flag}] {v.name}  {v.measured}")
+        print(v)
     return 0 if all(v.passed for v in vds) else 1
 
 

@@ -16,7 +16,8 @@ the pace and step checks (`_check`).  A byzantine node that relays honestly
 to stay trusted keeps only this.  `ClockSync` extends it with what the
 estimates need: every sender's whole row, the support counts, the set of
 under-supported columns, the trust holds, `estimate`, `estimates` and
-`sanitize`.  Both broadcast the same vector from the same updates and ticks.
+`sanitize`.  Both broadcast the same vector from the same updates and ticks,
+store every update through `load_row`, and read each constant from `self.p`.
 
 The corroboration count is maintained, not recomputed: `support[x]` is the
 number of stored rows whose value for x lies within `relay_band` of x's own
@@ -56,11 +57,6 @@ class ClockRelay:
         self.claims: List[Optional[int]] = [None] * n
         self.last_update_at: List[int] = [0] * n     # local time of last update from w
         self.report_hold_until: List[Optional[int]] = [None] * n
-        # Read on every update and tick.
-        self._mod = p.clock_modulus
-        self._period = p.update_period
-        self._min_gap = p.min_update_gap
-        self._max_gap = p.max_update_gap
 
     # -- boot states ----------------------------------------------------------
 
@@ -79,13 +75,14 @@ class ClockRelay:
         Returns the report vector to broadcast, which is also stored as this
         node's own row.
         """
+        p = self.p
         v = self.node
         claims = self.claims
         last = self.last_update_at
         held = self.report_hold_until
-        max_gap = self._max_gap
-        out: List[Optional[int]] = [None] * self.p.n
-        for w in range(self.p.n):
+        max_gap = p.max_update_gap
+        out: List[Optional[int]] = [None] * p.n
+        for w in range(p.n):
             if w == v:
                 continue
             if now - last[w] > max_gap:
@@ -93,15 +90,15 @@ class ClockRelay:
             hold = held[w]
             if hold is None or now >= hold:
                 out[w] = claims[w]
-        out[v] = now % self._mod
+        out[v] = now % p.clock_modulus
         row = tuple(out)
         self.load_row(v, row)
         return row
 
     def on_update(self, sender: int, values, now: int) -> None:
-        """Check an update's pace and step, then keep the sender's claim."""
+        """Check an update's pace and step, then store it as the sender's row."""
         self._check(sender, values, now)
-        self.claims[sender] = values[sender]
+        self.load_row(sender, values)
 
     def _check(self, w: int, values, now: int) -> None:
         """The pace and step checks of an update from w, before it is stored:
@@ -112,10 +109,12 @@ class ClockRelay:
         The step test `(claim - prev) % modulus == update_period` is
         `mod_signed(claim - prev) == update_period`, as the period is below
         half the modulus."""
+        p = self.p
         prev = self.claims[w]
         claim = values[w]
-        if (now - self.last_update_at[w] < self._min_gap or prev is None
-                or claim is None or (claim - prev) % self._mod != self._period):
+        if (now - self.last_update_at[w] < p.min_update_gap or prev is None
+                or claim is None
+                or (claim - prev) % p.clock_modulus != p.update_period):
             self._flag(w, now)
         self.last_update_at[w] = now
 
@@ -142,27 +141,20 @@ class ClockSync(ClockRelay):
         # low: every column x != node with support[x] < n - f.
         self.low = set(range(n)) - {node}
         self.trust_hold_until: List[Optional[int]] = [None] * n
-        # A value v is near a claim c on the clock circle iff
-        # (c - v + band) % modulus <= 2 band, as 2 band < modulus.
-        self._band = p.relay_band
-        self._width = 2 * p.relay_band
-        self._need = n - p.f
-        self._regain = p.trust_regain
 
     def on_update(self, sender: int, values, now: int) -> None:
         """Check and store the update as the relay does, then distrust every
         column left with fewer than n - f supporting rows."""
-        self._check(sender, values, now)
-        self.load_row(sender, values)
+        super().on_update(sender, values, now)
         if self.low:
-            regain = now + self._regain
+            regain = now + self.p.trust_regain
             hold = self.trust_hold_until
             for x in self.low:
                 hold[x] = regain
 
     def _flag(self, w: int, now: int) -> None:
         super()._flag(w, now)
-        self.trust_hold_until[w] = now + self._regain
+        self.trust_hold_until[w] = now + self.p.trust_regain
 
     # -- stored rows ------------------------------------------------------------
 
@@ -173,14 +165,18 @@ class ClockSync(ClockRelay):
         Row w's value for a column x != w counts toward x's support when it
         lies within `relay_band` of x's claim, which row w does not hold; so
         only the entries that changed move a count.  Column w's claim is the
-        row's own entry, so that column is recounted in full.
+        row's own entry, so that column is recounted in full.  A value v is
+        near a claim c on the clock circle iff (c - v + band) % modulus <=
+        2 band, as 2 band < modulus.
         """
+        p = self.p
+        band, mod, need = p.relay_band, p.clock_modulus, p.n - p.f
+        width = 2 * band
         rows = self.rows
         old = rows[w]
         rows[w] = new = tuple(values)
         claims = self.claims
         claims[w] = own = new[w]
-        band, width, mod, need = self._band, self._width, self._mod, self._need
         support = self.support
         low = self.low
         v = self.node
@@ -214,7 +210,7 @@ class ClockSync(ClockRelay):
     def estimate(self, w: int, now: int) -> Optional[int]:
         """Trusted clock estimate of w (modular), or None while distrusted."""
         if w == self.node:
-            return now % self._mod
+            return now % self.p.clock_modulus
         if expired(self.trust_hold_until[w], now):
             return self.claims[w]
         return None
@@ -223,7 +219,7 @@ class ClockSync(ClockRelay):
         """Every node's `estimate` at `now`, in one pass."""
         out = [claim if hold is None or now >= hold else None
                for claim, hold in zip(self.claims, self.trust_hold_until)]
-        out[self.node] = now % self._mod
+        out[self.node] = now % self.p.clock_modulus
         return tuple(out)
 
     def sanitize(self, now: int) -> None:

@@ -34,12 +34,6 @@ class RunResult:
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def verdict(self, name: str):
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
 
 def _plugin_params(sc: Scenario):
     """The run's protocol plugin and the `Params` derived from its round

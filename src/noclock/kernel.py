@@ -264,7 +264,7 @@ class Simulator:
         return self.clocks[node].floor_units(self._now_n, self._now_d)
 
     def reading(self, node: int) -> int:
-        """Current quantized local clock, in grid units: `grid.read` of it."""
+        """Current local clock, floored to the read quantum, in grid units."""
         q = self.p.grid.q_units
         return self.clocks[node].floor_units(self._now_n, self._now_d) // q * q
 

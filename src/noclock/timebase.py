@@ -18,14 +18,17 @@ def frac(x) -> Fraction:
     """Exact Fraction from int/str/Fraction/float-free decimal strings.
 
     Decimal strings parse exactly ("1.1" -> 11/10); floats are rejected to
-    keep scenario round-trips exact.
+    keep scenario round-trips exact, and a zero denominator is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if type(x) is int:           # not a bool, which is an int to Python
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"expected int/str/Fraction, got {type(x).__name__}: {x!r}")
 
 
@@ -70,11 +73,6 @@ class LocalGrid:
         units > b' iff units*unit > value)."""
         r = frac(value) / self.unit
         return r.numerator // r.denominator
-
-    def read(self, local: Fraction) -> int:
-        """Quantize an exact local-clock value to the read grid, in units."""
-        q = self.q_units
-        return (self.floor_units(local) // q) * q
 
 
 def expired(deadline: Optional[int], now: int) -> bool:

@@ -52,9 +52,22 @@ class Verdict:
     measured: dict = field(default_factory=dict)
     counterexample: Optional[list] = None
 
-    def __repr__(self):
+    def __str__(self):
+        """The verdict's one printed line, also its `repr`."""
         flag = "PASS" if self.passed else "FAIL"
-        return f"<{self.name}: {flag} {self.measured}>"
+        return f"[{flag}] {self.name}  {self.measured}"
+
+    __repr__ = __str__
+
+
+def _verdict(name: str, bad: list, measured: dict,
+             passed: bool = True) -> Verdict:
+    """The verdict of a suite that collects violations: it passes iff
+    `passed` and `bad` is empty, counts them last in `measured` and shows
+    the first 12."""
+    measured["violations"] = len(bad)
+    return Verdict(name, passed and not bad, measured,
+                   counterexample=bad[:12] or None)
 
 
 @dataclass(eq=False, slots=True)
@@ -242,9 +255,7 @@ def _replay_suite(judged, p, proto) -> Verdict:
                     if vec[u] != expect:
                         bad.append(("incoherent", label, v, u, i, vec[u],
                                     expect))
-    return Verdict("oracle-equivalence", not bad,
-                   {"instances_replayed": checked, "violations": len(bad)},
-                   counterexample=bad[:12] or None)
+    return _verdict("oracle-equivalence", bad, {"instances_replayed": checked})
 
 
 def _agreement_suite(judged, correct) -> Verdict:
@@ -279,10 +290,8 @@ def _agreement_suite(judged, correct) -> Verdict:
                 bad.append(("safety_participation", label, sorted(parts)))
             if not any(part[3] == out_val for part in parts.values()):
                 bad.append(("safety_input_origin", label, out_val))
-    return Verdict("agreement-validity-safety", not bad,
-                   {"instances": checked, "nonzero_outputs": nonzero,
-                    "violations": len(bad)},
-                   counterexample=bad[:12] or None)
+    return _verdict("agreement-validity-safety", bad,
+                    {"instances": checked, "nonzero_outputs": nonzero})
 
 
 def _timing_suite(judged, p, correct) -> Verdict:
@@ -332,16 +341,13 @@ def _timing_suite(judged, p, correct) -> Verdict:
     k5, dur_hi = out_spread / d, dur_hi / d
     dur_lo = None if dur_lo is None else dur_lo / d
     lo_ok = dur_lo is None or dur_lo >= p.min_duration
-    passed = (not bad and k2 <= p.max_k2 and k3 <= p.max_k3
-              and k4 <= p.max_k4 and k5 <= p.max_k5
-              and lo_ok and dur_hi <= p.max_duration)
-    return Verdict("timing-windows", passed,
-                   {"K2": float(k2), "K3": float(k3), "K4": float(k4),
-                    "K5": float(k5),
-                    "dur_lo_rounds": None if dur_lo is None else float(dur_lo / p.rounds),
-                    "dur_hi_rounds": float(dur_hi / p.rounds),
-                    "violations": len(bad)},
-                   counterexample=bad[:12] or None)
+    return _verdict("timing-windows", bad,
+                    {"K2": float(k2), "K3": float(k3), "K4": float(k4),
+                     "K5": float(k5),
+                     "dur_lo_rounds": None if dur_lo is None else float(dur_lo / p.rounds),
+                     "dur_hi_rounds": float(dur_hi / p.rounds)},
+                    k2 <= p.max_k2 and k3 <= p.max_k3 and k4 <= p.max_k4
+                    and k5 <= p.max_k5 and lo_ok and dur_hi <= p.max_duration)
 
 
 def _silence_suite(judged) -> Verdict:
@@ -356,9 +362,7 @@ def _silence_suite(judged) -> Verdict:
         for node, (t, value, reason) in rec.outs.items():
             if value != 0:
                 bad.append(("nonzero_output", label, node, value))
-    return Verdict("silence", not bad,
-                   {"silent_instances": checked, "violations": len(bad)},
-                   counterexample=bad[:12] or None)
+    return _verdict("silence", bad, {"silent_instances": checked})
 
 
 def _estimates_suite(ix, p, clocks, correct) -> Verdict:
@@ -507,17 +511,15 @@ def _rarity_suite(ix, p, cutoff) -> Verdict:
         for a, b in zip(times, times[1:]):
             if b - a < window:
                 bad.append(("crowded", initiator, float(a), float(b)))
-    return Verdict("nontrivial-instance-rarity", not bad,
-                   {"initiators": len(firsts), "violations": len(bad)},
-                   counterexample=bad[:12] or None)
+    return _verdict("nontrivial-instance-rarity", bad,
+                    {"initiators": len(firsts)})
 
 
 def _hygiene_suite(ix) -> Verdict:
     bad = [(what + "_on_clean_boot", count) for what, count in (
         ("quarantine", len(ix.quarantines)), ("gate_underflow", ix.underflows),
         ("suppressed_sends", ix.suppressed)) if count]
-    return Verdict("non-interference", not bad,
-                   {"violations": len(bad)}, counterexample=bad or None)
+    return _verdict("non-interference", bad, {})
 
 
 def _stabilization_suite(ix, judged, cutoff, per_instance) -> Verdict:
@@ -581,12 +583,15 @@ def _enc(obj):
     return obj
 
 
+_ENVELOPES = {cls.__name__: cls for cls in msg.ENVELOPES}
+
+
 def _dec(obj):
     if isinstance(obj, dict):
         if "_f" in obj:
             try:
-                return Fraction(obj["_f"])
-            except (TypeError, ZeroDivisionError):
+                return frac(obj["_f"])
+            except (TypeError, ValueError):
                 raise ValueError(f"trace gives the fraction {obj['_f']!r}") \
                     from None
         if "_t" in obj:
@@ -594,15 +599,16 @@ def _dec(obj):
                 raise ValueError(f"trace gives the tuple {obj['_t']!r}")
             return tuple(_dec(x) for x in obj["_t"])
         if "_m" in obj:
-            for cls in msg.ENVELOPES:
-                if cls.__name__ == obj["_m"]:
-                    fields = _dec(obj.get("v"))
-                    if not (isinstance(fields, tuple) and
-                            len(fields) == len(cls.__dataclass_fields__)):
-                        raise ValueError(f"trace gives {cls.__name__} the "
-                                         f"fields {fields!r}")
-                    return cls(*fields)
-            raise ValueError(f"trace names an unknown envelope {obj['_m']!r}")
+            name = obj["_m"]
+            cls = _ENVELOPES.get(name) if type(name) is str else None
+            if cls is None:
+                raise ValueError(f"trace names an unknown envelope {name!r}")
+            fields = _dec(obj.get("v"))
+            if not (isinstance(fields, tuple) and
+                    len(fields) == len(cls.__dataclass_fields__)):
+                raise ValueError(f"trace gives {cls.__name__} the "
+                                 f"fields {fields!r}")
+            return cls(*fields)
         raise ValueError(f"trace gives the unmarked object {obj!r}")
     if isinstance(obj, list):
         raise ValueError(f"trace gives the list {obj!r}, not a tuple")

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from noclock.params import derive
+from shapes import derive_pk4
+
 
 settings.register_profile("slow-box", deadline=None)
 settings.load_profile("slow-box")
@@ -40,4 +41,4 @@ class FakeRuntime:
 
 @pytest.fixture
 def rt():
-    return FakeRuntime(derive(4, 1, "1.1", "1", 8, 38))
+    return FakeRuntime(derive_pk4(4, 1, "1.1", "1"))

@@ -1,14 +1,45 @@
-"""Scenario shapes the acceptance gate and the trace-digest matrix share.
+"""Scenario shapes and helpers the test modules share.
 
-The sweep shape: f = (n-1)//3, two correct initiators (nodes 0 and 1) at 6 d
-and 13 d, plus a byzantine one at 10 d for `split_echo`, 110 d by default.
-The corrupted shape: an n=4 random boot of 1100 d with two correct
-initiations after the judging horizon.
+The clean shape: n=4, seed 3, node 3 silent, one initiation by node 0 at
+8 d, 110 d.  The sweep shape: f = (n-1)//3, two correct initiators (nodes 0
+and 1) at 6 d and 13 d, plus a byzantine one at 10 d for `split_echo`, 110 d
+by default.  The corrupted shape: an n=4 random boot of 1100 d with two
+correct initiations after the judging horizon.
 """
 
 import random
 
+from noclock import harness, verdicts
+from noclock.params import Params, derive
 from noclock.scenario import Scenario
+
+
+def derive_pk4(n, f, theta, d, **kw) -> Params:
+    """`derive` with the n=4 phase king's round count (8) and bit bound
+    (38), which the unit tests use at every n."""
+    return derive(n, f, theta, d, 8, 38, **kw)
+
+
+def by_name(vds, name):
+    """The verdict called `name` among `vds`."""
+    return next(v for v in vds if v.name == name)
+
+
+def rejudge(sc, res, trace):
+    """The verdicts on `trace`, a possibly tampered trace of the run `res`
+    of `sc`, judged with the scenario's plugin and fresh clocks."""
+    _rng, _p, _byz, _correct, proto, clocks = harness.build_env(sc)
+    return verdicts.evaluate(trace, sc, res.params, clocks, res.correct,
+                             lambda: proto)
+
+
+def clean_scenario(**over) -> Scenario:
+    base = dict(n=4, f=1, theta="1.1", d="1", duration="110", seed=3,
+                adversary={"byzantine": "silent", "delays": "uniform",
+                           "byzantine_set": [3]},
+                script=[{"t": "8", "node": 0, "action": "initiate"}])
+    base.update(over)
+    return Scenario(**base)
 
 # (byzantine strategy, oracle, clock_skew mode) of each sweep adversary.
 STRATEGIES = [

@@ -14,7 +14,8 @@ import pytest
 from noclock import harness
 from noclock.protocols import PhaseKing, run_lockstep
 from noclock.scenario import Scenario
-from shapes import STRATEGIES, byzantine_set, corrupted_scenario, sweep_scenario
+from shapes import (STRATEGIES, by_name, byzantine_set, corrupted_scenario,
+                    sweep_scenario)
 
 CONFIGS = [(n, (n - 1) // 3, theta)
            for n in (4, 7, 10) for theta in ("1.0", "1.1")]
@@ -58,8 +59,8 @@ def _collect(results, verdict_name):
 
 def test_criterion_1_oracle_equivalence(sweep_results):
     bad = _collect(sweep_results, "oracle-equivalence")
-    replayed = sum(r.verdict("oracle-equivalence").measured["instances_replayed"]
-                   for r in sweep_results)
+    replayed = sum(by_name(r.verdicts, "oracle-equivalence")
+                   .measured["instances_replayed"] for r in sweep_results)
     _report(1, "oracle equivalence", not bad and replayed >= 500,
             f"{replayed} node-executions replayed, {len(bad)} failing runs"
             + (f"; first: {bad[0]}" if bad else ""))
@@ -67,10 +68,10 @@ def test_criterion_1_oracle_equivalence(sweep_results):
 
 def test_criterion_2_agreement_validity_safety(sweep_results):
     bad = _collect(sweep_results, "agreement-validity-safety")
-    instances = sum(r.verdict("agreement-validity-safety").measured["instances"]
-                    for r in sweep_results)
-    nonzero = sum(r.verdict("agreement-validity-safety").measured["nonzero_outputs"]
-                  for r in sweep_results)
+    ms = [by_name(r.verdicts, "agreement-validity-safety").measured
+          for r in sweep_results]
+    instances = sum(m["instances"] for m in ms)
+    nonzero = sum(m["nonzero_outputs"] for m in ms)
     _report(2, "agreement/validity/safety",
             not bad and instances >= 1000 and nonzero >= 200,
             f"{instances} instances, {nonzero} nonzero outputs, "
@@ -79,13 +80,11 @@ def test_criterion_2_agreement_validity_safety(sweep_results):
 
 def test_criterion_3_timing_windows(sweep_results):
     bad = _collect(sweep_results, "timing-windows")
-    k2 = max(r.verdict("timing-windows").measured["K2"] for r in sweep_results)
-    k5 = max(r.verdict("timing-windows").measured["K5"] for r in sweep_results)
-    hi = max(r.verdict("timing-windows").measured["dur_hi_rounds"]
-             for r in sweep_results)
-    lo = min(r.verdict("timing-windows").measured["dur_lo_rounds"]
-             for r in sweep_results
-             if r.verdict("timing-windows").measured["dur_lo_rounds"] is not None)
+    ms = [by_name(r.verdicts, "timing-windows").measured for r in sweep_results]
+    k2 = max(m["K2"] for m in ms)
+    k5 = max(m["K5"] for m in ms)
+    hi = max(m["dur_hi_rounds"] for m in ms)
+    lo = min(m["dur_lo_rounds"] for m in ms if m["dur_lo_rounds"] is not None)
     _report(3, "timing windows",
             not bad and k2 <= 8 and k5 <= 8 and 1 <= lo and hi <= 12,
             f"K2={k2:.2f}<=8, K5={k5:.2f}<=8, duration/round in "
@@ -95,7 +94,7 @@ def test_criterion_3_timing_windows(sweep_results):
 
 def test_criterion_4_silence(sweep_results):
     bad = _collect(sweep_results, "silence")
-    silent = sum(r.verdict("silence").measured["silent_instances"]
+    silent = sum(by_name(r.verdicts, "silence").measured["silent_instances"]
                  for r in sweep_results)
     _report(4, "silence", not bad and silent >= 200,
             f"{silent} all-zero-input instances with zero payload bits, "
@@ -104,10 +103,10 @@ def test_criterion_4_silence(sweep_results):
 
 def test_criterion_5_clock_estimate_accuracy(sweep_results):
     bad = _collect(sweep_results, "clock-estimate-accuracy")
-    t0 = max(r.verdict("clock-estimate-accuracy").measured["t0"]
-             for r in sweep_results)
-    samples = sum(r.verdict("clock-estimate-accuracy").measured["samples"]
-                  for r in sweep_results)
+    ms = [by_name(r.verdicts, "clock-estimate-accuracy").measured
+          for r in sweep_results]
+    t0 = max(m["t0"] for m in ms)
+    samples = sum(m["samples"] for m in ms)
     _report(5, "clock-estimate accuracy", not bad and samples > 10**5,
             f"worst t0={t0}, {samples} samples within one quantum of "
             f"[H_w - 3*theta*d, H_w], {len(bad)} failing runs"
@@ -118,10 +117,10 @@ def test_criterion_6_self_stabilization(corrupted_results):
     bad = [(r.scenario.seed, [(v.name, v.measured) for v in r.verdicts
                               if not v.passed])
            for r in corrupted_results if not r.passed]
-    posts = sum(r.verdict("self-stabilization").measured["post_horizon_instances"]
-                for r in corrupted_results)
-    quarantines = sum(r.verdict("self-stabilization").measured["quarantines"]
-                      for r in corrupted_results)
+    ms = [by_name(r.verdicts, "self-stabilization").measured
+          for r in corrupted_results]
+    posts = sum(m["post_horizon_instances"] for m in ms)
+    quarantines = sum(m["quarantines"] for m in ms)
     _report(6, "self-stabilization from arbitrary states",
             not bad and len(corrupted_results) >= 100 and posts >= 100
             and quarantines >= 5,
@@ -155,12 +154,10 @@ def bits_results():
 
 def test_criterion_7_amortized_bits(bits_results):
     bad = _collect(bits_results, "amortized-bits")
-    c_bits = max(r.verdict("amortized-bits").measured["c_bits"]
-                 for r in bits_results)
-    c_infra = max(r.verdict("amortized-bits").measured["c_infra"]
-                  for r in bits_results)
-    windows = sum(r.verdict("amortized-bits").measured["windows"]
-                  for r in bits_results)
+    ms = [by_name(r.verdicts, "amortized-bits").measured for r in bits_results]
+    c_bits = max(m["c_bits"] for m in ms)
+    c_infra = max(m["c_infra"] for m in ms)
+    windows = sum(m["windows"] for m in ms)
     _report(7, "amortized bits",
             not bad and 0 < c_bits <= 64 and 0 < c_infra <= 64 and windows >= 12,
             f"c_bits={c_bits}<=64 and c_infra={c_infra}<=64 over {windows} "
@@ -186,11 +183,10 @@ def skew_results():
 def test_criterion_8_byzantine_clock_envelope(sweep_results, skew_results):
     runs = sweep_results + skew_results
     bad = _collect(runs, "byzantine-clock-envelope")
-    k1 = max(r.verdict("byzantine-clock-envelope").measured["K1"]
-             for r in runs if r.verdict("byzantine-clock-envelope")
-             .measured.get("pairs"))
-    pairs = sum(r.verdict("byzantine-clock-envelope").measured.get("pairs", 0)
-                for r in runs)
+    ms = [by_name(r.verdicts, "byzantine-clock-envelope").measured
+          for r in runs]
+    k1 = max(m["K1"] for m in ms if m.get("pairs"))
+    pairs = sum(m.get("pairs", 0) for m in ms)
     _report(8, "byzantine clock envelope",
             not bad and k1 <= 16 and pairs >= 10**5,
             f"K1={k1:.2f}<=16 over {pairs} estimate pairs "

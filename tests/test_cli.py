@@ -6,16 +6,13 @@ import pytest
 from noclock import cli, harness, verdicts
 from noclock.protocols import PROTOCOLS
 from noclock.scenario import Scenario
+from shapes import clean_scenario
 
 
 @pytest.fixture
 def scenario_file(tmp_path):
-    sc = Scenario(n=4, f=1, theta="1.1", duration="110", seed=3,
-                  adversary={"byzantine": "silent", "delays": "uniform",
-                             "byzantine_set": [3]},
-                  script=[{"t": "8", "node": 0, "action": "initiate"}])
     path = tmp_path / "scenario.json"
-    sc.dump(path)
+    clean_scenario().dump(path)
     return path
 
 
@@ -69,11 +66,14 @@ def test_check_trace_reevaluates(scenario_file, tmp_path, capsys):
     out = tmp_path / "results"
     assert cli.main(["run", "--scenario", str(scenario_file),
                      "--out", str(out)]) == 0
-    capsys.readouterr()
+    ran = capsys.readouterr().out.splitlines()
     rc = cli.main(["check-trace", "--dir", str(out)])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "[PASS] oracle-equivalence" in text
+    checked = capsys.readouterr().out.splitlines()
+    # The verdict lines `run` printed under its header, without the indent.
+    assert checked == [line.removeprefix("  ") for line in ran[1:]]
+    assert "[PASS] oracle-equivalence  {'instances_replayed': 3, " \
+        "'violations': 0}" in checked
 
 
 def test_explain_prints_one_verdict(scenario_file, tmp_path, capsys):
@@ -224,6 +224,19 @@ def test_bad_delay_bound_or_update_period_exits_two(tmp_path, capsys, data,
     bad.write_text(json.dumps(data))
     assert cli.main(["run", "--scenario", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    {"theta": "1/0"}, {"d": "1/0"}, {"T": "1/0"}, {"duration": "1/0"},
+    {"clock_update_period": "1/0"},
+    {"script": [{"t": "1/0", "node": 0, "action": "initiate"}]},
+])
+def test_a_zero_denominator_exits_two(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 4, "f": 1, **data}))
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario invalid:") and "'1/0'" in err
 
 
 def test_string_size_exits_two(tmp_path, capsys):

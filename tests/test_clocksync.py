@@ -13,14 +13,14 @@ from noclock import adversary, harness, protocols
 from noclock.clocksync import ClockRelay, ClockSync
 from noclock.kernel import Simulator
 from noclock.node import NodeRuntime
-from noclock.params import derive
 from noclock.scenario import Scenario
 from noclock.timebase import mod_near, mod_signed
+from shapes import derive_pk4
 
 
 @pytest.fixture
 def p():
-    return derive(4, 1, "1.1", "1", 8, 38)
+    return derive_pk4(4, 1, "1.1", "1")
 
 
 def healthy(p, node=0, now=0):
@@ -226,7 +226,7 @@ def flagged_by_checks(cs, sender, values, now):
 def test_support_counts_equal_a_recount(data, n):
     """`support` and `low` stay equal to a recount after every write, and an
     update sets exactly the trust holds the rule names."""
-    p = derive(n, (n - 1) // 3, "1.1", "1", 8, 38)
+    p = derive_pk4(n, (n - 1) // 3, "1.1", "1")
     node = data.draw(st.integers(0, n - 1))
     cs = ClockSync(p, node)
     rows = st.lists(values(p), min_size=n, max_size=n)
@@ -266,7 +266,7 @@ def test_support_counts_equal_a_recount(data, n):
 def test_estimates_equal_estimate_per_node(data, n):
     """The one-pass `estimates` record is `estimate` for every node, with
     trust holds unset, running, just expiring and long expired."""
-    p = derive(n, (n - 1) // 3, "1.1", "1", 8, 38)
+    p = derive_pk4(n, (n - 1) // 3, "1.1", "1")
     node = data.draw(st.integers(0, n - 1))
     cs = ClockSync(p, node)
     cs.boot_clean(data.draw(st.lists(claims(p), min_size=n, max_size=n)), 0)
@@ -320,7 +320,7 @@ def test_corrupted_boot_leaves_exact_support_counts(seed):
 def test_relay_broadcasts_what_clock_sync_broadcasts(data, n):
     """A `ClockRelay` and a `ClockSync` fed the same updates and ticks keep
     the same relay registers and broadcast the same vectors."""
-    p = derive(n, (n - 1) // 3, "1.1", "1", 8, 38)
+    p = derive_pk4(n, (n - 1) // 3, "1.1", "1")
     node = data.draw(st.integers(0, n - 1))
     relay, full = ClockRelay(p, node), ClockSync(p, node)
     now = data.draw(st.integers(0, p.update_period))

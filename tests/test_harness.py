@@ -10,17 +10,9 @@ import pytest
 from noclock import harness, verdicts
 from noclock.protocols import make_protocol
 from noclock.scenario import Scenario
-from shapes import STRATEGIES, sweep_scenario
+from shapes import (STRATEGIES, by_name, clean_scenario, rejudge,
+                    sweep_scenario)
 from test_trace_matrix import MATRIX
-
-
-def clean_scenario(**over):
-    base = dict(n=4, f=1, theta="1.1", d="1", duration="110", seed=3,
-                adversary={"byzantine": "silent", "delays": "uniform",
-                           "byzantine_set": [3]},
-                script=[{"t": "8", "node": 0, "action": "initiate"}])
-    base.update(over)
-    return Scenario(**base)
 
 
 def test_clean_run_passes_every_suite():
@@ -29,7 +21,7 @@ def test_clean_run_passes_every_suite():
     assert res.byzantine == [3]
     outs = [r for r in res.trace if r[0] == "output"]
     assert len(outs) == 3 and all(r[4] == 1 for r in outs)
-    assert res.verdict("amortized-bits").measured["windows"] > 0
+    assert by_name(res.verdicts, "amortized-bits").measured["windows"] > 0
 
 
 def test_identical_scenario_and_seed_reproduce_identical_traces():
@@ -48,9 +40,7 @@ def test_different_seed_changes_the_trace():
 def test_trace_evaluation_is_rerunnable():
     sc = clean_scenario()
     res = harness.run(sc)
-    again = verdicts.evaluate(res.trace, sc, res.params,
-                              harness.build_env(sc)[5], res.correct,
-                              lambda: make_protocol("phase-king-silent", 4, 1))
+    again = rejudge(sc, res, res.trace)
     assert [(v.name, v.passed, v.measured) for v in res.verdicts] == \
            [(v.name, v.passed, v.measured) for v in again]
 
@@ -88,6 +78,11 @@ def test_trace_decoding_accepts_only_envelopes(name):
 
 @pytest.mark.parametrize("line", [
     '{"_t": ["init", 5, 0, {"_f": "1/0"}]}', '{"_t": ["est", {"_f": [1]}, 0, []]}',
+    # Fractions and envelope names the writer never writes.
+    '{"_t": ["init", {"_f": 1.5}, 0, {"_t": [0, 5]}]}',
+    '{"_t": ["init", {"_f": true}, 0, {"_t": [0, 5]}]}',
+    '{"_t": ["init", {"_f": "x"}, 0, {"_t": [0, 5]}]}',
+    '{"_t": ["send", 1, 0, 1, "Init", 24, 0, {"_m": ["Init"], "v": {"_t": [5]}}]}',
     '{"_t": 5}', '5', '"send"', '{"_t": []}', '{"_t": [7, 0, 1]}',
     '{"_t": ["send"]}', '{"_t": ["send", 1, 0, 1, "Init", 3, 0]}',
     '{"_t": ["participate", 1, 0, {"_t": [0, 5]}, 2, 1]}',
@@ -280,7 +275,7 @@ def test_two_concurrent_instances():
 def test_const_zero_oracle_is_silent():
     res = harness.run(clean_scenario(oracle={"kind": "const", "value": 0}))
     assert res.passed
-    v = res.verdict("silence")
+    v = by_name(res.verdicts, "silence")
     assert v.measured["silent_instances"] == 1
     outs = [r for r in res.trace if r[0] == "output"]
     assert all(r[4] == 0 for r in outs)
@@ -390,7 +385,7 @@ def test_corrupted_boot_stabilizes_and_quarantine_path_runs():
     for seed in range(4):
         res = harness.run(corrupted_scenario(seed))
         assert res.passed, (seed, [v for v in res.verdicts if not v.passed])
-        sv = res.verdict("self-stabilization")
+        sv = by_name(res.verdicts, "self-stabilization")
         assert sv.measured["post_horizon_instances"] >= 1
         quarantines += sv.measured["quarantines"]
     assert quarantines >= 1          # the overload/quarantine path was hit
@@ -438,7 +433,8 @@ def test_no_faults_edge():
                       script=[{"t": "8", "node": 0, "action": "initiate"}])
         res = harness.run(sc, keep_trace=False)
         assert res.passed, (n, [v for v in res.verdicts if not v.passed])
-        assert res.verdict("agreement-validity-safety").measured["instances"] == 1
+        agreement = by_name(res.verdicts, "agreement-validity-safety")
+        assert agreement.measured["instances"] == 1
 
 
 def test_equivocating_node_boots_clean_and_takes_part():
@@ -469,7 +465,8 @@ def test_repeated_instances_over_long_horizon():
                         script=script)
     res = harness.run(sc, keep_trace=False)
     assert res.passed, [v for v in res.verdicts if not v.passed]
-    assert res.verdict("agreement-validity-safety").measured["instances"] == 3
+    agreement = by_name(res.verdicts, "agreement-validity-safety")
+    assert agreement.measured["instances"] == 3
 
 
 def test_sweep_runs_cross_product():

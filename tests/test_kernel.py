@@ -10,9 +10,9 @@ from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY, THRESHOLD,
                             HardwareClock, Simulator, SimulatorBug)
 from noclock.messages import Garbage, Init, RoundMsg, Update
 from noclock.node import NodeRuntime
-from noclock.params import derive
 from noclock.protocols import make_protocol
 from noclock.timebase import frac
+from shapes import derive_pk4
 
 
 # The grid unit of the exact-reference tests, which read no grid.
@@ -40,7 +40,7 @@ class Recorder:
 
 
 def make_sim(rates=None, n=2, delay_policy=lambda *a: 512):
-    p = derive(4, 1, "1.1", "1", 8, 38)
+    p = derive_pk4(4, 1, "1.1", "1")
     rates = rates or [(0, 1)]
     clocks = {v: HardwareClock(0, rates, p.grid.unit) for v in range(n)}
     events = []
@@ -181,7 +181,7 @@ class Timed(Recorder):
        start=st.fractions(min_value=0, max_value=40, max_denominator=97),
        k=st.integers(1, DELAY_STEPS - 1))
 def test_delivery_time_is_now_plus_k_steps_of_d(d, start, k):
-    p = derive(4, 1, "1.1", d, 8, 38)
+    p = derive_pk4(4, 1, "1.1", d)
     clocks = {v: HardwareClock(0, [(0, 1)], p.grid.unit) for v in range(2)}
     events = []
     sim = Simulator(p, clocks, {}, lambda *a: k, random.Random(0))
@@ -221,7 +221,7 @@ def random_schedule(data, theta):
 @given(data=st.data())
 def test_grid_inversion_equals_the_exact_clock_inversion(data):
     theta = frac(data.draw(st.sampled_from(["1", "1.1", "1.25", "1.3"])))
-    p = derive(4, 1, theta, "1", 8, 38)
+    p = derive_pk4(4, 1, theta, "1")
     grid = p.grid
     offset = data.draw(st.integers(0, 400)) * grid.unit
     clock = HardwareClock(offset, random_schedule(data, theta), grid.unit)
@@ -309,7 +309,7 @@ def test_drift_bound_holds_for_random_schedules(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_grid_reading_equals_the_floored_exact_clock(data):
-    p = derive(4, 1, "1.1", "1", 8, 38)
+    p = derive_pk4(4, 1, "1.1", "1")
     rates = st.fractions(min_value=1, max_value=2, max_denominator=40)
     segs = [(0, data.draw(rates))]
     for _ in range(data.draw(st.integers(0, 6))):
@@ -340,7 +340,15 @@ def test_reading_is_the_quantized_grid_reading():
         sim.run_until(frac(t))
         value = sim.clocks[0].value(sim.now)
         assert sim.local_units(0) == sim.p.grid.floor_units(value)
-        assert sim.reading(0) == sim.p.grid.read(value)
+        q = sim.p.grid.q_units
+        assert sim.reading(0) == sim.p.grid.floor_units(value) // q * q
+
+
+def test_reading_floors_to_the_read_quantum():
+    sim, _ = make_sim()   # rate 1 from 0: the local clock is the real time
+    for t, units in (("7", 140), ("7.11", 140), ("7.49", 145)):
+        sim.run_until(frac(t))                   # 7.11 -> 7.0, 7.49 -> 7.25
+        assert sim.reading(0) == units
 
 
 # Envelopes a send set may repeat: well-formed ones and malformed ones
@@ -355,7 +363,7 @@ def draws(lo, hi):
 
 
 def timed_sim(policy):
-    p = derive(4, 1, "1.1", "1", 8, 38)
+    p = derive_pk4(4, 1, "1.1", "1")
     clocks = {v: HardwareClock(0, [(0, 1), (3, frac("1.1"))], p.grid.unit)
               for v in range(4)}
     events = []
@@ -428,7 +436,7 @@ def test_a_fixed_delay_multicast_shares_one_delivery_time():
 
 
 def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
-    p = derive(4, 1, "1.1", "1", 8, 38)
+    p = derive_pk4(4, 1, "1.1", "1")
     checked = []
     well_formed = messages.well_formed
 

@@ -8,12 +8,13 @@ from noclock.messages import Echo, Init, RoundMsg, Update, well_formed
 from noclock.params import derive
 from noclock.protocols import make_protocol
 from noclock.scenario import Scenario, ScenarioError
+from shapes import derive_pk4
 
 
 @pytest.fixture(scope="module")
 def p():
     # n=4, f=1, theta=1.1, d=1, silent phase king: 8 rounds, 38 payload bits.
-    return derive(4, 1, "1.1", "1", 8, 38)
+    return derive_pk4(4, 1, "1.1", "1")
 
 
 def test_grid_unit_and_quantum(p):
@@ -66,14 +67,14 @@ def test_default_T_is_theorem_minimum(p):
 
 def test_rejects_bad_resilience():
     with pytest.raises(ValueError):
-        derive(4, 2, "1.1", "1", 8, 38)
+        derive_pk4(4, 2, "1.1", "1")
     with pytest.raises(ValueError):
-        derive(3, 1, "1.1", "1", 8, 38)
+        derive_pk4(3, 1, "1.1", "1")
 
 
 def test_rejects_small_T():
     with pytest.raises(ValueError):
-        derive(4, 1, "1.1", "1", 8, 38, T="2")
+        derive_pk4(4, 1, "1.1", "1", T="2")
 
 
 @pytest.mark.parametrize("model", [
@@ -86,19 +87,19 @@ def test_derive_rejects_what_validate_reports(model):
     with pytest.raises(ScenarioError) as reported:
         sc.validate()
     with pytest.raises(ValueError) as raised:
-        derive(sc.n, sc.f, sc.theta, sc.d, 8, 38, T=sc.T,
+        derive_pk4(sc.n, sc.f, sc.theta, sc.d, T=sc.T,
                clock_update_period=sc.clock_update_period)
     assert str(raised.value) == "; ".join(reported.value.problems)
 
 
 def test_theta_one_keeps_strict_gc_ordering():
-    p1 = derive(4, 1, "1", "1", 8, 38)
+    p1 = derive_pk4(4, 1, "1", "1")
     assert p1.trust_regain > p1.instance_ttl
 
 
 def test_reduced_update_frequency_scales_clock_side_only():
-    slow = derive(4, 1, "1.1", "1", 8, 38, T="3", clock_update_period="3")
-    fast = derive(4, 1, "1.1", "1", 8, 38, T="3")
+    slow = derive_pk4(4, 1, "1.1", "1", T="3", clock_update_period="3")
+    fast = derive_pk4(4, 1, "1.1", "1", T="3")
     assert slow.update_period == 3 * fast.update_period
     assert slow.round_gap == fast.round_gap  # round pacing stays with d
 
@@ -112,7 +113,7 @@ def test_instance_budget_covers_healthy_traffic(p):
 
 @pytest.mark.parametrize("period", [None, "3"])
 def test_verdict_windows_derive_from_the_params(period):
-    q = derive(4, 1, "1.1", "1", 8, 38, T="3", clock_update_period=period)
+    q = derive_pk4(4, 1, "1.1", "1", T="3", clock_update_period=period)
     assert q.bits_window == 10 * q.T
 
 

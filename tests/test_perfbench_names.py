@@ -8,7 +8,8 @@ import subprocess
 import sys
 import textwrap
 
-from noclock.params import derive
+from shapes import derive_pk4
+
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,5 +61,5 @@ def test_check_reads_only_params_fields():
     assert {"clock_modulus", "d", "d_clk", "gate_hold", "grid", "round_gap",
             "rounds", "stall_after", "theta", "trust_regain",
             "update_period"} <= read
-    p = derive(4, 1, "1.1", "1", 8, 38)
+    p = derive_pk4(4, 1, "1.1", "1")
     assert sorted(name for name in read if not hasattr(p, name)) == []

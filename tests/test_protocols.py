@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noclock import harness, verdicts
+from noclock import harness
 from noclock.protocols import (ONE, PROTOCOLS, PhaseKing, SilentWrapper,
                                make_protocol, phase_king_silent, replay,
                                run_lockstep)
 from noclock.scenario import Scenario
+from shapes import by_name, rejudge
 
 
 # -- phase king ----------------------------------------------------------------
@@ -265,9 +266,7 @@ def test_the_plugin_takes_and_gives_tuples_in_the_run_and_in_replay(
     remits = [rec[5] for rec in res.trace if rec[0] == "remit"]
     assert remits and all(type(vec) is tuple for vec in remits)
     seen.clear()
-    vds = verdicts.evaluate(res.trace, sc, res.params, harness.build_env(sc)[5],
-                            res.correct, lambda: SpyPlugin(4, 1, seen))
-    replayed = next(v for v in vds if v.name == "oracle-equivalence")
+    replayed = by_name(rejudge(sc, res, res.trace), "oracle-equivalence")
     assert replayed.passed and replayed.measured["instances_replayed"] == 3
     assert set(seen) == {("received", tuple), ("sends", tuple)}
 

@@ -17,6 +17,11 @@ def test_frac_rejects_floats():
         frac(1.1)
 
 
+def test_frac_names_a_zero_denominator():
+    with pytest.raises(ValueError, match="'3/0' has a zero denominator"):
+        frac("3/0")
+
+
 def test_frac_gcd():
     assert frac_gcd(Fraction(1, 4), Fraction(11, 5)) == Fraction(1, 20)
     assert frac_gcd(Fraction(6), Fraction(4)) == 2
@@ -32,12 +37,6 @@ def test_units_roundtrip(grid):
     assert grid.from_units(44) == Fraction(11, 5)
     with pytest.raises(ValueError):
         grid.to_units(Fraction(1, 3))
-
-
-def test_read_floors_to_quantum(grid):
-    assert grid.read(Fraction(7)) == 140
-    assert grid.read(Fraction(711, 100)) == 140          # 7.11 -> 7.0
-    assert grid.read(Fraction(749, 100)) == 145          # 7.49 -> 7.25
 
 
 fractions_st = st.fractions(min_value=0, max_value=1000,

@@ -11,30 +11,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from noclock import harness, verdicts
-from noclock.protocols import make_protocol
 from noclock.scenario import Scenario
 from noclock.timebase import mod_signed
+from shapes import by_name, clean_scenario, rejudge
 
 
 @pytest.fixture(scope="module")
 def good_run():
-    sc = Scenario(n=4, f=1, theta="1.1", duration="110", seed=3,
-                  adversary={"byzantine": "silent", "delays": "uniform",
-                             "byzantine_set": [3]},
-                  script=[{"t": "8", "node": 0, "action": "initiate"}])
+    sc = clean_scenario()
     res = harness.run(sc)
     assert res.passed
     return sc, res
-
-
-def reevaluate(sc, res, trace):
-    return verdicts.evaluate(trace, sc, res.params, harness.build_env(sc)[5],
-                             res.correct,
-                             lambda: make_protocol("phase-king-silent", 4, 1))
-
-
-def by_name(vds, name):
-    return next(v for v in vds if v.name == name)
 
 
 def test_flipped_output_breaks_agreement_and_replay(good_run):
@@ -43,7 +30,7 @@ def test_flipped_output_breaks_agreement_and_replay(good_run):
     idx = next(i for i, r in enumerate(trace) if r[0] == "output")
     r = trace[idx]
     trace[idx] = (r[0], r[1], r[2], r[3], 1 - r[4], r[5])
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "agreement-validity-safety").passed
     assert not by_name(vds, "oracle-equivalence").passed
 
@@ -56,7 +43,7 @@ def test_tampered_receipt_breaks_replay_coherence(good_run):
     vec = list(r[5])
     vec[0] = (1, 0, 1)
     trace[idx] = (r[0], r[1], r[2], r[3], r[4], tuple(vec))
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "oracle-equivalence").passed
 
 
@@ -85,7 +72,7 @@ def test_replay_runs_once_per_distinct_execution(repeated_run, monkeypatch):
         calls.append((index, input_bit, received))
         return real(proto, index, input_bit, received)
     monkeypatch.setattr(verdicts, "replay", counted)
-    oracle = by_name(reevaluate(sc, res, res.trace), "oracle-equivalence")
+    oracle = by_name(rejudge(sc, res, res.trace), "oracle-equivalence")
     assert oracle.passed and oracle.measured["instances_replayed"] == 9
     assert len(calls) == len(set(calls)) == 3
 
@@ -106,7 +93,7 @@ def test_a_repeated_execution_with_a_flipped_output_still_mismatches(
     r = trace[idx]
     trace[idx] = (r[0], r[1], r[2], r[3], 1 - r[4], r[5])
     untampered = by_name(res.verdicts, "oracle-equivalence")
-    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    oracle = by_name(rejudge(sc, res, trace), "oracle-equivalence")
     assert not oracle.passed
     assert ("replay_mismatch", r[3], r[2], r[4], 1 - r[4]) in \
         oracle.counterexample
@@ -124,7 +111,7 @@ def test_a_repeated_execution_with_a_tampered_receipt_fails(repeated_run):
     vec = list(r[5])
     vec[(r[2] + 1) % 3] = None
     trace[idx] = (r[0], r[1], r[2], r[3], r[4], tuple(vec))
-    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    oracle = by_name(rejudge(sc, res, trace), "oracle-equivalence")
     assert not oracle.passed
     assert any(cex[1] == out[3] for cex in oracle.counterexample)
 
@@ -189,7 +176,7 @@ def test_coherence_names_what_a_per_triple_check_names(repeated_run,
         return real(js, p, proto)
     monkeypatch.setattr(verdicts, "_replay_suite", kept)
     trace = TAMPERS[tamper](res.trace)
-    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    oracle = by_name(rejudge(sc, res, trace), "oracle-equivalence")
     want = per_triple_incoherence(judged)
     assert oracle.measured["violations"] == len(want)
     assert oracle.counterexample == (want[:12] or None)
@@ -202,7 +189,7 @@ def test_missing_receipt_is_named_not_replayed(good_run):
     trace = list(res.trace)
     r = next(r for r in trace if r[0] == "rrcv" and r[4] == 4)
     trace.remove(r)
-    oracle = by_name(reevaluate(sc, res, trace), "oracle-equivalence")
+    oracle = by_name(rejudge(sc, res, trace), "oracle-equivalence")
     assert not oracle.passed
     assert ("missing_round_record", r[3], r[2], 4) in oracle.counterexample
     assert oracle.measured["instances_replayed"] == \
@@ -214,7 +201,7 @@ def test_missing_participant_breaks_timing(good_run):
     sc, res = good_run
     trace = [r for r in res.trace
              if not (r[0] == "participate" and r[2] == 1)]
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "timing-windows").passed
 
 
@@ -223,14 +210,14 @@ def test_init_without_any_participant_breaks_timing(good_run):
     # it is a violation, not an instance still starting up.
     sc, res = good_run
     trace = [r for r in res.trace if r[0] != "participate"]
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "timing-windows").passed
 
 
 def test_missing_output_is_unterminated(good_run):
     sc, res = good_run
     trace = [r for r in res.trace if not (r[0] == "output" and r[2] == 1)]
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "agreement-validity-safety").passed
 
 
@@ -241,7 +228,7 @@ def test_early_participation_flagged(good_run):
     r = trace[idx]
     t0 = next(r2[1] for r2 in trace if r2[0] == "init")
     trace[idx] = (r[0], t0 + Fraction(1, 2), r[2], r[3], r[4], r[5], r[6])
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "timing-windows").passed
 
 
@@ -257,7 +244,7 @@ def test_payload_leak_breaks_silence():
     idx, r = next((i, r) for i, r in enumerate(trace)
                   if r[0] == "send" and r[4] == "RoundMsg")
     trace[idx] = (r[0], r[1], r[2], r[3], r[4], r[5], 2, r[7])
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "silence").passed
 
 
@@ -269,7 +256,7 @@ def test_distrusted_estimate_moves_t0(good_run):
     ests = list(r[3])
     ests[1] = None
     trace[idx] = (r[0], r[1], r[2], tuple(ests))
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     v = by_name(vds, "clock-estimate-accuracy")
     assert v.measured["t0"] == float(r[1])
     assert not v.passed          # no passing tail after the last failure
@@ -278,7 +265,7 @@ def test_distrusted_estimate_moves_t0(good_run):
 def test_quarantine_record_breaks_clean_hygiene(good_run):
     sc, res = good_run
     trace = list(res.trace) + [("quarantine", Fraction(50), 0)]
-    vds = reevaluate(sc, res, trace)
+    vds = rejudge(sc, res, trace)
     assert not by_name(vds, "non-interference").passed
 
 
@@ -291,7 +278,7 @@ def test_estimate_out_of_band_moves_t0_to_its_record(good_run):
     ests = list(r[3])
     ests[1] = (ests[1] + p.estimate_band + 1) % p.clock_modulus
     trace[idx] = (r[0], r[1], r[2], tuple(ests))
-    v = by_name(reevaluate(sc, res, trace), "clock-estimate-accuracy")
+    v = by_name(rejudge(sc, res, trace), "clock-estimate-accuracy")
     assert not v.passed and v.measured["t0"] == float(r[1])
     assert v.counterexample[0][:4] == ("band", r[1], 0, 1)
 
@@ -299,14 +286,14 @@ def test_estimate_out_of_band_moves_t0_to_its_record(good_run):
 def test_inflated_window_breaks_amortized_bits(good_run):
     sc, res = good_run
     p = res.params
-    assert res.verdict("amortized-bits").measured["windows"] > 0
+    assert by_name(res.verdicts, "amortized-bits").measured["windows"] > 0
     trace = list(res.trace)
     idx = next(i for i, r in enumerate(trace) if r[0] == "send" and r[2] == 0
                and r[1] >= p.bits_window)
     r = trace[idx]
     frame = int(p.max_c_bits * float(p.bits_window) * p.bits_denom) + 1
     trace[idx] = r[:5] + (frame,) + r[6:]
-    v = by_name(reevaluate(sc, res, trace), "amortized-bits")
+    v = by_name(rejudge(sc, res, trace), "amortized-bits")
     assert not v.passed and v.measured["c_bits"] > p.max_c_bits
 
 
@@ -431,7 +418,7 @@ def envelope_reference(res):
     + [pytest.param("alternating", 4, "1000", id="alternating-4-1000d")])
 def test_envelope_matches_every_pair_reference(mode, n, duration):
     sc, res = clock_skew_run(n, mode, duration)
-    v = res.verdict("byzantine-clock-envelope")
+    v = by_name(res.verdicts, "byzantine-clock-envelope")
     k1, pairs = envelope_reference(res)
     assert v.passed and v.measured["pairs"] == pairs > 0
     lengths = [len(byzantine_series(res, u)) for u in res.byzantine]
@@ -446,7 +433,7 @@ def test_envelope_catches_one_estimate_between_thinned_samples():
     # 420-point thinning keeps every second one; the planted estimate sits at
     # an odd sorted position.
     sc, res = clock_skew_run(7, "alternating", duration="220")
-    assert res.verdict("byzantine-clock-envelope").passed
+    assert by_name(res.verdicts, "byzantine-clock-envelope").passed
     u = res.byzantine[0]
     series = byzantine_series(res, u)
     assert len(series) > 420
@@ -459,10 +446,7 @@ def test_envelope_catches_one_estimate_between_thinned_samples():
     ests = list(r[3])
     ests[u] = (e + 40 * p.grid.to_units(p.d)) % p.clock_modulus
     trace[idx] = (r[0], r[1], r[2], tuple(ests))
-    vds = verdicts.evaluate(trace, sc, p, harness.build_env(sc)[5],
-                            res.correct,
-                            lambda: make_protocol("phase-king-silent", 7, 2))
-    v = by_name(vds, "byzantine-clock-envelope")
+    v = by_name(rejudge(sc, res, trace), "byzantine-clock-envelope")
     assert not v.passed and v.measured["K1"] > max(30, p.max_k1)
 
 
@@ -477,8 +461,9 @@ def test_corrupted_boot_suites_judge_one_scope():
                   script=[{"t": "1000", "node": 0, "action": "initiate"},
                           {"t": "1004", "node": 1, "action": "initiate"}])
     res = harness.run(sc)
-    stab = res.verdict("self-stabilization").measured
-    judged = res.verdict("agreement-validity-safety").measured["instances"]
+    stab = by_name(res.verdicts, "self-stabilization").measured
+    judged = by_name(res.verdicts,
+                     "agreement-validity-safety").measured["instances"]
     assert judged == stab["post_horizon_instances"] > 0
     assert stab["cutoff"] == float(res.params.judging_horizon)
 
@@ -491,8 +476,8 @@ def test_self_stabilization_takes_every_per_instance_verdict(monkeypatch):
                   script=[{"t": "1000", "node": 0, "action": "initiate"},
                           {"t": "1004", "node": 1, "action": "initiate"}])
     res = harness.run(sc, evaluate=False)
-    assert by_name(reevaluate(sc, res, res.trace), "self-stabilization").passed
+    assert by_name(rejudge(sc, res, res.trace), "self-stabilization").passed
     monkeypatch.setattr(verdicts, "_silence_suite",
                         lambda judged: verdicts.Verdict("quiet", False))
-    vds = reevaluate(sc, res, res.trace)
+    vds = rejudge(sc, res, res.trace)
     assert not by_name(vds, "self-stabilization").passed
