@@ -120,7 +120,7 @@ class SilentNode:
     def on_malformed(self, sender):
         pass
 
-    def on_action(self, payload):
+    def on_action(self):
         pass
 
 
@@ -170,7 +170,7 @@ class SplitEchoNode(NodeRuntime):
     correct nodes' trust while it tries to split instance initiation.
     """
 
-    def initiate(self):
+    def on_action(self):
         p = self.p
         base = self.sim.reading(self.node) % p.clock_modulus
         # Half the receivers (the odd ids) see a stamp near the band edge,

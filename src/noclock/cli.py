@@ -41,19 +41,15 @@ def _write_outputs(result, outdir: str) -> None:
         json.dump([_verdict_json(v) for v in result.verdicts], fh, indent=2)
         fh.write("\n")
     with open(os.path.join(outdir, "metrics.json"), "w") as fh:
-        json.dump(verdicts.run_metrics(result.trace, result.scenario,
-                                       result.params, result.correct,
-                                       result.index),
+        json.dump(verdicts.run_metrics(result.index, result.scenario,
+                                       result.params),
                   fh, indent=2)
         fh.write("\n")
     result.scenario.dump(os.path.join(outdir, "scenario.json"))
 
 
 def _cmd_run(args) -> int:
-    sc = Scenario.load(args.scenario)
-    if args.seed is not None:
-        sc.seed = args.seed
-    result = harness.run(sc)
+    result = harness.run(Scenario.load(args.scenario))
     if args.out:
         _write_outputs(result, args.out)
     print(_report(result))
@@ -120,7 +116,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run one scenario")
     runp.add_argument("--scenario", required=True)
     runp.add_argument("--out", help="directory for trace/verdicts/metrics")
-    runp.add_argument("--seed", type=int)
     runp.set_defaults(func=_cmd_run)
 
     sweepp = sub.add_parser("sweep", help="run a cross-product of overrides")

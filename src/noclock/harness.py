@@ -97,7 +97,7 @@ def run(sc: Scenario, evaluate: bool = True, keep_trace: bool = True) -> RunResu
         handler.start()
 
     for entry in sc.script:
-        sim.schedule(frac(entry["t"]), ACTION, entry["node"], ())
+        sim.schedule(frac(entry["t"]), ACTION, entry["node"], None)
     sim.run_until(sc.duration)
 
     # The handlers and their layers refer to each other and to the simulator,

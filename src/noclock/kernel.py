@@ -147,7 +147,7 @@ class HardwareClock:
 class Simulator:
     """Each node's handler gets `on_threshold(units, tag)`,
     `on_deliver(sender, envelope)` for a well-formed envelope,
-    `on_malformed(sender)` for any other, and `on_action(payload)`.
+    `on_malformed(sender)` for any other, and `on_action()`.
     `multicast` prices and validates the envelopes; each delay, an int count
     of d/DELAY_STEPS, is `delay_policy(receiver, rng)` unless given."""
 
@@ -239,11 +239,10 @@ class Simulator:
                           envelope))
             self._push(key, t, DELIVERY, receiver, delivery)
 
-    def send(self, sender: int, receiver: int, envelope,
-             delay: Optional[int] = None) -> None:
+    def send(self, sender: int, receiver: int, envelope) -> None:
         envelopes = [None] * self.p.n
         envelopes[receiver] = envelope
-        self.multicast(sender, envelopes, delay)
+        self.multicast(sender, envelopes)
 
     def inject_garbage(self, sender: int, receiver: int, envelope, deliver_at) -> None:
         """Queue a pre-existing in-flight envelope; only legal before time d."""
@@ -292,6 +291,6 @@ class Simulator:
                 else:
                     handler.on_malformed(sender)
             else:
-                handler.on_action(payload)
+                handler.on_action()
         self.now = deadline
         self._now_n, self._now_d = deadline.numerator, deadline.denominator

@@ -99,10 +99,7 @@ class NodeRuntime:
     def on_malformed(self, sender: int) -> None:
         self.log("drop", "malformed", sender)
 
-    def on_action(self, payload) -> None:
-        self.initiate()
-
-    def initiate(self) -> None:
+    def on_action(self) -> None:
         self.initiation.initiate(self.sim.reading(self.node))
 
     # -- the periodic tick --------------------------------------------------------

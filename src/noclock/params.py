@@ -18,7 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
 
@@ -103,26 +103,31 @@ class Params:
         return self.bit_bound + HDR_BUDGET * r * self.n * max(1, ceil(log2(self.n)))
 
 
+def parse_number(key: str, x, problems: list):
+    """The exact value of the scenario number `key`, or None, with a problem
+    that names the key, if `x` does not parse."""
+    try:
+        return frac(x)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{key}: {exc}")
+        return None
+
+
 def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
     """The model's exact (theta, d, T, d_clk), and the constraints it breaks:
     n >= 2, 0 <= f < n/3, theta >= 1, 0 < d <= d_clk and T >= 2*theta^2*d.
 
     The problems read as `Scenario.validate` reports them, in its order.  A
-    number that does not parse, or that is not given, is None.
+    number that does not parse, or that is not given, is None; only T and
+    the clock update period may be left out.
     """
     problems = []
-    x_theta = x_d = x_T = x_clk = None
-    try:
-        x_theta = frac(theta)
-        x_d = frac(d)
-        x_T = None if T is None else frac(T)
-    except (TypeError, ValueError) as exc:
-        problems.append(str(exc))
-    try:
-        x_clk = (None if clock_update_period is None
-                 else frac(clock_update_period))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"clock_update_period: {exc}")
+    x_theta = parse_number("theta", theta, problems)
+    x_d = parse_number("d", d, problems)
+    x_T = None if T is None else parse_number("T", T, problems)
+    x_clk = (None if clock_update_period is None
+             else parse_number("clock_update_period", clock_update_period,
+                               problems))
     if n < 2:
         problems.append(f"n={n} too small")
     if not (0 <= f and 3 * f < n):
@@ -135,7 +140,7 @@ def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
     if x_clk is not None and x_d is not None and x_clk < x_d:
         problems.append(f"clock_update_period={clock_update_period} "
                         f"below d={d}")
-    if x_T is not None and x_T < 2 * x_theta * x_theta * x_d:
+    if None not in (x_theta, x_d, x_T) and x_T < 2 * x_theta * x_theta * x_d:
         problems.append(f"T={T} below 2*theta^2*d={2 * x_theta * x_theta * x_d}")
     return (x_theta, x_d, x_T, x_clk), problems
 
@@ -150,12 +155,11 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
     d_clk = d if d_clk is None else d_clk
     T = 2 * theta * theta * d if T is None else T
 
-    quantum = d / 4
+    q = d / 4
     period = 2 * theta * d_clk
     lead = 22 * theta * d_clk
-    unit = frac_gcd(frac_gcd(quantum, period), frac_gcd(lead, 2 * theta * d))
-    grid = LocalGrid(unit, quantum)
-    q = quantum
+    unit = frac_gcd(frac_gcd(q, period), frac_gcd(lead, 2 * theta * d))
+    grid = LocalGrid(unit, q)
 
     round_window = (2 * theta + 4) * d
     instance_window = lead + (rounds + 1) * round_window

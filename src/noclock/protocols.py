@@ -129,7 +129,7 @@ class SilentWrapper:
 
     def fresh(self, input_bit: int, index: int) -> dict:
         return {"self": index, "input": 1 if input_bit else 0,
-                "r1_ones": 0, "r2_ones": 0, "inner_active": False,
+                "r2_ones": 0, "inner_active": False,
                 "inner": None, "inner_bits": 0, "aborted": False}
 
     def _ones(self, received: Sequence[Optional[Payload]]) -> int:
@@ -146,10 +146,10 @@ class SilentWrapper:
             out = ONE if state["input"] == 1 else None
             return state, (out,) * n
         if i == 2:
-            state["r1_ones"] = self._ones(received)
-            if state["r1_ones"] < n - self.f:
+            ones = self._ones(received)
+            if ones < n - self.f:
                 state["input"] = 0
-            state["inner_active"] = state["r1_ones"] >= self.f + 1
+            state["inner_active"] = ones >= self.f + 1
             out = ONE if state["input"] == 1 else None
             return state, (out,) * n
         # Rounds 3..R+2 carry the inner protocol's rounds 1..R.

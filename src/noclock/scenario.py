@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from .adversary import (BOOTS, DELAYS, ORACLES, RATE_SCHEDULES, STRATEGIES,
                         ClockSkewNode)
-from .params import parse_model
+from .params import parse_model, parse_number
 from .protocols import PROTOCOLS
 from .timebase import frac
 
@@ -74,13 +74,9 @@ class Scenario:
                      for key in getattr(self, section) if key not in keys]
         problems += parse_model(self.n, self.f, self.theta, self.d, self.T,
                                 self.clock_update_period)[1]
-        try:
-            duration = frac(self.duration)
-            if duration <= 0:
-                problems.append("duration must be positive")
-        except (TypeError, ValueError) as exc:
-            duration = None
-            problems.append(str(exc))
+        duration = parse_number("duration", self.duration, problems)
+        if duration is not None and duration <= 0:
+            problems.append("duration must be positive")
         byz = self.adversary.get("byzantine_set")
         if byz is not None and not (isinstance(byz, (list, tuple)) and all(
                 type(v) is int and 0 <= v < self.n for v in byz)):

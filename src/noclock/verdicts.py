@@ -45,19 +45,17 @@ from .timebase import frac, mod_signed
 _TIME = itemgetter(1)   # the time of a trace record
 
 
-@dataclass
+@dataclass(repr=False)
 class Verdict:
     name: str
     passed: bool
     measured: dict = field(default_factory=dict)
     counterexample: Optional[list] = None
 
-    def __str__(self):
-        """The verdict's one printed line, also its `repr`."""
+    def __repr__(self):
+        """The verdict's one printed line, also its `str`."""
         flag = "PASS" if self.passed else "FAIL"
         return f"[{flag}] {self.name}  {self.measured}"
-
-    __repr__ = __str__
 
 
 def _verdict(name: str, bad: list, measured: dict,
@@ -535,23 +533,19 @@ def _stabilization_suite(ix, judged, cutoff, per_instance) -> Verdict:
                     "repeat_quarantine": repeat})
 
 
-def run_metrics(trace, sc, p: Params, correct,
-                ix: Optional[_Index] = None) -> dict:
-    """Every number of the metrics export, read from the trace's `_Index`
-    (`ix`, if the caller already built it over the same `correct`).
+def run_metrics(ix: _Index, sc, p: Params) -> dict:
+    """Every number of the metrics export, read from the run's trace index.
 
-    Per correct node: bits sent by layer (`send` records), instances joined
-    (`participate` records) and quarantines (`quarantine` records); then the
-    same node's bits per `bits_window`, each row carrying the node's counts.
+    Per correct node, in `ix.sends` order: bits sent by layer (`send`
+    records), instances joined (`participate` records) and quarantines
+    (`quarantine` records); then the same node's bits per `bits_window`,
+    each row carrying the node's counts.
     """
-    if ix is None:
-        ix = _Index(trace, correct)
     quarantines = Counter(ix.quarantines)
     window = p.bits_window
     count = max(1, int(frac(sc.duration) / window))
     totals, windows = [], []
-    for v in correct:
-        sends = ix.sends[v]
+    for v, sends in ix.sends.items():
         bits = [0, 0, 0]   # infra, instance, payload
         for _, _, _, _, kind, frame, payload, _ in sends:
             bits[kind == "RoundMsg"] += frame + payload

@@ -57,7 +57,8 @@ def test_run_indexes_the_trace_once(scenario_file, tmp_path, capsys,
     sc = Scenario.load(scenario_file)
     _rng, p, _byz, correct, _proto, _clocks = harness.build_env(sc)
     trace = verdicts.trace_from_jsonl((out / "trace.jsonl").read_text(), sc.n)
-    fresh = json.loads(json.dumps(verdicts.run_metrics(trace, sc, p, correct)))
+    fresh = json.loads(json.dumps(
+        verdicts.run_metrics(verdicts._Index(trace, correct), sc, p)))
     assert len(built) == 2
     assert json.loads((out / "metrics.json").read_text()) == fresh
 
@@ -237,6 +238,30 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, data):
     assert cli.main(["run", "--scenario", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("scenario invalid:") and "'1/0'" in err
+    # A number is named by its key, a script entry by the entry.
+    [key] = data
+    named = "malformed script entry" if key == "script" else f"{key}: '1/0'"
+    assert f"\n  {named}" in err
+
+
+@pytest.mark.parametrize("data, problems", [
+    ({"theta": "x", "d": "0"},
+     ["theta: Invalid literal for Fraction: 'x'", "d=0 must be positive"]),
+    ({"d": None}, ["d: expected int/str/Fraction, got NoneType: None"]),
+    ({"d": None, "T": "5"},
+     ["d: expected int/str/Fraction, got NoneType: None"]),
+    ({"theta": None}, ["theta: expected int/str/Fraction, got NoneType: None"]),
+    ({"duration": None},
+     ["duration: expected int/str/Fraction, got NoneType: None"]),
+])
+def test_each_bad_model_number_is_reported_by_its_key(tmp_path, capsys, data,
+                                                      problems):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["scenario invalid:",
+                                *[f"  {p}" for p in problems]]
 
 
 def test_string_size_exits_two(tmp_path, capsys):

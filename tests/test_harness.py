@@ -300,9 +300,10 @@ def test_byzantine_initiator_split_echo():
     assert res.passed, [v for v in res.verdicts if not v.passed]
 
 
-def run_metrics(res):
-    return verdicts.run_metrics(res.trace, res.scenario, res.params,
-                                res.correct)
+def run_metrics(res, trace=None):
+    """The metrics of `trace`, by default the run's own, indexed afresh."""
+    ix = verdicts._Index(res.trace if trace is None else trace, res.correct)
+    return verdicts.run_metrics(ix, res.scenario, res.params)
 
 
 def test_metrics_exported_per_correct_node():
@@ -357,8 +358,7 @@ def test_metrics_count_every_join_of_a_label_rejoined_after_a_wipe():
     part = next(r for r in res.trace if r[0] == "participate" and r[2] == 0)
     t = part[1]
     trace = res.trace + [("wipe", t + 1, 0), ("participate", t + 2) + part[2:]]
-    joined = verdicts.run_metrics(trace, res.scenario, res.params,
-                                  res.correct)["totals"][0]["instances_joined"]
+    joined = run_metrics(res, trace)["totals"][0]["instances_joined"]
     assert joined == run_metrics(res)["totals"][0]["instances_joined"] + 1 == 2
 
 

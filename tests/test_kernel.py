@@ -35,8 +35,8 @@ class Recorder:
     def on_malformed(self, sender):
         self.events.append(("bad", self.node, sender))
 
-    def on_action(self, payload):
-        self.events.append(("act", self.node, payload))
+    def on_action(self):
+        self.events.append(("act", self.node))
 
 
 def make_sim(rates=None, n=2, delay_policy=lambda *a: 512):
@@ -58,8 +58,8 @@ def test_schedule_into_empty_queue_becomes_head():
 
 def test_same_time_events_ordered_by_node_id():
     sim, rec = make_sim()
-    sim.schedule(frac(3), ACTION, 1, ("b",))
-    sim.schedule(frac(3), ACTION, 0, ("a",))
+    sim.schedule(frac(3), ACTION, 1, None)
+    sim.schedule(frac(3), ACTION, 0, None)
     sim.run_until(10)
     assert [e[1] for e in rec.events] == [0, 1]
 
@@ -76,7 +76,7 @@ def test_scheduling_in_the_past_is_a_bug():
     sim, _ = make_sim()
     sim.run_until(2)
     with pytest.raises(SimulatorBug):
-        sim.schedule(frac(1), ACTION, 0, ())
+        sim.schedule(frac(1), ACTION, 0, None)
 
 
 def test_run_until_empty_queue_advances_time():
@@ -142,19 +142,26 @@ def test_threshold_already_passed_is_a_bug():
         sim.alarm(0, 20, ("x",))   # local 1.0 already passed (clock at 3.0)
 
 
+def to_one(receiver, envelope):
+    """An n = 4 send set that carries `envelope` to `receiver` alone."""
+    envelopes = [None] * 4
+    envelopes[receiver] = envelope
+    return envelopes
+
+
 def test_send_rejects_delays_outside_open_interval():
     sim, _ = make_sim()
     with pytest.raises(SimulatorBug):
-        sim.send(0, 1, Init(0), delay=1024)
+        sim.multicast(0, to_one(1, Init(0)), delay=1024)
     with pytest.raises(SimulatorBug):
-        sim.send(0, 1, Init(0), delay=0)
+        sim.multicast(0, to_one(1, Init(0)), delay=0)
 
 
 @pytest.mark.parametrize("delay", [-1, Fraction(1, 2), True])
 def test_send_rejects_a_delay_that_is_not_a_positive_step_count(delay):
     sim, rec = make_sim()
     with pytest.raises(SimulatorBug):
-        sim.send(0, 1, Init(0), delay=delay)
+        sim.multicast(0, to_one(1, Init(0)), delay=delay)
     sim.run_until(2)
     assert sim.trace == [] and rec.events == []
 
@@ -389,7 +396,7 @@ def test_multicast_equals_a_loop_of_single_sends(data):
     one.multicast(sender, envelopes, delay)
     for w, envelope in enumerate(envelopes):
         if envelope is not None:
-            loop.send(sender, w, envelope, delay)
+            loop.multicast(sender, to_one(w, envelope), delay)
     for sim in (one, loop):
         sim.run_until(start + 2)
     assert one.trace == loop.trace

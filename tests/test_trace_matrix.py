@@ -120,8 +120,7 @@ def digests(name: str):
     the run's trace) of one matrix run."""
     res = harness.run(dict(MATRIX)[name])
     outcome = {"verdicts": [[v.name, v.passed, v.measured] for v in res.verdicts],
-               "metrics": run_metrics(res.trace, res.scenario, res.params,
-                                      res.correct)}
+               "metrics": run_metrics(res.index, res.scenario, res.params)}
     text = trace_to_jsonl(res.trace)
     decodes = trace_from_jsonl(text, res.scenario.n) == res.trace
     return sha256(text), sha256(json.dumps(outcome)), decodes

@@ -37,14 +37,12 @@ ALLOWED = Counter({
     ("adversary", "clean_boot", "rng"): 1,
     ("adversary", "clean_boot", "runtimes"): 1,
     # Kernel handler methods the strategies that do not run the honest node
-    # stack leave unused, and the one script action a correct node takes.
-    ("node", "NodeRuntime.on_action", "payload"): 1,
+    # stack leave unused.
     ("adversary", "SilentNode.on_threshold", "units"): 1,
     ("adversary", "SilentNode.on_threshold", "tag"): 1,
     ("adversary", "SilentNode.on_deliver", "sender"): 1,
     ("adversary", "SilentNode.on_deliver", "envelope"): 1,
     ("adversary", "SilentNode.on_malformed", "sender"): 1,
-    ("adversary", "SilentNode.on_action", "payload"): 1,
     ("adversary", "NoiseNode.on_threshold", "units"): 1,
     ("adversary", "NoiseNode.on_threshold", "tag"): 1,
     ("adversary", "ClockSkewNode.on_threshold", "tag"): 1,
