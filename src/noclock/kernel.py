@@ -25,12 +25,21 @@ receiver's `on_malformed` instead of `on_deliver`.
 Event order is total: (time, kind rank, node, sequence number); the
 deterministic tie-break realizes the modeling assumption that no two events
 coincide.  Handlers run atomically at zero simulated time.
+
+The event loop runs with the cyclic garbage collector paused
+(`collector_paused`) and restores its state afterwards.  A run makes no
+reference cycles, so the collections that would fire every few hundred
+trace records would only re-scan the growing trace; handlers, strategies
+and plugins must therefore build no reference cycle per event, which
+`tests/test_harness.py` checks.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -46,6 +55,25 @@ DELAY_STEPS = 1024      # a message delay is k * d / DELAY_STEPS, 0 < k < DELAY_
 
 class SimulatorBug(Exception):
     """Internal misuse: events in the past, runaway handlers, bad alarms."""
+
+
+@contextmanager
+def collector_paused():
+    """Run the body with the cyclic garbage collector disabled.
+
+    On exit, also when the body raises, one `gc.collect(1)` scans what the
+    body left in the young generations, once, and moves the survivors to the
+    oldest, so the deferred work neither lands in the caller's next
+    allocations nor grows with the caller's heap.  The collector is enabled
+    again only if it was enabled on entry."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.collect(1)
+        if enabled:
+            gc.enable()
 
 
 def _ratio(x) -> tuple:
@@ -275,22 +303,25 @@ class Simulator:
             raise SimulatorBug("deadline precedes current time")
         queue = self._queue
         deadline_f = float(deadline)
-        while queue and (queue[0][0] < deadline_f or queue[0][1] <= deadline):
-            _, t, kind, node, _, payload = heapq.heappop(queue)
-            self.now = t
-            self._now_n, self._now_d = t.numerator, t.denominator
-            self._actions_this_event = 0
-            handler = self.handlers[node]
-            if kind == THRESHOLD:
-                handler.on_threshold(*payload)
-            elif kind == DELIVERY:
-                sender, envelope, valid = payload
-                self.trace.append(("recv", t, node, sender, type(envelope).__name__))
-                if valid:
-                    handler.on_deliver(sender, envelope)
+        with collector_paused():
+            while queue and (queue[0][0] < deadline_f
+                             or queue[0][1] <= deadline):
+                _, t, kind, node, _, payload = heapq.heappop(queue)
+                self.now = t
+                self._now_n, self._now_d = t.numerator, t.denominator
+                self._actions_this_event = 0
+                handler = self.handlers[node]
+                if kind == THRESHOLD:
+                    handler.on_threshold(*payload)
+                elif kind == DELIVERY:
+                    sender, envelope, valid = payload
+                    self.trace.append(("recv", t, node, sender,
+                                       type(envelope).__name__))
+                    if valid:
+                        handler.on_deliver(sender, envelope)
+                    else:
+                        handler.on_malformed(sender)
                 else:
-                    handler.on_malformed(sender)
-            else:
-                handler.on_action()
+                    handler.on_action()
         self.now = deadline
         self._now_n, self._now_d = deadline.numerator, deadline.denominator

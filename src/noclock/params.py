@@ -105,17 +105,31 @@ class Params:
 
 def parse_number(key: str, x, problems: list):
     """The exact value of the scenario number `key`, or None, with a problem
-    that names the key, if `x` does not parse."""
+    that names the key, if `x` does not parse or is too large for a float:
+    a run keys its events and some bounds by floats."""
     try:
-        return frac(x)
+        value = frac(x)
     except (TypeError, ValueError) as exc:
         problems.append(f"{key}: {exc}")
         return None
+    if not _fits_float(value):
+        problems.append(f"{key}: {x} is too large for a float")
+        return None
+    return value
+
+
+def _fits_float(x: Fraction) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
     """The model's exact (theta, d, T, d_clk), and the constraints it breaks:
-    n >= 2, 0 <= f < n/3, theta >= 1, 0 < d <= d_clk and T >= 2*theta^2*d.
+    n >= 2, 0 <= f < n/3, theta >= 1, 0 < d <= d_clk and T >= 2*theta^2*d,
+    each number and 2*theta^2*d, the default T, fitting a float.
 
     The problems read as `Scenario.validate` reports them, in its order.  A
     number that does not parse, or that is not given, is None; only T and
@@ -140,8 +154,12 @@ def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
     if x_clk is not None and x_d is not None and x_clk < x_d:
         problems.append(f"clock_update_period={clock_update_period} "
                         f"below d={d}")
-    if None not in (x_theta, x_d, x_T) and x_T < 2 * x_theta * x_theta * x_d:
-        problems.append(f"T={T} below 2*theta^2*d={2 * x_theta * x_theta * x_d}")
+    least_T = None if None in (x_theta, x_d) else 2 * x_theta * x_theta * x_d
+    if least_T is not None and not _fits_float(least_T):
+        problems.append(f"theta={theta}, d={d}: 2*theta^2*d, the least T, "
+                        f"is too large for a float")
+    elif None not in (least_T, x_T) and x_T < least_T:
+        problems.append(f"T={T} below 2*theta^2*d={least_T}")
     return (x_theta, x_d, x_T, x_clk), problems
 
 

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional
 
 from . import messages as msg
 from .adversary import clean_boot
+from .kernel import collector_paused
 from .params import Params
 from .protocols import replay
 from .timebase import frac, mod_signed
@@ -654,22 +655,24 @@ def trace_from_jsonl(text: str, n: int) -> list:
     """The records of a stored trace of an n-node run; `ValueError`, naming
     the 1-based line, if `evaluate` could not read one.  The suites bisect
     the `send` and `est` records by time, so each of those kinds must come
-    in time order, as the simulator writes them."""
+    in time order, as the simulator writes them.  The records are decoded
+    with the cyclic collector paused (`kernel.collector_paused`)."""
     trace = []
     last = {"send": 0, "est": 0}   # the time of the last record of each
-    for k, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            try:
-                rec = _record(json.loads(line), n)
-                if rec[0] in last:
-                    if rec[1] < last[rec[0]]:
-                        raise ValueError(f"trace gives a {rec[0]} record at "
-                                         f"{rec[1]}, before the one at "
-                                         f"{last[rec[0]]}")
-                    last[rec[0]] = rec[1]
-                trace.append(rec)
-            except (ValueError, RecursionError) as exc:   # too deep a nest
-                raise ValueError(f"line {k}: {exc}") from None
+    with collector_paused():
+        for k, line in enumerate(text.splitlines(), 1):
+            if line.strip():
+                try:
+                    rec = _record(json.loads(line), n)
+                    if rec[0] in last:
+                        if rec[1] < last[rec[0]]:
+                            raise ValueError(f"trace gives a {rec[0]} record "
+                                             f"at {rec[1]}, before the one at "
+                                             f"{last[rec[0]]}")
+                        last[rec[0]] = rec[1]
+                    trace.append(rec)
+                except (ValueError, RecursionError) as exc:   # too deep a nest
+                    raise ValueError(f"line {k}: {exc}") from None
     return trace
 
 

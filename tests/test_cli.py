@@ -253,6 +253,11 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, data):
     ({"theta": None}, ["theta: expected int/str/Fraction, got NoneType: None"]),
     ({"duration": None},
      ["duration: expected int/str/Fraction, got NoneType: None"]),
+    # A number too large for a float, or a model whose least T is.
+    *(({key: "1e999"}, [f"{key}: 1e999 is too large for a float"])
+      for key in ("theta", "d", "T", "clock_update_period", "duration")),
+    ({"theta": "1e300"},
+     ["theta=1e300, d=1: 2*theta^2*d, the least T, is too large for a float"]),
 ])
 def test_each_bad_model_number_is_reported_by_its_key(tmp_path, capsys, data,
                                                       problems):

@@ -1,4 +1,6 @@
+import gc
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,33 @@ def test_threshold_events_precede_deliveries_at_equal_time():
     sim.schedule(frac(3), THRESHOLD, 0, (60, ("tick",)))
     sim.run_until(10)
     assert [e[0] for e in rec.events] == ["thr", "msg"]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ends", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_the_event_loop_pauses_and_restores_the_collector(enabled, fails):
+    """The loop runs with the cyclic collector off; after it, whether it
+    ends or a handler's `SimulatorBug` ends it, the collector is as the
+    caller left it, and no object was frozen or thawed."""
+    sim, rec = make_sim()
+    seen = []
+
+    def on_action():
+        seen.append(gc.isenabled())
+        if fails:
+            sim.alarm(0, 0, ("late",))  # local 0 passed: a SimulatorBug
+    rec.on_action = on_action
+    sim.schedule(frac(1), ACTION, 0, None)
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SimulatorBug) if fails else nullcontext():
+            sim.run_until(2)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.enable()
 
 
 def test_scheduling_in_the_past_is_a_bug():
