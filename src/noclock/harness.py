@@ -37,11 +37,15 @@ class RunResult:
 
 def _plugin_params(sc: Scenario):
     """The run's protocol plugin and the `Params` derived from its round
-    count and bit bound; neither draws from the RNG."""
+    count and bit bound; neither draws from the RNG.  A model `derive`
+    refuses is a `ScenarioError`."""
     proto = sc.lookup("protocol", "name")(sc.n, sc.f)
-    return proto, derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds,
-                         proto.bit_bound, T=sc.T,
-                         clock_update_period=sc.clock_update_period)
+    try:
+        return proto, derive(sc.n, sc.f, sc.theta, sc.d, proto.rounds,
+                             proto.bit_bound, T=sc.T,
+                             clock_update_period=sc.clock_update_period)
+    except ValueError as exc:
+        raise ScenarioError([str(exc)]) from None
 
 
 def build_params(sc: Scenario) -> Params:
@@ -134,5 +138,7 @@ def sweep(base: Scenario, axes: Dict[str, list]):
             else:
                 raise ScenarioError([f"sweep axis {key!r}: the scenario has "
                                      f"no section {outer!r}"])
-        scenarios.append(Scenario.from_dict(data))
+        sc = Scenario.from_dict(data)
+        build_params(sc)    # what only `derive` checks, before any run
+        scenarios.append(sc)
     return [run(sc, keep_trace=False) for sc in scenarios]

@@ -4,7 +4,8 @@ Every timing bound, timeout duration, garbage-collection window, overload
 threshold, bit budget and verdict bound used anywhere in the library is
 computed here, once, from the scenario-level quantities (n, f, theta, d, T,
 round count, clock update period), and `parse_model` is the one check of
-those quantities.  Modules never hard-code a bound.
+those quantities; `derive` adds only the check of a bound it derives from
+them with the round count.  Modules never hard-code a bound.
 
 Conventions:
   * d is the message-delay bound; d_clk is the (possibly reduced-frequency)
@@ -165,7 +166,12 @@ def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
 
 def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
            clock_update_period=None) -> Params:
-    """Build the full constants set for one scenario."""
+    """Build the full constants set for one scenario.  A ValueError names
+    what is wrong with the model: a `parse_model` problem, or the latest time
+    a clock estimate may be off, which grows with theta, d, the clock update
+    period and the round count, too large for a float."""
+    given = (("theta", theta), ("d", d),
+             ("clock_update_period", clock_update_period))
     (theta, d, T, d_clk), problems = parse_model(n, f, theta, d, T,
                                                  clock_update_period)
     if problems:
@@ -190,6 +196,11 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
     modulus_raw = 64 * (lead + period * (rounds + 3) + regain)
     period_u = grid.to_units(period)
     regain_u = grid.ceil_units(regain)
+    t0_bound = 3 * (grid.from_units(regain_u) + d)
+    if not _fits_float(t0_bound):
+        model = ", ".join(f"{key}={x}" for key, x in given if x is not None)
+        raise ValueError(f"{model}: 3*(trust regain + d), the latest time a "
+                         f"clock estimate may be off, is too large for a float")
     stall = grid.ceil_units(lead + theta * round_window + q)
     modulus = -(-grid.ceil_units(modulus_raw) // period_u) * period_u
     if modulus % 2:
@@ -248,7 +259,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         min_duration=rounds,
         max_duration=12 * rounds + 22 * theta * (d_clk - d) / d,
         estimate_band=grid.ceil_units(3 * theta * d_clk) + grid.q_units,
-        estimate_t0_bound=3 * (grid.from_units(regain_u) + d),
+        estimate_t0_bound=t0_bound,
         # The float bounds keep their float expressions: converting the exact
         # values instead moves some last bits.
         bits_denom=hdr_bits + n * bit_bound * rounds / float(T),

@@ -8,8 +8,6 @@ rounds 1..R:
                                                  # i-1 (None entries allowed),
                                                  # None for i == 1
     finish(state, received) -> output bit        # received: round-R payloads
-    missing_payload(i, sender) -> payload        # canonical stand-in; only a
-                                                 # wrapped plugin gives one
 
 `received` and `sends` are tuples with one entry per node, in node order.
 A plugin keeps no state between calls: all a node knows lives in `state`, so
@@ -18,12 +16,13 @@ output, whatever other executions ran on the same plugin object in between.
 The oracle-equivalence verdict relies on this to replay each distinct
 execution once.
 
-Payloads are bit tuples; `None` means "no message".  `SilentWrapper` turns any
-such plugin into one that sends nothing when every correct input is 0: two
-extra broadcast rounds demote insufficiently supported 1-inputs to 0, gate
-entry into the inner protocol, and force output 0 unless enough round-2
-support was seen; the inner protocol is additionally policed against its own
-declared bit bound and locally aborted on a violation.
+Payloads are bit tuples; `None` means "no message", and each plugin decides
+what a missing message counts as.  `SilentWrapper` turns any such plugin into
+one that sends nothing when every correct input is 0: two extra broadcast
+rounds demote insufficiently supported 1-inputs to 0, gate entry into the
+inner protocol, and force output 0 unless enough round-2 support was seen;
+the inner protocol is additionally policed against its own declared bit bound
+and locally aborted on a violation.
 
 `run_lockstep` executes a plugin directly, round by round, with a scriptable
 byzantine message matrix.  It is the independent oracle the simulation's
@@ -45,7 +44,9 @@ class PhaseKing:
 
     Every participant sends an explicit payload every round (non-kings send an
     empty payload in king rounds), so a missing message always means a missing
-    sender and the canonical stand-in is semantically neutral.
+    sender.  A missing value-exchange message counts as a 0 vote, and a
+    missing king message as the king's value 0; a missing proposal counts
+    for neither value.
     """
 
     def __init__(self, n: int, f: int):
@@ -69,7 +70,9 @@ class PhaseKing:
         if sub == 0:
             counts = [0, 0]
             for m in received:
-                if m is not None and len(m) == 1 and m[0] in (0, 1):
+                if m is None:
+                    counts[0] += 1
+                elif len(m) == 1 and m[0] in (0, 1):
                     counts[m[0]] += 1
             best = 0 if counts[0] >= counts[1] else 1
             state["proposal"] = best if counts[best] >= self.n - self.f else None
@@ -106,17 +109,18 @@ class PhaseKing:
         self._absorb(state, self.rounds, received)
         return state["value"]
 
-    def missing_payload(self, i: int, sender: int) -> Payload:
-        sub = (i - 1) % 3
-        if sub == 0:
-            return (0,)
-        if sub == 1:
-            return (0, 0)
-        return (0,) if sender == self._king(i) else ()
-
 
 class SilentWrapper:
-    """Silent binary consensus from any synchronous consensus plugin."""
+    """Silent binary consensus from any synchronous consensus plugin.
+
+    `state["inner"]` holds the inner run: one of the marks below, or the
+    inner plugin's own state from round 3 on.
+    """
+
+    UNDECIDED = "undecided"    # round 2 has not run
+    PENDING = "pending"        # round 2 saw f+1 ones; round 3 has not run
+    OFF = "off"                # inactive, or aborted
+    MARKS = (UNDECIDED, PENDING, OFF)
 
     def __init__(self, inner, n: int, f: int):
         if 3 * f >= n:
@@ -129,15 +133,10 @@ class SilentWrapper:
 
     def fresh(self, input_bit: int, index: int) -> dict:
         return {"self": index, "input": 1 if input_bit else 0,
-                "r2_ones": 0, "inner_active": False,
-                "inner": None, "inner_bits": 0, "aborted": False}
+                "r2_ones": 0, "inner": self.UNDECIDED, "inner_bits": 0}
 
     def _ones(self, received: Sequence[Optional[Payload]]) -> int:
         return sum(1 for m in received if m == ONE)
-
-    def _canonical(self, j: int, received: Sequence[Optional[Payload]]) -> tuple:
-        return tuple([m if m is not None else self.inner.missing_payload(j, u)
-                      for u, m in enumerate(received)])
 
     def step(self, state: dict, i: int,
              received: Optional[Sequence[Optional[Payload]]]) -> tuple:
@@ -149,7 +148,7 @@ class SilentWrapper:
             ones = self._ones(received)
             if ones < n - self.f:
                 state["input"] = 0
-            state["inner_active"] = ones >= self.f + 1
+            state["inner"] = self.PENDING if ones >= self.f + 1 else self.OFF
             out = ONE if state["input"] == 1 else None
             return state, (out,) * n
         # Rounds 3..R+2 carry the inner protocol's rounds 1..R.
@@ -158,31 +157,28 @@ class SilentWrapper:
             state["r2_ones"] = self._ones(received)
             if state["r2_ones"] < n - self.f:
                 state["input"] = 0
-            if state["inner_active"]:
+            if state["inner"] == self.PENDING:
                 state["inner"] = self.inner.fresh(state["input"], state["self"])
-        if not state["inner_active"] or state["aborted"]:
-            return state, (None,) * n
-        if state["inner"] is None:
-            # Rounds fired out of order (possible only from a corrupted boot
+        elif state["inner"] == self.PENDING:
+            # Round 3 did not run (possible only from a corrupted boot
             # state); the inner run is undefined, so abort locally.
-            state["aborted"] = True
+            state["inner"] = self.OFF
+        if state["inner"] in self.MARKS:
             return state, (None,) * n
-        prev = self._canonical(j - 1, received) if j > 1 else None
-        state["inner"], sends = self.inner.step(state["inner"], j, prev)
+        state["inner"], sends = self.inner.step(state["inner"], j,
+                                                received if j > 1 else None)
         cost = sum(len(m) for u, m in enumerate(sends)
                    if m is not None and u != state["self"])
         state["inner_bits"] += cost
         if state["inner_bits"] > self.inner.bit_bound:
-            state["aborted"] = True
+            state["inner"] = self.OFF
             return state, (None,) * n
         return state, tuple(sends)
 
     def finish(self, state: dict, received: Sequence[Optional[Payload]]) -> int:
-        if (not state["inner_active"] or state["aborted"]
-                or state["r2_ones"] <= self.f or state["inner"] is None):
+        if state["inner"] in self.MARKS or state["r2_ones"] <= self.f:
             return 0
-        last = self._canonical(self.inner.rounds, received)
-        return self.inner.finish(state["inner"], last)
+        return self.inner.finish(state["inner"], received)
 
 
 def phase_king_silent(n: int, f: int) -> SilentWrapper:

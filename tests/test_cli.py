@@ -258,6 +258,13 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, data):
       for key in ("theta", "d", "T", "clock_update_period", "duration")),
     ({"theta": "1e300"},
      ["theta=1e300, d=1: 2*theta^2*d, the least T, is too large for a float"]),
+    # A model that validates, but whose derived bounds overflow a float.
+    ({"theta": "1e120"},
+     ["theta=1e120, d=1: 3*(trust regain + d), the latest time a clock "
+      "estimate may be off, is too large for a float"]),
+    ({"clock_update_period": "1e306"},
+     ["theta=1.1, d=1, clock_update_period=1e306: 3*(trust regain + d), the "
+      "latest time a clock estimate may be off, is too large for a float"]),
 ])
 def test_each_bad_model_number_is_reported_by_its_key(tmp_path, capsys, data,
                                                       problems):
@@ -267,6 +274,32 @@ def test_each_bad_model_number_is_reported_by_its_key(tmp_path, capsys, data,
     err = capsys.readouterr().err
     assert err.splitlines() == ["scenario invalid:",
                                 *[f"  {p}" for p in problems]]
+
+
+@pytest.mark.parametrize("command", ["sweep", "check-trace"])
+def test_a_model_that_overflows_in_derive_exits_two(tmp_path, capsys,
+                                                    command):
+    (tmp_path / "scenario.json").write_text(json.dumps({"theta": "1e120"}))
+    (tmp_path / "trace.jsonl").write_text("")
+    args = {"sweep": ["sweep", "--scenario", str(tmp_path / "scenario.json"),
+                      "--axis", "seed=0,1"],
+            "check-trace": ["check-trace", "--dir", str(tmp_path)]}[command]
+    assert cli.main(args) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("scenario invalid:\n  theta=1e120, d=1: "
+                              "3*(trust regain + d)")
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "check-trace"])
+def test_a_file_that_cannot_be_opened_exits_two(tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    args = {"run": ["run", "--scenario", str(missing / "scenario.json")],
+            "check-trace": ["check-trace", "--dir", str(missing)]}[command]
+    assert cli.main(args) == 2
+    out = capsys.readouterr()
+    assert "No such file or directory" in out.err
+    assert str(missing / "scenario.json") in out.err and out.out == ""
 
 
 def test_string_size_exits_two(tmp_path, capsys):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from noclock import messages
 from noclock.adversary import SilentNode
-from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY, THRESHOLD,
-                            HardwareClock, Simulator, SimulatorBug)
+from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY,
+                            MAX_ACTIONS_PER_EVENT, THRESHOLD, HardwareClock,
+                            Simulator, SimulatorBug)
 from noclock.messages import Garbage, Init, RoundMsg, Update
 from noclock.node import NodeRuntime
 from noclock.protocols import make_protocol
@@ -106,6 +107,34 @@ def test_scheduling_in_the_past_is_a_bug():
     sim.run_until(2)
     with pytest.raises(SimulatorBug):
         sim.schedule(frac(1), ACTION, 0, None)
+
+
+def test_a_deadline_before_now_is_a_bug():
+    sim, _ = make_sim()
+    sim.run_until(2)
+    with pytest.raises(SimulatorBug, match="deadline precedes"):
+        sim.run_until(1)
+    assert sim.now == 2
+
+
+def test_one_event_past_its_action_budget_is_a_bug():
+    # Outside the loop every push counts against one event's budget; the
+    # pushes only queue heap entries, no handler runs.
+    sim, _ = make_sim()
+    t = frac(1)
+    for _ in range(MAX_ACTIONS_PER_EVENT):
+        sim.schedule(t, ACTION, 0, None)
+    with pytest.raises(SimulatorBug, match="action budget"):
+        sim.schedule(t, ACTION, 0, None)
+
+
+def test_inverting_a_value_before_the_clock_start_is_refused():
+    clock = HardwareClock(5, [(0, 1)], UNIT)
+    assert clock.invert(frac(5)) == 0 and clock.invert_units(100)[0] == 0
+    with pytest.raises(ValueError, match="precedes clock start"):
+        clock.invert(frac("4.95"))
+    with pytest.raises(ValueError, match="precedes clock start"):
+        clock.invert_units(99)
 
 
 def test_run_until_empty_queue_advances_time():

@@ -174,9 +174,6 @@ class LyingPlugin:
     def finish(self, state, received):
         return 1
 
-    def missing_payload(self, i, sender):
-        return ()
-
 
 def test_inner_bit_bound_violation_aborts_with_zero():
     n = 4
@@ -185,6 +182,23 @@ def test_inner_bit_bound_violation_aborts_with_zero():
     assert set(outputs.values()) == {0}
     # After the abort the nodes go quiet.
     assert all(m is None for sends in sent[5].values() for m in sends)
+
+
+@pytest.mark.parametrize("order", [(1, 2, 4, 3, 5), (2, 4, 3, 5),
+                                   (1, 3, 2, 4, 5), (3, 4, 5)])
+def test_wrapper_runs_no_inner_round_that_its_round_3_did_not_start(order):
+    # Rounds fire out of order only from a corrupted boot state.  Each order
+    # skips round 3 or runs it before round 2, so the inner run stays off,
+    # whatever support the receipts show.
+    n, f = 4, 1
+    ps = phase_king_silent(n, f)
+    ones = (ONE,) * n
+    state = ps.fresh(1, 0)
+    for i in order:
+        state, sends = ps.step(state, i, None if i == 1 else ones)
+        if i >= 3:
+            assert sends == (None,) * n
+    assert ps.finish(state, ones) == 0
 
 
 def test_replay_reproduces_lockstep_outputs():
@@ -249,9 +263,6 @@ class SpyPlugin:
         self.seen.append(("received", type(received)))
         return self.inner.finish(state, received)
 
-    def missing_payload(self, i, sender):
-        return self.inner.missing_payload(i, sender)
-
 
 def test_the_plugin_takes_and_gives_tuples_in_the_run_and_in_replay(
         monkeypatch):
@@ -277,12 +288,12 @@ PAYLOADS = st.one_of(
 
 
 @st.composite
-def executions(draw):
+def executions(draw, makes=(PhaseKing, phase_king_silent)):
     """A plugin and a few executions of it: (index, input bit, received
     tuples per round).  Each vector mostly repeats one payload, so the
     quorum rules fire as well as fail."""
     n, f = draw(st.sampled_from([(4, 1), (7, 2)]))
-    make = draw(st.sampled_from([PhaseKing, phase_king_silent]))
+    make = draw(st.sampled_from(makes))
     rounds = make(n, f).rounds
 
     @st.composite
@@ -328,3 +339,32 @@ def test_replay_output_depends_only_on_its_inputs(case, rnd):
     for k in schedule:
         trails[k].append(next(running[k]))
     assert trails == alone
+
+
+def spelled_out(pk, i, received):
+    """Round-i receipts of phase king `pk` with each missing message replaced
+    by what a sender of value 0 and no proposal sends in that round."""
+    sub = (i - 1) % 3
+
+    def sent(u):
+        if sub == 1:
+            return (0, 0)                  # no proposal
+        if sub == 2 and u != pk._king(i):
+            return ()                      # a non-king in a king round
+        return (0,)
+    return tuple([sent(u) if m is None else m
+                  for u, m in enumerate(received)])
+
+
+@settings(max_examples=60)
+@given(executions(makes=(PhaseKing,)))
+def test_phase_king_reads_a_missing_message_as_a_sender_of_0(case):
+    # A missing message means a missing sender; the silent wrapper hands
+    # its inner phase king the receipts as they came.
+    make, runs = case
+    pk = make()
+    for index, input_bit, received in runs:
+        spelled = tuple(spelled_out(pk, k + 1, vec)
+                        for k, vec in enumerate(received))
+        assert list(calls(pk, index, input_bit, received)) == \
+            list(calls(pk, index, input_bit, spelled))

@@ -171,9 +171,6 @@ def test_bit_budget_violation_aborts_instance(ctx):
         def finish(self, state, received):
             return 1
 
-        def missing_payload(self, i, sender):
-            return ()
-
     rounds.proto = Flood()
     rounds.join(LABEL, 1, 2, 1, 12000)
     rounds.on_alarm(LABEL, 1, 12484)

@@ -143,6 +143,20 @@ def test_unknown_section_key_rejected(data, problem):
     assert err.value.problems == [problem]
 
 
+def test_unknown_top_level_key_rejected():
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({"n": 4, "rounds": 3})
+    [problem] = err.value.problems
+    assert "'rounds'" in problem
+
+
+@pytest.mark.parametrize("entry", ["initiate", 8, None, ["8", 0]])
+def test_a_script_entry_that_is_not_a_dict_rejected(entry):
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({"script": [entry]})
+    assert err.value.problems == [f"malformed script entry {entry!r}"]
+
+
 def test_default_sections_give_the_lookup_defaults():
     # The default section dicts spell names out so that scenario dumps show
     # them; each one must be the default its LOOKUPS row gives.

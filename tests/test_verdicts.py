@@ -4,6 +4,7 @@ Each test takes a known-good run, tampers with one aspect of its trace, and
 expects the corresponding suite to fail.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import log2
 
@@ -297,6 +298,83 @@ def test_inflated_window_breaks_amortized_bits(good_run):
     assert not v.passed and v.measured["c_bits"] > p.max_c_bits
 
 
+# -- one planted fault per violation kind ----------------------------------------
+
+
+def with_field(trace, kind, pos, value, where=lambda r: True):
+    """`trace` with field `pos` of each `kind` record `where` accepts set to
+    `value`, and the first such record as it was."""
+    hits = [i for i, r in enumerate(trace) if r[0] == kind and where(r)]
+    assert hits
+    out = list(trace)
+    for i in hits:
+        out[i] = trace[i][:pos] + (value,) + trace[i][pos + 1:]
+    return out, trace[hits[0]]
+
+
+def test_forced_termination_is_named_not_replayed(good_run):
+    sc, res = good_run
+    trace, r = with_field(res.trace, "output", 5, "stall",
+                          lambda r: r[2] == 1)
+    oracle = by_name(rejudge(sc, res, trace), "oracle-equivalence")
+    assert not oracle.passed
+    assert ("forced_termination", r[3], 1, "stall") in oracle.counterexample
+
+
+def test_a_nonzero_output_no_oracle_gave_breaks_safety(good_run):
+    sc, res = good_run
+    trace, r = with_field(res.trace, "participate", 6, 0)
+    v = by_name(rejudge(sc, res, trace), "agreement-validity-safety")
+    assert not v.passed
+    assert ("safety_input_origin", r[3], 1) in v.counterexample
+
+
+def test_a_join_without_full_confidence_breaks_timing(good_run):
+    sc, res = good_run
+    trace, r = with_field(res.trace, "participate", 4, 1,
+                          lambda r: r[2] == 1)
+    v = by_name(rejudge(sc, res, trace), "timing-windows")
+    assert not v.passed and v.counterexample == [("confidence", r[3], 1, 1)]
+
+
+def test_an_input_other_than_the_oracle_breaks_timing(good_run):
+    sc, res = good_run
+    trace, r = with_field(res.trace, "participate", 5, 0,
+                          lambda r: r[2] == 1)
+    v = by_name(rejudge(sc, res, trace), "timing-windows")
+    assert not v.passed
+    assert v.counterexample == [("input_not_oracle", r[3], 1)]
+
+
+def test_a_nonzero_output_of_a_silent_instance_breaks_silence():
+    sc = clean_scenario(oracle={"kind": "const", "value": 0})
+    res = harness.run(sc)
+    assert res.passed
+    trace, r = with_field(res.trace, "output", 4, 1, lambda r: r[2] == 1)
+    v = by_name(rejudge(sc, res, trace), "silence")
+    assert not v.passed
+    assert v.counterexample == [("nonzero_output", r[3], 1, 1)]
+
+
+def test_two_nonzero_instances_of_one_initiator_inside_the_window_crowd(
+        good_run):
+    # A second instance of initiator 0 whose joins come half a rarity
+    # window after the first one's.
+    sc, res = good_run
+    later = res.params.rarity_window / 2
+    joins = [r for r in res.trace if r[0] == "participate"]
+    (label,) = {r[3] for r in joins}
+    twin = (label[0], label[1] + 1)
+    trace = list(res.trace) + [(r[0], r[1] + later, r[2], twin) + r[4:]
+                               for r in joins]
+    trace.sort(key=lambda r: r[1])
+    v = by_name(rejudge(sc, res, trace), "nontrivial-instance-rarity")
+    first = min(r[1] for r in joins)
+    assert not v.passed
+    assert v.counterexample == [("crowded", 0, float(first),
+                                 float(first + later))]
+
+
 # -- amortized-bits windows ------------------------------------------------------
 
 
@@ -425,6 +503,41 @@ def test_envelope_matches_every_pair_reference(mode, n, duration):
     every_pair = sum(k * (k + 1) // 2 for k in lengths)
     assert (pairs < every_pair) == (duration == "1000")
     # Same pairs, float sums taken in another order: equal to the rounding.
+    assert v.measured["K1"] == pytest.approx(k1, abs=1e-4)
+
+
+@pytest.fixture(scope="module")
+def long_skew_run():
+    return clock_skew_run(4, "alternating", duration="1000")
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["ahead", "behind"])
+def test_envelope_matches_the_reference_when_a_queue_head_expires(
+        long_skew_run, sign):
+    # An early estimate runs so far ahead of (or behind) its clock that every
+    # later key of one min-queue stays above its own for more than `cap`, so
+    # it heads that queue until it leaves the window; the last estimate then
+    # falls as far the other way, which only a pair with the expired head
+    # would make worse than every pair in the window.
+    sc, res = long_skew_run
+    p = res.params
+    u = res.byzantine[0]
+    series = byzantine_series(res, u)
+    first, last = series[len(series) // 20], series[-1]
+    assert first[0] + p.envelope_cap < last[0]
+    spread = p.envelope_rate_hi - p.envelope_rate_lo
+    jump = int(spread * p.envelope_cap / float(p.grid.unit)) + 1
+    trace = list(res.trace)
+    for (t, node, e), shift in ((first, sign * jump), (last, -sign * jump)):
+        idx = next(i for i, r in enumerate(trace)
+                   if r[0] == "est" and r[2] == node and float(r[1]) == t)
+        r = trace[idx]
+        ests = list(r[3])
+        ests[u] = (e + shift) % p.clock_modulus
+        trace[idx] = (r[0], r[1], r[2], tuple(ests))
+    v = by_name(rejudge(sc, res, trace), "byzantine-clock-envelope")
+    k1, pairs = envelope_reference(replace(res, trace=trace))
+    assert not v.passed and v.measured["pairs"] == pairs
     assert v.measured["K1"] == pytest.approx(k1, abs=1e-4)
 
 
