@@ -125,23 +125,24 @@ class SilentNode:
 
 
 def random_envelope(p: Params, rng):
-    kind = rng.randrange(5)
-    stamp = rng.randrange(p.clock_modulus)
+    kind = _randint(rng, 0, 4)
+    stamp = _randint(rng, 0, p.clock_modulus - 1)
     if kind == 0:
         vals = tuple(None if rng.random() < 0.3
-                     else rng.randrange(p.clock_modulus)
+                     else _randint(rng, 0, p.clock_modulus - 1)
                      for _ in range(p.n))
         return msg.Update(vals)
     if kind == 1:
         return msg.Init(stamp)
     if kind == 2:
-        return msg.Echo((rng.randrange(p.n), stamp))
+        return msg.Echo((_randint(rng, 0, p.n - 1), stamp))
     if kind == 3:
         payload = None if rng.random() < 0.5 else \
-            tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
-        return msg.RoundMsg((rng.randrange(p.n), stamp),
-                            rng.randint(0, p.rounds + 2), payload)
-    return msg.Garbage(tuple(rng.randrange(256) for _ in range(rng.randint(1, 8))))
+            tuple(_randint(rng, 0, 1) for _ in range(_randint(rng, 0, 3)))
+        return msg.RoundMsg((_randint(rng, 0, p.n - 1), stamp),
+                            _randint(rng, 0, p.rounds + 2), payload)
+    return msg.Garbage(tuple(_randint(rng, 0, 255)
+                             for _ in range(_randint(rng, 1, 8))))
 
 
 class NoiseNode(SilentNode):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from . import adversary, verdicts
-from .kernel import ACTION, HardwareClock, Simulator
+from .kernel import ACTION, DELAY_STEPS, HardwareClock, Simulator, tick_grid
 from .node import NodeRuntime
 from .params import Params, derive
 from .scenario import Scenario, ScenarioError
@@ -54,7 +54,9 @@ def build_params(sc: Scenario) -> Params:
 
 def build_env(sc: Scenario):
     """Deterministic run environment: RNG, params, node roles, the run's
-    protocol plugin, hardware clocks.
+    protocol plugin, hardware clocks.  The clocks share the run's tick grid
+    (`kernel.tick_grid`), which holds d/DELAY_STEPS, the script's times and
+    the duration, so every time of the run's trace lies on it.
 
     The RNG draw order here is part of the reproducibility contract; the same
     RNG continues into the run itself (delays, adversary choices).
@@ -74,6 +76,8 @@ def build_env(sc: Scenario):
     clocks = {v: HardwareClock(offsets[v], rates(p.theta, duration, rng),
                                p.grid.unit)
               for v in range(sc.n)}
+    tick_grid(clocks.values(), [p.d / DELAY_STEPS, duration,
+                                *(entry["t"] for entry in sc.script)])
     return rng, p, byz, correct, proto, clocks
 
 

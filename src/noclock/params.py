@@ -74,6 +74,7 @@ class Params:
     value_bits: int              # wire bits per clock value / stamp
     id_bits: int
     round_bits: int
+    instance_budget: tuple       # by round r: one instance's bits through r
 
     # Verdict bounds: every limit and window a verdict applies.  Times are
     # real time; each K is in units of d or d_clk, as its verdict measures it.
@@ -99,15 +100,11 @@ class Params:
     def clock_value_ok(self, v: object) -> bool:
         return isinstance(v, int) and 0 <= v < self.clock_modulus
 
-    def instance_budget(self, r: int) -> int:
-        """Cumulative per-node bit allowance for one instance through round r."""
-        return self.bit_bound + HDR_BUDGET * r * self.n * max(1, ceil(log2(self.n)))
-
 
 def parse_number(key: str, x, problems: list):
     """The exact value of the scenario number `key`, or None, with a problem
     that names the key, if `x` does not parse or is too large for a float:
-    a run keys its events and some bounds by floats."""
+    some verdict bounds and measured constants are floats."""
     try:
         value = frac(x)
     except (TypeError, ValueError) as exc:
@@ -216,6 +213,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
     value_bits = max(1, ceil(log2(modulus)))
     hdr_bits = n ** 2 * max(1.0, log2(n))
     ftheta = float(theta)
+    id_bits = max(1, ceil(log2(n)))
     p = Params(
         n=n, f=f, theta=theta, d=d, rounds=rounds, bit_bound=bit_bound, T=T,
         d_clk=d_clk, judging_horizon=10 * (rounds * d + T), bits_window=10 * T,
@@ -245,8 +243,10 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         max_total_instances=k2,
         quarantine_hold=grid.ceil_units(theta * d),
         value_bits=value_bits,
-        id_bits=max(1, ceil(log2(n))),
+        id_bits=id_bits,
         round_bits=max(1, ceil(log2(rounds + 2))),
+        instance_budget=tuple(bit_bound + HDR_BUDGET * r * n * id_bits
+                              for r in range(rounds + 1)),
         # An instance without progress terminates within the stall window plus
         # a couple of sweep ticks, so only instances still active that close
         # to the end of a run may lack outputs.

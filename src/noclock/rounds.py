@@ -120,7 +120,7 @@ class Rounds:
         # One envelope and one price per distinct payload; the receivers in
         # id order that fit the budget get theirs, and a receiver that does
         # not aborts the instance after those sends.
-        budget = p.instance_budget(i)
+        budget = p.instance_budget[i]
         built = {}                  # payload -> (its RoundMsg, its bits)
         envelopes = [None] * p.n
         bits = inst.bits

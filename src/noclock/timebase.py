@@ -1,10 +1,12 @@
 """Exact time arithmetic: rational reference time, integer local-time grids.
 
-Reference (real) time is kept as `fractions.Fraction` so that clock-rate
-integration and threshold inversion are exact.  Everything a node's protocol
-logic touches is an integer count of a per-scenario grid unit, which keeps the
-hot paths in plain int arithmetic.  Clock readings outside threshold events are
-floored to the coarser read quantum before the protocol sees them.
+Reference (real) time is exact: scenario times and trace records carry it as
+`fractions.Fraction`, and the kernel counts it in int ticks of one per-run
+grid (`kernel.tick_grid`), so clock-rate integration and threshold inversion
+are exact.  Everything a node's protocol logic touches is an integer count of
+a per-scenario grid unit, which keeps the hot paths in plain int arithmetic.
+Clock readings outside threshold events are floored to the coarser read
+quantum before the protocol sees them.
 """
 
 from __future__ import annotations

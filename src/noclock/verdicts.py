@@ -374,9 +374,12 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
     lo = off - p.estimate_band
     t0 = Fraction(0)
     worst, worst_v = None, -1      # the last failure in (v, t, w) order
-    floors = [(w, clocks[w].floor_units) for w in correct]
+    floors = [(w, clocks[w].units_at) for w in correct]
+    ticks = clocks[0].ticks
     for _, t, v, ests in ix.est:
-        tn, td = t.numerator, t.denominator
+        # A reading changes only at a tick, so the tick at or before t reads
+        # as t does.
+        tick = t.numerator * ticks // t.denominator
         for w, floor in floors:
             if w == v:
                 continue
@@ -384,7 +387,7 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
             if val is None:
                 fail = ("bot", t, v, w)
             else:
-                r = (val - floor(tn, td) + off) % mod
+                r = (val - floor(tick) + off) % mod
                 if lo <= r <= off:
                     continue
                 fail = ("band", t, v, w, r - off)

@@ -6,20 +6,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noclock import messages
-from noclock.adversary import SilentNode
-from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY,
-                            MAX_ACTIONS_PER_EVENT, THRESHOLD, HardwareClock,
-                            Simulator, SimulatorBug)
+from noclock import harness, kernel, messages
+from noclock.adversary import RATE_SCHEDULES, SilentNode
+from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY, THRESHOLD,
+                            HardwareClock, Simulator, SimulatorBug, tick_grid)
 from noclock.messages import Garbage, Init, RoundMsg, Update
 from noclock.node import NodeRuntime
 from noclock.protocols import make_protocol
+from noclock.scenario import Scenario
 from noclock.timebase import frac
 from shapes import derive_pk4
 
 
 # The grid unit of the exact-reference tests, which read no grid.
 UNIT = Fraction(1, 20)
+# A time step the tick grids of `make_sim` and `timed_sim` hold, so that the
+# tests can run to any hundredth.
+HUNDREDTH = Fraction(1, 100)
 
 
 class Recorder:
@@ -46,6 +49,7 @@ def make_sim(rates=None, n=2, delay_policy=lambda *a: 512):
     p = derive_pk4(4, 1, "1.1", "1")
     rates = rates or [(0, 1)]
     clocks = {v: HardwareClock(0, rates, p.grid.unit) for v in range(n)}
+    tick_grid(clocks.values(), [p.d / DELAY_STEPS, HUNDREDTH])
     events = []
     handlers = {v: Recorder(v, events) for v in range(n)}
     sim = Simulator(p, clocks, handlers, delay_policy, random.Random(0))
@@ -54,7 +58,7 @@ def make_sim(rates=None, n=2, delay_policy=lambda *a: 512):
 
 def test_schedule_into_empty_queue_becomes_head():
     sim, rec = make_sim()
-    sim.schedule(frac("2.5"), DELIVERY, 0, (1, Init(0), True))
+    sim.schedule(frac("2.5"), DELIVERY, 0, (1, Init(0), True, "Init"))
     sim.run_until(10)
     assert rec.events == [("msg", 0, 1, Init(0))]
 
@@ -69,7 +73,7 @@ def test_same_time_events_ordered_by_node_id():
 
 def test_threshold_events_precede_deliveries_at_equal_time():
     sim, rec = make_sim()
-    sim.schedule(frac(3), DELIVERY, 0, (1, Init(0), True))
+    sim.schedule(frac(3), DELIVERY, 0, (1, Init(0), True, "Init"))
     sim.schedule(frac(3), THRESHOLD, 0, (60, ("tick",)))
     sim.run_until(10)
     assert [e[0] for e in rec.events] == ["thr", "msg"]
@@ -117,24 +121,58 @@ def test_a_deadline_before_now_is_a_bug():
     assert sim.now == 2
 
 
-def test_one_event_past_its_action_budget_is_a_bug():
-    # Outside the loop every push counts against one event's budget; the
-    # pushes only queue heap entries, no handler runs.
-    sim, _ = make_sim()
-    t = frac(1)
-    for _ in range(MAX_ACTIONS_PER_EVENT):
-        sim.schedule(t, ACTION, 0, None)
-    with pytest.raises(SimulatorBug, match="action budget"):
-        sim.schedule(t, ACTION, 0, None)
+@pytest.mark.parametrize("extra", [0, 1], ids=["within", "past"])
+def test_one_event_past_its_action_budget_is_a_bug(monkeypatch, extra):
+    """An event may queue the budget's alarms, send sets and scheduled
+    events, and no more; a send set counts once, however many receivers it
+    has.  What is queued outside an event counts against no budget."""
+    monkeypatch.setattr(kernel, "MAX_ACTIONS_PER_EVENT", 4)
+    sim, rec = make_sim(n=4)
+    for _ in range(10):
+        sim.schedule(frac(2), ACTION, 1, None)
+    sim.multicast(0, [None, Init(1), Init(2), Init(3)])
+
+    def on_action():
+        sim.multicast(0, [None, Init(1), Init(2), Init(3)])
+        sim.alarm(0, 100, ("x",))
+        for _ in range(2 + extra):
+            sim.schedule(frac(3), ACTION, 2, None)
+    rec.on_action = on_action
+    sim.schedule(frac(1), ACTION, 0, None)
+    with pytest.raises(SimulatorBug, match="action budget") if extra \
+            else nullcontext():
+        sim.run_until(2)
+
+
+def test_a_long_script_runs_under_a_small_action_budget(monkeypatch):
+    monkeypatch.setattr(kernel, "MAX_ACTIONS_PER_EVENT", 10)
+    script = [{"t": f"{k}/7", "node": 0, "action": "initiate"}
+              for k in range(1, 40)]
+    res = harness.run(Scenario(n=4, f=1, duration="12", script=script),
+                      evaluate=False)
+    assert any(rec[0] == "init" for rec in res.trace)
 
 
 def test_inverting_a_value_before_the_clock_start_is_refused():
     clock = HardwareClock(5, [(0, 1)], UNIT)
-    assert clock.invert(frac(5)) == 0 and clock.invert_units(100)[0] == 0
+    tick_grid([clock], [])
+    assert clock.invert(frac(5)) == 0 and clock.tick_at(100) == 0
     with pytest.raises(ValueError, match="precedes clock start"):
         clock.invert(frac("4.95"))
     with pytest.raises(ValueError, match="precedes clock start"):
-        clock.invert_units(99)
+        clock.tick_at(99)
+
+
+def test_a_time_off_the_tick_grid_raises():
+    sim, rec = make_sim()       # the grid holds 1/100, 1/1024 and 1/20
+    third = Fraction(1, 3)
+    with pytest.raises(SimulatorBug, match="off the tick grid"):
+        sim.schedule(third, ACTION, 0, None)
+    with pytest.raises(SimulatorBug, match="off the tick grid"):
+        sim.inject_garbage(0, 1, Init(5), third)
+    with pytest.raises(SimulatorBug, match="off the tick grid"):
+        sim.run_until(third)
+    assert sim._queue == [] and sim.now == 0
 
 
 def test_run_until_empty_queue_advances_time():
@@ -248,6 +286,7 @@ class Timed(Recorder):
 def test_delivery_time_is_now_plus_k_steps_of_d(d, start, k):
     p = derive_pk4(4, 1, "1.1", d)
     clocks = {v: HardwareClock(0, [(0, 1)], p.grid.unit) for v in range(2)}
+    tick_grid(clocks.values(), [p.d / DELAY_STEPS, start])
     events = []
     sim = Simulator(p, clocks, {}, lambda *a: k, random.Random(0))
     sim.handlers.update({v: Timed(v, events, sim) for v in range(2)})
@@ -290,6 +329,7 @@ def test_grid_inversion_equals_the_exact_clock_inversion(data):
     grid = p.grid
     offset = data.draw(st.integers(0, 400)) * grid.unit
     clock = HardwareClock(offset, random_schedule(data, theta), grid.unit)
+    ticks = tick_grid([clock], [])
     first = grid.ceil_units(offset)
     # The first grid value on or after each segment start, the one before
     # it, and values in any order and past the last segment.
@@ -298,10 +338,10 @@ def test_grid_inversion_equals_the_exact_clock_inversion(data):
                       st.sampled_from(starts).map(lambda u: max(first, u - 1)),
                       st.integers(first, starts[-1] + 4000))
     for u in data.draw(st.lists(units, min_size=1, max_size=30)):
-        num, den = clock.invert_units(u)
-        assert Fraction(num, den) == clock.invert(grid.from_units(u))
+        tick = clock.tick_at(u)
+        assert Fraction(tick, ticks) == clock.invert(grid.from_units(u))
     with pytest.raises(ValueError):
-        clock.invert_units(first - 1)
+        clock.tick_at(first - 1)
 
 
 def test_alarm_fires_where_the_clock_reaches_its_value():
@@ -384,10 +424,12 @@ def test_grid_reading_equals_the_floored_exact_clock(data):
     offset = data.draw(st.fractions(min_value=0, max_value=50,
                                     max_denominator=20))
     clock = HardwareClock(offset, segs, p.grid.unit)
+    ticks = tick_grid([clock], [])
     last = segs[-1][0]
     starts = [s for s, _ in segs]
     # Segment starts and the instants just before them, times past the last
-    # segment, and any order: the cursor must also go back.
+    # segment, and any order: the cursor must also go back.  A time off the
+    # grid reads as the tick before it, since readings change only on ticks.
     times = st.one_of(
         st.sampled_from(starts),
         st.sampled_from(starts).map(lambda s: max(0, s - Fraction(1, 1024))),
@@ -395,7 +437,7 @@ def test_grid_reading_equals_the_floored_exact_clock(data):
                      max_denominator=1024))
     for t in data.draw(st.lists(times, min_size=1, max_size=40)):
         t = frac(t)
-        assert clock.floor_units(t.numerator, t.denominator) == \
+        assert clock.units_at(t.numerator * ticks // t.denominator) == \
             p.grid.floor_units(clock.value(t))
 
 
@@ -427,10 +469,11 @@ def draws(lo, hi):
     return lambda receiver, rng: rng.randint(lo, hi)
 
 
-def timed_sim(policy):
+def timed_sim(policy, times=()):
     p = derive_pk4(4, 1, "1.1", "1")
     clocks = {v: HardwareClock(0, [(0, 1), (3, frac("1.1"))], p.grid.unit)
               for v in range(4)}
+    tick_grid(clocks.values(), [p.d / DELAY_STEPS, HUNDREDTH, *times])
     events = []
     sim = Simulator(p, clocks, {}, policy, random.Random(11))
     sim.handlers.update({v: Timed(v, events, sim) for v in range(4)})
@@ -447,8 +490,8 @@ def test_multicast_equals_a_loop_of_single_sends(data):
                  for w, k in enumerate(picks)]
     delay = data.draw(st.one_of(st.none(), st.integers(1, DELAY_STEPS - 1)))
     start = data.draw(st.fractions(min_value=0, max_value=6, max_denominator=97))
-    one, one_events = timed_sim(draws(1, DELAY_STEPS - 1))
-    loop, loop_events = timed_sim(draws(1, DELAY_STEPS - 1))
+    one, one_events = timed_sim(draws(1, DELAY_STEPS - 1), [start])
+    loop, loop_events = timed_sim(draws(1, DELAY_STEPS - 1), [start])
     for sim in (one, loop):
         sim.run_until(start)
     one.multicast(sender, envelopes, delay)
@@ -486,18 +529,18 @@ def test_multicast_rejects_a_self_entry():
 
 
 def test_a_fixed_delay_multicast_shares_one_delivery_time():
-    sim, events = timed_sim(draws(1, DELAY_STEPS - 1))
+    sim, events = timed_sim(draws(1, DELAY_STEPS - 1), [Fraction(7, 3)])
     sim.run_until(Fraction(7, 3))
     state = sim.rng.getstate()
     sim.multicast(1, [Init(5), None, Update((1, 2, 3, 4)), Init(5)], 300)
     assert sim.rng.getstate() == state          # no delay was drawn
-    keys = [entry[:2] for entry in sim._queue]
-    assert len(keys) == 3
-    assert all(f is keys[0][0] and t is keys[0][1] for f, t in keys)
-    assert keys[0][1] == Fraction(7, 3) + sim.p.d * Fraction(300, DELAY_STEPS)
+    ticks = {entry[0] for entry in sim._queue}
+    assert len(sim._queue) == 3 and len(ticks) == 1
+    at = Fraction(7, 3) + sim.p.d * Fraction(300, DELAY_STEPS)
+    assert ticks == {at * sim.ticks}
     sim.run_until(4)
     assert [rec[2] for rec in sim.trace if rec[0] == "recv"] == [0, 2, 3]
-    assert [e[1] for e in events] == [keys[0][1]] * 3
+    assert [e[1] for e in events] == [at] * 3
 
 
 def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
@@ -513,6 +556,7 @@ def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
     monkeypatch.setattr(NodeRuntime, "on_deliver",
                         lambda self, sender, envelope: entered.append(self.node))
     clocks = {v: HardwareClock(0, [(0, 1)], p.grid.unit) for v in range(4)}
+    tick_grid(clocks.values(), [p.d / DELAY_STEPS])
     handlers = {}
     sim = Simulator(p, clocks, handlers, draws(1, DELAY_STEPS - 1),
                     random.Random(5))
@@ -538,3 +582,33 @@ def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
     drops = [rec[2] for rec in sim.trace if rec[0] == "drop"]
     assert sorted(drops) == [0, 0, 1, 1, 2, 2]
     assert len(checked) == 5
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_tick_reads_and_inversions_equal_the_exact_clock(data):
+    """On the grid `tick_grid` builds from a `random_steps` schedule, an
+    offset and script times, a tick reads what `value` floors to, and the
+    tick of a grid value is where `invert` puts it."""
+    theta = 1 + data.draw(st.fractions(min_value=0, max_value=3,
+                                       max_denominator=40))
+    p = derive_pk4(4, 1, theta, data.draw(st.sampled_from(["1", "3/2"])))
+    grid = p.grid
+    duration = 60
+    schedule = RATE_SCHEDULES["random_steps"](
+        theta, Fraction(duration), random.Random(data.draw(st.integers(0, 2**16))))
+    offset = data.draw(st.integers(0, 16)) * grid.from_units(p.update_period)
+    clock = HardwareClock(offset, schedule, grid.unit)
+    script = data.draw(st.lists(st.fractions(
+        min_value=0, max_value=duration, max_denominator=60), max_size=6))
+    ticks = tick_grid([clock], [p.d / DELAY_STEPS, duration, *script])
+    steps = data.draw(st.lists(st.integers(0, DELAY_STEPS * duration),
+                               max_size=10))
+    for t in script + [k * p.d / DELAY_STEPS for k in steps]:
+        assert t * ticks % 1 == 0
+        assert clock.units_at(int(t * ticks)) == grid.floor_units(clock.value(t))
+    first = grid.ceil_units(offset)
+    last = grid.floor_units(clock.value(Fraction(duration)))
+    for u in data.draw(st.lists(st.integers(first, last), max_size=10)):
+        assert Fraction(clock.tick_at(u), ticks) == \
+            clock.invert(grid.from_units(u))

@@ -108,7 +108,7 @@ def test_instance_budget_covers_healthy_traffic(p):
     # A full healthy instance sends one frame per peer per round.
     per_round = (p.n - 1) * (RoundMsg((0, 0), 1, None).frame_bits(p) + 2)
     for r in range(1, p.rounds + 1):
-        assert r * per_round < p.instance_budget(r)
+        assert r * per_round < p.instance_budget[r]
 
 
 @pytest.mark.parametrize("period", [None, "3"])

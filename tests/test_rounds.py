@@ -181,7 +181,7 @@ def test_bit_budget_violation_aborts_instance(ctx):
 @pytest.mark.parametrize("k", [1, 2])
 def test_bit_budget_running_out_mid_fan_out_sends_to_those_that_fit(ctx, k):
     p, rounds, guard, rt = ctx
-    budget = p.instance_budget(1)
+    budget = p.instance_budget[1]
     frame = RoundMsg(LABEL, 1, ()).frame_bits(p)
     cost = budget // k            # k sends fit, k + 1 do not
     assert k * cost <= budget < (k + 1) * cost

@@ -15,7 +15,8 @@ Each run also has an outcome digest over every verdict's name, pass/fail and
 measured constants and over the `metrics.json` export (key order included),
 so a change to the evaluation that moves a number shows up even when the
 trace holds.  The JSONL the trace digest hashes must decode back to the
-run's trace.  Each scenario is simulated once for all three checks.
+run's trace, and every time in the trace must lie on the run's tick grid.
+Each scenario is simulated once for all four checks.
 """
 
 import functools
@@ -117,13 +118,17 @@ def sha256(text: str) -> str:
 @functools.lru_cache(maxsize=None)
 def digests(name: str):
     """(trace digest, outcome digest, whether the stored trace decodes to
-    the run's trace) of one matrix run."""
-    res = harness.run(dict(MATRIX)[name])
+    the run's trace, whether every trace time is a whole number of ticks of
+    the run's grid) of one matrix run."""
+    sc = dict(MATRIX)[name]
+    res = harness.run(sc)
+    ticks = harness.build_env(sc)[5][0].ticks
+    on_grid = all(rec[1] * ticks % 1 == 0 for rec in res.trace)
     outcome = {"verdicts": [[v.name, v.passed, v.measured] for v in res.verdicts],
                "metrics": run_metrics(res.index, res.scenario, res.params)}
     text = trace_to_jsonl(res.trace)
     decodes = trace_from_jsonl(text, res.scenario.n) == res.trace
-    return sha256(text), sha256(json.dumps(outcome)), decodes
+    return sha256(text), sha256(json.dumps(outcome)), decodes, on_grid
 
 
 NAMES = [name for name, _ in MATRIX]
@@ -142,3 +147,8 @@ def test_outcome_digest_is_unchanged(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_stored_trace_decodes_to_the_run(name):
     assert digests(name)[2]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_trace_time_lies_on_the_tick_grid(name):
+    assert digests(name)[3]
