@@ -79,27 +79,29 @@ ENVELOPES = (Update, Init, Echo, RoundMsg, Garbage)
 
 
 def well_formed(msg, p: Params) -> bool:
-    """Structural validity; senders of malformed envelopes are trace-marked."""
-    if isinstance(msg, Update):
+    """Structural validity, by exact class and field types as the stored-trace
+    schema reads them; senders of malformed envelopes are trace-marked."""
+    kind = type(msg)
+    if kind is Update:
         # Each value is None or passes `Params.clock_value_ok`, inlined:
         # updates are the bulk of all traffic.
-        if len(msg.values) != p.n:
+        values, mod = msg.values, p.clock_modulus
+        if type(values) is not tuple or len(values) != p.n:
             return False
-        mod = p.clock_modulus
-        for v in msg.values:
-            if v is not None and not (isinstance(v, int) and 0 <= v < mod):
+        for v in values:
+            if v is not None and not (type(v) is int and 0 <= v < mod):
                 return False
         return True
-    if isinstance(msg, Init):
+    if kind is Init:
         return p.clock_value_ok(msg.stamp)
-    if isinstance(msg, Echo):
-        ini, stamp = msg.label
-        return 0 <= ini < p.n and p.clock_value_ok(stamp)
-    if isinstance(msg, RoundMsg):
-        ini, stamp = msg.label
-        if not (0 <= ini < p.n and p.clock_value_ok(stamp)):
-            return False
-        if msg.payload is not None and not all(b in (0, 1) for b in msg.payload):
-            return False
-        return isinstance(msg.round, int)
-    return False
+    if kind is not Echo and kind is not RoundMsg:
+        return False
+    label = msg.label
+    ok = (type(label) is tuple and len(label) == 2 and type(label[0]) is int
+          and 0 <= label[0] < p.n and p.clock_value_ok(label[1]))
+    if kind is Echo or not ok:
+        return ok
+    payload = msg.payload
+    return type(msg.round) is int and (payload is None or (
+        type(payload) is tuple
+        and all(type(b) is int and 0 <= b <= 1 for b in payload)))

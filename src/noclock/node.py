@@ -1,10 +1,10 @@
 """Correct-node runtime: event dispatch, and the one port to the kernel.
 
 All protocol state transitions happen inside kernel event handlers; local
-computation takes zero simulated time.  The runtime converts the kernel's
-exact clock to the integer readings the protocol layer works with, routes
-envelopes, and drives the periodic tick (clock-update broadcast plus all
-garbage-collection sweeps).
+computation takes zero simulated time.  The runtime reads its own hardware
+clock at the kernel's tick, quantized to the integer readings the protocol
+layer works with, routes each envelope by its exact class, and drives the
+periodic tick (clock-update broadcast plus all garbage-collection sweeps).
 
 The layers above the clock estimates (`Initiation`, `Rounds`, `Guard`) reach
 the kernel only through the runtime they are built with, which is their port:
@@ -18,10 +18,10 @@ the kernel only through the runtime they are built with, which is their port:
   not None, a round's whole send set;
 - `wipe()` drops all instance memory after a quarantine.
 
-Each of the two send calls is one kernel `multicast`, which prices and
-validates each distinct envelope once; the kernel hands the runtime only
-well-formed envelopes (`on_deliver`), and names the sender of any other
-(`on_malformed`), which the runtime records as a `drop malformed`.
+Each send call is one kernel `multicast`, which validates each distinct
+envelope once; the runtime gets a well-formed one, whose class is exactly one
+of the four it routes, in `on_deliver`, and the sender of any other in
+`on_malformed`, which it records as a `drop malformed`.
 
 Timer handlers receive the local time the timer was set for as their last
 argument; the tag names the handler, so nothing maps tags back to layers.
@@ -44,6 +44,7 @@ class NodeRuntime:
         self.sim = sim
         self.node = node
         self.p = sim.p
+        self.clock, self.q = sim.clocks[node], self.p.grid.q_units
         self.clocksync = ClockSync(self.p, node)
         self.guard = Guard(self)
         self.rounds = Rounds(self, proto, self.guard)
@@ -85,16 +86,18 @@ class NodeRuntime:
         handler(*args, units)
 
     def on_deliver(self, sender: int, envelope) -> None:
-        now = self.sim.reading(self.node)
-        if isinstance(envelope, msg.Update):
-            self.clocksync.on_update(sender, envelope.values, now)
-        elif isinstance(envelope, msg.Init):
-            self.initiation.on_init(sender, envelope.stamp, now)
-        elif isinstance(envelope, msg.Echo):
-            self.initiation.on_echo(sender, envelope.label, now)
-        elif isinstance(envelope, msg.RoundMsg):
+        # `sim.reading(node)`, inlined: deliveries are most of all events.
+        now = self.clock.units_at(self.sim.tick) // self.q * self.q
+        kind = type(envelope)
+        if kind is msg.RoundMsg:
             self.rounds.on_round_msg(sender, envelope.label, envelope.round,
                                      envelope.payload, now)
+        elif kind is msg.Update:
+            self.clocksync.on_update(sender, envelope.values, now)
+        elif kind is msg.Echo:
+            self.initiation.on_echo(sender, envelope.label, now)
+        elif kind is msg.Init:
+            self.initiation.on_init(sender, envelope.stamp, now)
 
     def on_malformed(self, sender: int) -> None:
         self.log("drop", "malformed", sender)

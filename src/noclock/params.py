@@ -98,7 +98,7 @@ class Params:
     rarity_window: Fraction      # least gap between one initiator's nonzero instances
 
     def clock_value_ok(self, v: object) -> bool:
-        return isinstance(v, int) and 0 <= v < self.clock_modulus
+        return type(v) is int and 0 <= v < self.clock_modulus
 
 
 def parse_number(key: str, x, problems: list):

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from noclock import harness, kernel, messages
 from noclock.adversary import RATE_SCHEDULES, SilentNode
 from noclock.kernel import (ACTION, DELAY_STEPS, DELIVERY, THRESHOLD,
-                            HardwareClock, Simulator, SimulatorBug, tick_grid)
-from noclock.messages import Garbage, Init, RoundMsg, Update
+                            HardwareClock, Simulator, SimulatorBug, exact_time,
+                            tick_grid)
+from noclock.messages import Echo, Garbage, Init, RoundMsg, Update
 from noclock.node import NodeRuntime
 from noclock.protocols import make_protocol
 from noclock.scenario import Scenario
@@ -173,6 +174,21 @@ def test_a_time_off_the_tick_grid_raises():
     with pytest.raises(SimulatorBug, match="off the tick grid"):
         sim.run_until(third)
     assert sim._queue == [] and sim.now == 0
+
+
+@settings(max_examples=300)
+@given(bits=st.integers(11, 82), data=st.data())
+def test_exact_time_is_the_fraction_of_the_tick(bits, data):
+    """On grids of the widths runs use, ticks sharing no factor with the
+    grid or many."""
+    ticks = data.draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+    tick = data.draw(st.one_of(
+        st.integers(0, 2 ** 80),
+        st.integers(0, 2 ** 30).map(lambda k: k * ticks // 2 ** (bits // 2))))
+    t, ref = exact_time(tick, ticks), Fraction(tick, ticks)
+    assert type(t) is Fraction
+    assert (t.numerator, t.denominator) == (ref.numerator, ref.denominator)
+    assert t == ref and hash(t) == hash(ref) and str(t) == str(ref)
 
 
 def test_run_until_empty_queue_advances_time():
@@ -543,6 +559,26 @@ def test_a_fixed_delay_multicast_shares_one_delivery_time():
     assert [e[1] for e in events] == [at] * 3
 
 
+def test_a_bad_given_delay_leaves_the_send_set_unsent():
+    asked = []
+
+    def policy(receiver, rng):
+        asked.append(receiver)
+        return 300
+    sim, events = timed_sim(policy)
+    sim.run_until(1)
+    sim.multicast(0, [None, Init(5), None, None])
+    trace, queue, state = list(sim.trace), list(sim._queue), sim.rng.getstate()
+    for delay in (0, DELAY_STEPS, -3, True, 0.5, Fraction(1)):
+        with pytest.raises(SimulatorBug):
+            sim.multicast(2, [Init(6), Update((1, 2, 3, 4)), None, Init(6)],
+                          delay)
+        assert sim.trace == trace and sim._queue == queue
+    assert asked == [1] and sim.rng.getstate() == state
+    sim.run_until(3)
+    assert [e[2] for e in events] == [0]
+
+
 def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
     p = derive_pk4(4, 1, "1.1", "1")
     checked = []
@@ -612,3 +648,29 @@ def test_tick_reads_and_inversions_equal_the_exact_clock(data):
     for u in data.draw(st.lists(st.integers(first, last), max_size=10)):
         assert Fraction(clock.tick_at(u), ticks) == \
             clock.invert(grid.from_units(u))
+
+
+def test_each_envelope_reaches_exactly_its_layer_with_the_reading(monkeypatch):
+    p = derive_pk4(4, 1, "1.1", "1")
+    clocks = {v: HardwareClock(0, [(0, 1), (2, frac("1.1"))], p.grid.unit)
+              for v in range(4)}
+    tick_grid(clocks.values(), [p.d / DELAY_STEPS, HUNDREDTH])
+    sim = Simulator(p, clocks, {}, draws(1, DELAY_STEPS - 1), random.Random(5))
+    proto = make_protocol("phase-king-silent", 4, 1)
+    rt = sim.handlers[1] = NodeRuntime(sim, 1, proto, lambda *a: 1)
+    calls = []
+    for layer, name in (("clocksync", "on_update"), ("initiation", "on_init"),
+                        ("initiation", "on_echo"), ("rounds", "on_round_msg")):
+        monkeypatch.setattr(getattr(rt, layer), name,
+                            lambda *args, name=name: calls.append((name, *args)))
+    values = (None, 3, None, 7)
+    cases = [(Update(values), ("on_update", 2, values)),
+             (Init(9), ("on_init", 2, 9)),
+             (Echo((0, 9)), ("on_echo", 2, (0, 9))),
+             (RoundMsg((0, 9), 3, (1, 0)), ("on_round_msg", 2, (0, 9), 3, (1, 0)))]
+    for t in ("1.3", "2.77", "5.09"):
+        sim.run_until(frac(t))
+        for envelope, call in cases:
+            calls.clear()
+            rt.on_deliver(2, envelope)
+            assert calls == [call + (sim.reading(1),)]

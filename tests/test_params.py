@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import log2
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from noclock.messages import Echo, Init, RoundMsg, Update, well_formed
+from noclock.messages import Echo, Garbage, Init, RoundMsg, Update, well_formed
 from noclock.params import derive
 from noclock.protocols import make_protocol
 from noclock.scenario import Scenario, ScenarioError
+from noclock.verdicts import trace_from_jsonl, trace_to_jsonl
 from shapes import derive_pk4
 
 
@@ -128,6 +130,41 @@ def test_none_is_no_clock_value_but_an_update_may_carry_it(p):
     assert well_formed(RoundMsg((0, 5), 1, None), p)
     assert well_formed(Update((None,) * p.n), p)
     assert well_formed(Update((None, 5) + (None,) * (p.n - 2)), p)
+
+
+# Envelope fields of the right shape and of wrong ones, whose leaves are
+# mostly small ints and otherwise what a field may wrongly hold: bools,
+# floats, None and ints out of range.
+_LEAF = st.one_of(st.integers(0, 1), st.integers(0, 1), st.integers(0, 3),
+                  st.integers(0, 3), st.booleans(), st.floats(), st.none(),
+                  st.integers())
+
+
+def _tuples(*sizes):
+    return st.one_of(_LEAF, *(st.lists(_LEAF, min_size=k, max_size=k).map(tuple)
+                              for k in sizes))
+
+
+_ROUND_MSG = st.builds(RoundMsg, _tuples(2, 2, 3), _LEAF, _tuples(0, 1, 2, 2))
+_ENVELOPE = st.one_of(
+    st.builds(Update, _tuples(4, 4, 3)), st.builds(Init, _LEAF),
+    st.builds(Echo, _tuples(2, 2, 3)), _ROUND_MSG, _ROUND_MSG,
+    st.builds(Garbage, _tuples(1, 2)))
+
+
+@settings(max_examples=500)
+@given(envelope=_ENVELOPE)
+@example(envelope=RoundMsg((0, 5), 1, (1.0,)))
+@example(envelope=RoundMsg((0, 5), True, (1,)))
+@example(envelope=Update((True, 0, 0, 0)))
+@example(envelope=Echo((0, True)))
+@example(envelope=Init(True))
+def test_a_well_formed_envelope_fits_the_stored_trace_schema(p, envelope):
+    """What the kernel sends as well-formed, `check-trace` reads back."""
+    if well_formed(envelope, p):
+        rec = ("send", Fraction(0), 0, 1, type(envelope).__name__,
+               envelope.frame_bits(p), envelope.payload_bits(), envelope)
+        assert trace_from_jsonl(trace_to_jsonl([rec]), p.n) == [rec]
 
 
 # Each limit and window a verdict applies, keyed by the `Params` field that

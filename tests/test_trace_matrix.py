@@ -15,13 +15,15 @@ Each run also has an outcome digest over every verdict's name, pass/fail and
 measured constants and over the `metrics.json` export (key order included),
 so a change to the evaluation that moves a number shows up even when the
 trace holds.  The JSONL the trace digest hashes must decode back to the
-run's trace, and every time in the trace must lie on the run's tick grid.
+run's trace, and every time in the trace must be a `Fraction` on the run's
+tick grid.
 Each scenario is simulated once for all four checks.
 """
 
 import functools
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -118,12 +120,13 @@ def sha256(text: str) -> str:
 @functools.lru_cache(maxsize=None)
 def digests(name: str):
     """(trace digest, outcome digest, whether the stored trace decodes to
-    the run's trace, whether every trace time is a whole number of ticks of
-    the run's grid) of one matrix run."""
+    the run's trace, whether every trace time is a `Fraction` and a whole
+    number of ticks of the run's grid) of one matrix run."""
     sc = dict(MATRIX)[name]
     res = harness.run(sc)
     ticks = harness.build_env(sc)[5][0].ticks
-    on_grid = all(rec[1] * ticks % 1 == 0 for rec in res.trace)
+    on_grid = all(type(rec[1]) is Fraction and rec[1] * ticks % 1 == 0
+                  for rec in res.trace)
     outcome = {"verdicts": [[v.name, v.passed, v.measured] for v in res.verdicts],
                "metrics": run_metrics(res.index, res.scenario, res.params)}
     text = trace_to_jsonl(res.trace)
