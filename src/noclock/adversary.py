@@ -32,7 +32,6 @@ from .rounds import Instance
 # The open band (d/64, d - d/64), in steps of d/DELAY_STEPS.
 _LO = DELAY_STEPS // 64 + 1
 _HI = DELAY_STEPS - _LO
-_BAND_BITS = (_HI - _LO + 1).bit_length()   # `_randint`'s word for the band
 
 
 def _randint(rng, a: int, b: int) -> int:
@@ -46,14 +45,6 @@ def _randint(rng, a: int, b: int) -> int:
     while r >= width:
         r = rng.getrandbits(k)
     return a + r
-
-
-def _uniform(receiver, rng):
-    # `_randint(rng, _LO, _HI)`, inlined: it draws nearly every delay.
-    r = rng.getrandbits(_BAND_BITS)
-    while r > _HI - _LO:
-        r = rng.getrandbits(_BAND_BITS)
-    return _LO + r
 
 
 def _split(receiver, rng):
@@ -70,7 +61,7 @@ def _boundary(receiver, rng):
 # Each policy is a kernel `delay_policy(receiver, rng)`: it draws a message
 # delay as an int count of d/DELAY_STEPS.
 DELAYS = {
-    "uniform": _uniform,
+    "uniform": lambda receiver, rng: _randint(rng, _LO, _HI),
     "fast": lambda receiver, rng: _randint(rng, _LO, _LO + 48),
     "slow": lambda receiver, rng: _randint(rng, _HI - 48, _HI),
     "split": _split,

@@ -16,9 +16,9 @@ queue is keyed by the tick; `now`, the exact `Fraction` trace records carry,
 is built by `exact_time` (one gcd, no generic constructor) once per distinct
 tick the loop pops.
 
-A send set is one `multicast` call, queued in one pass after any given delay
-is checked; it names, prices and validates each distinct envelope once, and a
-malformed envelope reaches its receiver's `on_malformed`, not `on_deliver`.
+A send set is one `multicast` call, queued in one pass; it names, prices and
+validates each distinct envelope object once, and a malformed envelope
+reaches its receiver's `on_malformed` instead of `on_deliver`.
 
 Event order is total: (tick, kind rank, node, sequence number), a tie-break
 that realizes the modeling assumption that no two events coincide.  Handlers
@@ -83,13 +83,6 @@ def exact_time(tick: int, ticks: int) -> Fraction:
     t = object.__new__(Fraction)
     t._numerator, t._denominator = tick // g, ticks // g
     return t
-
-
-def _steps(k) -> int:
-    """`k` if it is an int count of d/DELAY_STEPS in (0, DELAY_STEPS)."""
-    if type(k) is int and 0 < k < DELAY_STEPS:
-        return k
-    raise SimulatorBug(f"delay {k!r} is not an int in (0, {DELAY_STEPS})")
 
 
 def tick_grid(clocks, times) -> int:
@@ -265,23 +258,24 @@ class Simulator:
                                            self.now, self.tick, self.step)
         append, push, queue, seq = (self.trace.append, heapq.heappush,
                                     self._queue, self._seq)
-        if delay is not None:
-            tick = base + _steps(delay) * step      # after now, for 0 < k
-        facts, last = {}, None  # id -> (kind, frame, payload bits, delivery)
+        facts = {}      # id(envelope) -> (kind, frame bits, payload bits, delivery)
+        tick = None
         for receiver, envelope in enumerate(envelopes):
             if envelope is None:
                 continue
-            if delay is None:
-                tick = base + _steps(policy(receiver, rng)) * step
-            if envelope is not last:
-                last, fact = envelope, facts.get(id(envelope))
-                if fact is None:
-                    kind = type(envelope).__name__
-                    fact = facts[id(envelope)] = (
-                        kind, envelope.frame_bits(p), envelope.payload_bits(),
-                        (sender, envelope, messages.well_formed(envelope, p),
-                         kind))
-                kind, frame, bits, delivery = fact
+            if delay is None or tick is None:
+                k = policy(receiver, rng) if delay is None else delay
+                if type(k) is not int or not 0 < k < DELAY_STEPS:
+                    raise SimulatorBug(f"delay {k!r} is not an int count of "
+                                       f"d/{DELAY_STEPS} in (0, {DELAY_STEPS})")
+                tick = base + k * step      # after now, for 0 < k
+            fact = facts.get(id(envelope))
+            if fact is None:
+                kind = type(envelope).__name__
+                fact = facts[id(envelope)] = (
+                    kind, envelope.frame_bits(p), envelope.payload_bits(),
+                    (sender, envelope, messages.well_formed(envelope, p), kind))
+            kind, frame, bits, delivery = fact
             append(("send", now, sender, receiver, kind, frame, bits, envelope))
             push(queue, (tick, DELIVERY, receiver, next(seq), delivery))
 

@@ -1,9 +1,9 @@
 """Correct-node runtime: event dispatch, and the one port to the kernel.
 
 All protocol state transitions happen inside kernel event handlers; local
-computation takes zero simulated time.  The runtime reads its own hardware
-clock at the kernel's tick, quantized to the integer readings the protocol
-layer works with, routes each envelope by its exact class, and drives the
+computation takes zero simulated time.  The runtime converts the kernel's
+exact clock to the integer readings the protocol layer works with
+(`Simulator.reading`), routes each envelope by its exact class, and drives the
 periodic tick (clock-update broadcast plus all garbage-collection sweeps).
 
 The layers above the clock estimates (`Initiation`, `Rounds`, `Guard`) reach
@@ -44,7 +44,6 @@ class NodeRuntime:
         self.sim = sim
         self.node = node
         self.p = sim.p
-        self.clock, self.q = sim.clocks[node], self.p.grid.q_units
         self.clocksync = ClockSync(self.p, node)
         self.guard = Guard(self)
         self.rounds = Rounds(self, proto, self.guard)
@@ -86,8 +85,7 @@ class NodeRuntime:
         handler(*args, units)
 
     def on_deliver(self, sender: int, envelope) -> None:
-        # `sim.reading(node)`, inlined: deliveries are most of all events.
-        now = self.clock.units_at(self.sim.tick) // self.q * self.q
+        now = self.sim.reading(self.node)
         kind = type(envelope)
         if kind is msg.RoundMsg:
             self.rounds.on_round_msg(sender, envelope.label, envelope.round,

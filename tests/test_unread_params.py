@@ -22,8 +22,7 @@ COMPS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 # The signatures an interface fixes, each unread parameter once per function.
 ALLOWED = Counter({
     # DELAYS entries: delay_policy(receiver, rng).
-    ("adversary", "<lambda>", "receiver"): 2,
-    ("adversary", "_uniform", "receiver"): 1,
+    ("adversary", "<lambda>", "receiver"): 3,
     ("adversary", "_boundary", "receiver"): 1,
     # RATE_SCHEDULES entries: schedule(theta, duration, rng).
     ("adversary", "<lambda>", "theta"): 1,
