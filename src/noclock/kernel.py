@@ -17,8 +17,8 @@ is built by `exact_time` (one gcd, no generic constructor) once per distinct
 tick the loop pops.
 
 A send set is one `multicast` call, queued in one pass; it names, prices and
-validates each distinct envelope object once, and a malformed envelope
-reaches its receiver's `on_malformed` instead of `on_deliver`.
+validates an envelope once per run of receivers given that same object, and
+a malformed one reaches its receiver's `on_malformed`, not `on_deliver`.
 
 Event order is total: (tick, kind rank, node, sequence number), a tie-break
 that realizes the modeling assumption that no two events coincide.  Handlers
@@ -248,9 +248,9 @@ class Simulator:
         """Send `envelopes[w]` to each node w whose entry is not None.
 
         One pass, in receiver order: each send draws its delay unless one is
-        given, appends its `send` record and queues its delivery.  Each
-        distinct envelope object is named, priced and checked by
-        `messages.well_formed` once, at its first receiver."""
+        given, appends its `send` record and queues its delivery.  An
+        envelope is named, priced and checked by `messages.well_formed` once
+        per run of receivers given that same object (`is`)."""
         if envelopes[sender] is not None:
             raise SimulatorBug("self-delivery is local state, not a channel send")
         self._spend()
@@ -258,8 +258,7 @@ class Simulator:
                                            self.now, self.tick, self.step)
         append, push, queue, seq = (self.trace.append, heapq.heappush,
                                     self._queue, self._seq)
-        facts = {}      # id(envelope) -> (kind, frame bits, payload bits, delivery)
-        tick = None
+        last = tick = None
         for receiver, envelope in enumerate(envelopes):
             if envelope is None:
                 continue
@@ -269,13 +268,10 @@ class Simulator:
                     raise SimulatorBug(f"delay {k!r} is not an int count of "
                                        f"d/{DELAY_STEPS} in (0, {DELAY_STEPS})")
                 tick = base + k * step      # after now, for 0 < k
-            fact = facts.get(id(envelope))
-            if fact is None:
-                kind = type(envelope).__name__
-                fact = facts[id(envelope)] = (
-                    kind, envelope.frame_bits(p), envelope.payload_bits(),
-                    (sender, envelope, messages.well_formed(envelope, p), kind))
-            kind, frame, bits, delivery = fact
+            if envelope is not last:
+                last, kind = envelope, type(envelope).__name__
+                frame, bits = envelope.frame_bits(p), envelope.payload_bits()
+                delivery = (sender, envelope, messages.well_formed(envelope, p), kind)
             append(("send", now, sender, receiver, kind, frame, bits, envelope))
             push(queue, (tick, DELIVERY, receiver, next(seq), delivery))
 

@@ -3,8 +3,8 @@
 Payloads are tuples of bits.  `frame_bits` counts everything except protocol
 payload bits; the split matters because instance bit budgets and the silence
 property are stated over payload bits, while amortized totals count both.
-The kernel prices each distinct envelope of a send set with these two
-methods, and checks it once with `well_formed`.
+The kernel prices an envelope of a send set with these two methods, and
+checks it with `well_formed`, once per run of receivers given that object.
 """
 
 from __future__ import annotations

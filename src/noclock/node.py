@@ -18,10 +18,10 @@ the kernel only through the runtime they are built with, which is their port:
   not None, a round's whole send set;
 - `wipe()` drops all instance memory after a quarantine.
 
-Each send call is one kernel `multicast`, which validates each distinct
-envelope once; the runtime gets a well-formed one, whose class is exactly one
-of the four it routes, in `on_deliver`, and the sender of any other in
-`on_malformed`, which it records as a `drop malformed`.
+Each send call is one kernel `multicast`, which validates an envelope once per
+run of receivers given that object; the runtime gets a well-formed one, whose
+class is exactly one of the four it routes, in `on_deliver`, and the sender of
+any other in `on_malformed`, which it records as a `drop malformed`.
 
 Timer handlers receive the local time the timer was set for as their last
 argument; the tag names the handler, so nothing maps tags back to layers.

@@ -8,9 +8,9 @@ pulled to "now" once f+1 are stored (someone correct already reached round
 i, so it is safe to).  Crossing threshold i computes the plugin's round-i
 messages from the round-(i-1) inbox and sends one envelope, payload or
 explicit non-message, to every peer, as one send set holding one envelope per
-distinct payload; crossing threshold R+1 computes the output.  A stalled or
-over-budget instance is terminated locally with output 0, which the silent
-wrapper makes safe.
+run of receivers with equal payloads; crossing threshold R+1 computes the
+output.  A stalled or over-budget instance is terminated locally with output
+0, which the silent wrapper makes safe; every ending goes through `end`.
 """
 
 from __future__ import annotations
@@ -102,38 +102,31 @@ class Rounds:
         if self.guard.suppressed(now):
             self.rt.log("suppressed", label, i)
             return
-        rounds = self.proto.rounds
         received = None
         if i > 1:
             prev = inst.inbox[i - 1]
             received = tuple(map(prev.get, range(p.n)))
             self.rt.log("rrcv", label, i - 1, received)
-        if i == rounds + 1:
-            output = self.proto.finish(inst.state, received)
-            inst.done = True
-            self.rt.log("output", label, output, "ok")
+        if i == self.proto.rounds + 1:
+            self.end(label, inst, self.proto.finish(inst.state, received), "ok")
             return
         inst.state, sends = self.proto.step(inst.state, i, received)
         self.rt.log("remit", label, i, sends)
         if i >= 3 or any(m is not None for m in sends):
             inst.nontrivial = True
-        # One envelope and one price per distinct payload; the receivers in
-        # id order that fit the budget get theirs, and a receiver that does
-        # not aborts the instance after those sends.
+        # One envelope and one price per run of receivers with equal
+        # payloads; the receivers in id order that fit the budget get theirs,
+        # and a receiver that does not aborts the instance after those sends.
         budget = p.instance_budget[i]
-        built = {}                  # payload -> (its RoundMsg, its bits)
         envelopes = [None] * p.n
         bits = inst.bits
-        over = False
+        envelope, over = None, False
         for w, payload in enumerate(sends):
             if w == self.node:
                 continue
-            entry = built.get(payload)
-            if entry is None:
+            if envelope is None or payload != envelope.payload:
                 envelope = RoundMsg(label, i, payload)
-                entry = built[payload] = (
-                    envelope, envelope.frame_bits(p) + envelope.payload_bits())
-            envelope, cost = entry
+                cost = envelope.frame_bits(p) + envelope.payload_bits()
             if bits + cost > budget:
                 over = True
                 break
@@ -142,17 +135,16 @@ class Rounds:
         inst.bits = bits
         self.rt.send_round(envelopes)
         if over:
-            self.abort(label, "bit_budget")
+            self.end(label, inst, 0, "bit_budget")
             return
         # Own message is local state, stored through the same quorum path.
         self.on_round_msg(self.node, label, i, sends[self.node], now)
 
-    def abort(self, label: Label, reason: str) -> None:
-        inst = self.instances.get(label)
-        if inst is None or inst.done:
-            return
+    def end(self, label: Label, inst: Instance, output: int, reason: str) -> None:
+        """Finish the live instance `inst` with `output`; `reason` is "ok"
+        for the plugin's own output, else why it was terminated locally."""
         inst.done = True
-        self.rt.log("output", label, 0, reason)
+        self.rt.log("output", label, output, reason)
 
     # -- housekeeping ---------------------------------------------------------
 
@@ -166,7 +158,7 @@ class Rounds:
             if inst.last_progress > now:
                 inst.last_progress = now
             if not inst.done and now - inst.last_progress > p.stall_after:
-                self.abort(label, "stall")
+                self.end(label, inst, 0, "stall")
         for label in dead:
             self.rt.log("gc_instance", label)
             del self.instances[label]

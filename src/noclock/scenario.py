@@ -7,7 +7,7 @@ a loaded scenario reproduces a run bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import List, Optional
 
 from .adversary import (BOOTS, DELAYS, ORACLES, RATE_SCHEDULES, STRATEGIES,
@@ -132,12 +132,21 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario `data` holds; a key that names no field is a problem
+        reported together with `validate`'s."""
         _reject_floats(data, path="scenario")
+        if not isinstance(data, dict):
+            raise ScenarioError(["scenario: expected a JSON object, got "
+                                 + type(data).__name__])
+        known = {f.name for f in fields(cls)}
+        problems = [f"unknown key {key!r}" for key in data if key not in known]
+        sc = cls(**{key: value for key, value in data.items() if key in known})
         try:
-            sc = cls(**data)
-        except TypeError as exc:
-            raise ScenarioError([str(exc)]) from None
-        sc.validate()
+            sc.validate()
+        except ScenarioError as exc:
+            problems += exc.problems
+        if problems:
+            raise ScenarioError(problems)
         return sc
 
     def dump(self, path) -> None:

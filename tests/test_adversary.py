@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 from noclock import adversary, harness
+from noclock.kernel import DELAY_STEPS, HardwareClock, Simulator, tick_grid
 from noclock.node import NodeRuntime
+from noclock.protocols import make_protocol
 from noclock.scenario import Scenario
+from shapes import clean_scenario, derive_pk4
 
 # Every (a, b) range a delay policy draws from.
 RANGES = [(adversary._LO, adversary._HI),
@@ -102,3 +105,41 @@ def test_corrupted_registers_are_in_bounds_after_the_first_tick(
                    "delays": "split"},
         corruption={"kind": "random"}), evaluate=False)
     assert checked == set(res.correct)
+
+
+def test_a_scripted_action_of_a_silent_byzantine_node_changes_nothing():
+    # Node 3 is the clean shape's silent byzantine node.
+    base = harness.run(clean_scenario(), evaluate=False)
+    res = harness.run(clean_scenario(script=[
+        {"t": "8", "node": 0, "action": "initiate"},
+        {"t": "9", "node": 3, "action": "initiate"}]), evaluate=False)
+    assert [rec[2] for rec in res.trace if rec[0] == "init"] == [0]
+    assert res.trace == base.trace
+
+
+class LowestDraws(random.Random):
+    """Every `randrange` and `random` draw is 0."""
+
+    def randrange(self, start, stop=None, step=1):
+        return 0
+
+    def random(self):
+        return 0.0
+
+
+def test_a_fabricated_label_drawn_twice_is_one_instance(monkeypatch):
+    # The lowest draws fabricate an overload batch whose every label is
+    # (0, 0): each repeat is skipped before an instance is built for it.
+    built, make = [], adversary.Instance
+    monkeypatch.setattr(adversary, "Instance",
+                        lambda *args: built.append(make(*args)) or built[-1])
+    p = derive_pk4(4, 1, "1.1", "1")
+    clocks = {v: HardwareClock(0, [(0, 1)], p.grid.unit) for v in range(4)}
+    tick_grid(clocks.values(), [p.d / DELAY_STEPS])
+    sim = Simulator(p, clocks, {}, lambda *a: 512, random.Random(0))
+    rt = NodeRuntime(sim, 1, make_protocol("phase-king-silent", 4, 1),
+                     lambda *a: 1)
+    adversary.corrupt_runtime(rt, LowestDraws(0), 0)
+    [inst] = built
+    assert rt.rounds.instances == {(0, 0): inst}
+    assert rt.guard.joins[0] == [inst.joined_at]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -24,6 +26,16 @@ def test_run_writes_outputs_and_exits_zero(scenario_file, tmp_path, capsys):
         "metrics.json", "scenario.json", "trace.jsonl", "verdicts.json"]
     stored = json.loads((out / "verdicts.json").read_text())
     assert all(v["passed"] for v in stored)
+
+
+def test_the_module_runs_as_a_script(scenario_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["noclock", "run", "--scenario",
+                                      str(scenario_file)])
+    monkeypatch.delitem(sys.modules, "noclock.cli")   # run it afresh
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("noclock.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("byzantine=[3] n=4 f=1")
 
 
 # The fixture scenario's outputs, pinned before `run` shared one trace index
@@ -147,6 +159,14 @@ def test_run_on_a_file_that_is_not_json_exits_two(tmp_path, capsys, content):
     assert cli.main(["sweep", "--scenario", str(bad),
                      "--axis", "seed=1,2"]) == 2
     assert f"{bad}: not JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"n"', "null", "4"])
+def test_a_file_that_holds_no_json_object_exits_two(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    assert cli.main(["run", "--scenario", str(bad)]) == 2
+    assert "scenario: expected a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "binary"])
@@ -449,3 +469,25 @@ def test_unknown_key_or_oracle_value_exits_two_before_the_run(
     out = capsys.readouterr()
     assert message in out.err
     assert out.out == ""
+
+
+def test_a_failing_run_stores_its_counterexample_and_explain_exits_one(
+        tmp_path, capsys):
+    # The trace matrix's corrupted-n7-noise-split run: its 300 d are too
+    # short to recover, so a clock estimate is still off at the horizon.
+    path = tmp_path / "scenario.json"
+    Scenario(n=7, f=2, theta="1.1", duration="300", seed=11,
+             adversary={"byzantine": "noise", "delays": "split"},
+             corruption={"kind": "random"},
+             script=[{"t": "250", "node": 0, "action": "initiate"}]).dump(path)
+    out = tmp_path / "results"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    stored = {v["name"]: v
+              for v in json.loads((out / "verdicts.json").read_text())}
+    accuracy = stored["clock-estimate-accuracy"]
+    assert not accuracy["passed"]
+    assert accuracy["counterexample"] == ["('bot', Fraction(25787, 86), 6, 5)"]
+    capsys.readouterr()
+    assert cli.main(["explain", "--dir", str(out),
+                     "clock-estimate-accuracy"]) == 1
+    assert json.loads(capsys.readouterr().out) == accuracy

@@ -145,7 +145,7 @@ def test_busy_count_follows_the_instance_table(ctx, end):
         rounds.on_alarm((1, 0), last, now)
         assert inst.done and rt.trace[-1][5] == "ok"
     elif end == "abort":
-        rounds.abort((1, 0), "stall")
+        rounds.end((1, 0), inst, 0, "stall")
         assert inst.done
     elif end == "gc":
         rounds.sweep(now)

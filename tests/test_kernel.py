@@ -607,7 +607,7 @@ def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
     # By a sender: two objects, one of them to two receivers.
     short, junk = Update((4,)), Garbage((9, 9))
     sim.multicast(3, [short, junk, short, None])
-    assert [id(e) for e in checked] == [id(e) for e in injected + [short, junk]]
+    assert [id(e) for e in checked] == [id(e) for e in injected + [short, junk, short]]
     sim.run_until(2)
     assert entered == []
     recvs = [k for k, rec in enumerate(sim.trace) if rec[0] == "recv"]
@@ -617,7 +617,7 @@ def test_malformed_envelopes_are_dropped_once_per_delivery(monkeypatch):
         assert sim.trace[k + 1] == ("drop", t, node, "malformed", sender)
     drops = [rec[2] for rec in sim.trace if rec[0] == "drop"]
     assert sorted(drops) == [0, 0, 1, 1, 2, 2]
-    assert len(checked) == 5
+    assert len(checked) == 6
 
 
 @settings(max_examples=120, deadline=None)
@@ -674,3 +674,42 @@ def test_each_envelope_reaches_exactly_its_layer_with_the_reading(monkeypatch):
             calls.clear()
             rt.on_deliver(2, envelope)
             assert calls == [call + (sim.reading(1),)]
+
+
+def test_a_send_set_prices_and_checks_once_per_run_of_receivers(monkeypatch):
+    """[a, a, b, b, a] names, prices and checks a, b and a again, and sends
+    and delivers what a loop of single sends does."""
+    p = derive_pk4(6, 1, "1.1", "1")
+    a, b = Init(5), Init(6)
+    seen = {"checked": [], "framed": [], "priced": []}
+
+    def counted(key, method):
+        return lambda self, *args: seen[key].append(self) or method(self, *args)
+    monkeypatch.setattr(messages, "well_formed",
+                        counted("checked", messages.well_formed))
+    monkeypatch.setattr(Init, "frame_bits", counted("framed", Init.frame_bits))
+    monkeypatch.setattr(Init, "payload_bits",
+                        counted("priced", Init.payload_bits))
+
+    def sim_with_events():
+        clocks = {v: HardwareClock(0, [(0, 1)], p.grid.unit) for v in range(6)}
+        tick_grid(clocks.values(), [p.d / DELAY_STEPS])
+        events = []
+        handlers = {v: Recorder(v, events) for v in range(6)}
+        return Simulator(p, clocks, handlers, draws(1, DELAY_STEPS - 1),
+                         random.Random(3)), events
+    one, one_events = sim_with_events()
+    one.multicast(5, [a, a, b, b, a, None])
+    for key, objects in seen.items():
+        assert [id(e) for e in objects] == [id(a), id(b), id(a)], key
+        objects.clear()
+    loop, loop_events = sim_with_events()
+    for w, envelope in enumerate([a, a, b, b, a]):
+        loop.send(5, w, envelope)
+    assert len(seen["checked"]) == 5
+    for sim in (one, loop):
+        sim.run_until(2)
+    assert one.trace == loop.trace
+    assert one_events == loop_events
+    assert sorted((node, id(e)) for _, node, _, e in one_events) == sorted(
+        (w, id(e)) for w, e in enumerate([a, a, b, b, a]))

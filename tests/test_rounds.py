@@ -241,3 +241,76 @@ def test_suppressed_crossing_sends_nothing(ctx):
     rounds.on_alarm(LABEL, 1, 12484)
     assert rt.round_sends == []
     assert any(r[0] == "suppressed" for r in rt.trace)
+
+
+@pytest.mark.parametrize("pattern", ["xxy", "xyx", "yyy"])
+def test_equal_payloads_share_one_round_msg_per_run(ctx, pattern):
+    # Each payload is a fresh tuple, so equal payloads are distinct objects.
+    p, rounds, guard, rt = ctx
+    made = {"x": lambda: tuple([1, 0]), "y": lambda: tuple([0, 1, 1])}
+
+    class Fresh:
+        rounds = 3
+        bit_bound = 38
+
+        def fresh(self, b, index):
+            return {}
+
+        def step(self, state, i, received):
+            return state, [None] + [made[c]() for c in pattern]
+
+    rounds.proto = Fresh()
+    rounds.join(LABEL, 1, 2, 1, 12000)
+    rounds.on_alarm(LABEL, 1, 12484)
+    sent = [env for _, env in rt.round_sends]
+    assert [env.payload for env in sent] == [made[c]() for c in pattern]
+    for env, nxt, c, d in zip(sent, sent[1:], pattern, pattern[1:]):
+        assert (env is nxt) == (c == d)
+    runs = 1 + sum(c != d for c, d in zip(pattern, pattern[1:]))
+    assert len({id(env) for env in sent}) == runs
+    assert rounds.instances[LABEL].bits == sum(
+        env.frame_bits(p) + env.payload_bits() for env in sent)
+
+
+@pytest.mark.parametrize("ending", ["ok", "bit_budget", "stall"])
+def test_each_ending_writes_one_output_and_then_nothing_changes(ctx, ending):
+    p, rounds, guard, rt = ctx
+
+    class Flood:
+        rounds = 3
+        bit_bound = 38
+
+        def fresh(self, b, index):
+            return {}
+
+        def step(self, state, i, received):
+            return state, [tuple([1] * 2000)] * 4
+
+    if ending == "bit_budget":
+        rounds.proto = Flood()
+    last = rounds.proto.rounds + 1
+    rounds.join(LABEL, 1, 2, 1, 12000)
+    inst = rounds.instances[LABEL]
+    if ending == "stall":
+        rounds.sweep(12000 + p.stall_after + 1)
+    else:
+        rounds.on_alarm(LABEL, 1, 12484)
+    if ending == "ok":
+        inst.thresholds[last] = 12600
+        rounds.on_alarm(LABEL, last, 12600)
+    assert inst.done
+    assert [out[2] for out in outputs(rt)] == [ending]
+    # A finished instance takes in no round message and fires no threshold.
+    trace, alarms = list(rt.trace), list(rt.alarms)
+    inbox, thresholds = [dict(box) for box in inst.inbox], list(inst.thresholds)
+    now = 12700
+    for i in range(1, last + 1):
+        for sender in (1, 2, 3):
+            rounds.on_round_msg(sender, LABEL, i, (1,), now)
+        inst.thresholds[i] = now
+        rounds.on_alarm(LABEL, i, now)
+        inst.thresholds[i] = thresholds[i]
+    rounds.sweep(now)
+    assert LABEL in rounds.instances
+    assert (rt.trace, rt.alarms) == (trace, alarms)
+    assert (inst.inbox, inst.thresholds) == (inbox, thresholds)

@@ -150,6 +150,17 @@ def test_unknown_top_level_key_rejected():
     assert "'rounds'" in problem
 
 
+def test_each_unknown_top_level_key_is_reported_with_the_other_problems():
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({"rounds": 3, "sed": 1, "n": "x"})
+    assert err.value.problems == ["unknown key 'rounds'", "unknown key 'sed'",
+                                  "n: expected int, got 'x'"]
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({"sed": 1, "oracle": {"kind": "const", "value": 2}})
+    assert err.value.problems == ["unknown key 'sed'",
+                                  "oracle value 2 is not 0 or 1"]
+
+
 @pytest.mark.parametrize("entry", ["initiate", 8, None, ["8", 0]])
 def test_a_script_entry_that_is_not_a_dict_rejected(entry):
     with pytest.raises(ScenarioError) as err:

@@ -22,6 +22,11 @@ def test_frac_names_a_zero_denominator():
         frac("3/0")
 
 
+def test_a_read_quantum_off_the_grid_unit_is_refused():
+    with pytest.raises(ValueError):
+        LocalGrid(Fraction(1, 3), Fraction(1, 4))
+
+
 def test_frac_gcd():
     assert frac_gcd(Fraction(1, 4), Fraction(11, 5)) == Fraction(1, 20)
     assert frac_gcd(Fraction(6), Fraction(4)) == 2
