@@ -87,8 +87,7 @@ class ClockRelay:
                 continue
             if now - last[w] > max_gap:
                 self._flag(w, now)
-            hold = held[w]
-            if hold is None or now >= hold:
+            if expired(held[w], now):
                 out[w] = claims[w]
         out[v] = now % p.clock_modulus
         row = tuple(out)
@@ -216,11 +215,8 @@ class ClockSync(ClockRelay):
         return None
 
     def estimates(self, now: int) -> Row:
-        """Every node's `estimate` at `now`, in one pass."""
-        out = [claim if hold is None or now >= hold else None
-               for claim, hold in zip(self.claims, self.trust_hold_until)]
-        out[self.node] = now % self.p.clock_modulus
-        return tuple(out)
+        """Every node's `estimate` at `now`."""
+        return tuple([self.estimate(w, now) for w in range(self.p.n)])
 
     def sanitize(self, now: int) -> None:
         """Clamp registers a corrupted boot may have left in the future."""

@@ -16,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional
 
+from .timebase import expired
+
 
 class Guard:
     def __init__(self, rt):
@@ -28,7 +30,9 @@ class Guard:
 
     def note_join(self, initiator: int, now: int) -> None:
         self.joins[initiator].append(now)
-        self._check(initiator, now, self.busy_counts())
+        if (not self.suppressed(now)
+                and self.overloaded(initiator, now, self.busy_counts())):
+            self.quarantine(now)
 
     def busy_counts(self) -> List[int]:
         """Per initiator, its instances past the trivial rounds, not yet done."""
@@ -56,20 +60,16 @@ class Guard:
         return (busy[initiator] > self.p.max_busy_instances
                 or len(self.joins[initiator]) > self.p.max_total_instances)
 
-    def _check(self, initiator: int, now: int, busy: List[int]) -> None:
-        if self.suppressed(now):
-            return   # already in quarantine
-        if self.overloaded(initiator, now, busy):
-            self.quarantine(now)
-
     def sweep(self, now: int) -> None:
         if (self.suppress_until is not None
                 and self.suppress_until > now + self.p.quarantine_hold):
             self.suppress_until = now + self.p.quarantine_hold   # corrupted register
             self.rt.alarm(self.suppress_until, (self.on_wipe,))
+        if self.suppressed(now):
+            return   # already in quarantine
         busy = self.busy_counts()
-        for v in range(self.p.n):
-            self._check(v, now, busy)
+        if any(self.overloaded(v, now, busy) for v in range(self.p.n)):
+            self.quarantine(now)
 
     # -- quarantine --------------------------------------------------------------
 
@@ -79,7 +79,7 @@ class Guard:
         self.rt.alarm(self.suppress_until, (self.on_wipe,))
 
     def suppressed(self, now: int) -> bool:
-        return self.suppress_until is not None and now < self.suppress_until
+        return not expired(self.suppress_until, now)
 
     def on_wipe(self, now: int) -> None:
         if self.suppress_until != now:

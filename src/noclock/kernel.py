@@ -104,9 +104,10 @@ class HardwareClock:
     (C*u - B) / A, on the last segment whose start value h_i has
     ceil(h_i / unit) <= u.  `grain` is the least L whose ticks 1/L hold these
     times and the segment starts; `on_grid(L)`, once, gives each segment its
-    M = L/A ticks per 1/A.  Reads keep a segment cursor, as time never
-    decreases.  `value` and `invert`, the exact references, read `Fraction`s
-    built from the schedule on first use."""
+    M = L/A ticks per 1/A.  Reads keep a segment cursor; a read before it,
+    such as the verdicts' first read of a run's clock, scans from segment 0.
+    `value` and `invert`, the exact references, read `Fraction`s built from
+    the schedule on first use."""
 
     def __init__(self, offset: Fraction, schedule, unit: Fraction):
         if not schedule or _ratio(schedule[0][0])[0]:

@@ -89,6 +89,7 @@ class Params:
     max_duration: Fraction       # most time from init to last output, in d
     estimate_band: int           # lag of an accurate clock estimate, in units
     estimate_t0_bound: Fraction  # latest time of an inaccurate clock estimate
+    min_tail_samples: int        # least `est` records after t0, per correct node
     bits_denom: float            # bits per node and time that make c_bits 1
     infra_bits_denom: float      # the same for c_infra, infrastructure alone
     max_c_bits: int              # amortized bits, in either denominator
@@ -130,14 +131,14 @@ def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
     each number and 2*theta^2*d, the default T, fitting a float.
 
     The problems read as `Scenario.validate` reports them, in its order.  A
-    number that does not parse, or that is not given, is None; only T and
-    the clock update period may be left out.
+    number that does not parse is None.  Only T and the clock update period
+    may be left out: T is then 2*theta^2*d, the least T, and d_clk is d.
     """
     problems = []
     x_theta = parse_number("theta", theta, problems)
     x_d = parse_number("d", d, problems)
     x_T = None if T is None else parse_number("T", T, problems)
-    x_clk = (None if clock_update_period is None
+    x_clk = (x_d if clock_update_period is None
              else parse_number("clock_update_period", clock_update_period,
                                problems))
     if n < 2:
@@ -158,7 +159,7 @@ def parse_model(n: int, f: int, theta, d, T=None, clock_update_period=None):
                         f"is too large for a float")
     elif None not in (least_T, x_T) and x_T < least_T:
         problems.append(f"T={T} below 2*theta^2*d={least_T}")
-    return (x_theta, x_d, x_T, x_clk), problems
+    return (x_theta, x_d, least_T if T is None else x_T, x_clk), problems
 
 
 def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
@@ -173,8 +174,6 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
                                                  clock_update_period)
     if problems:
         raise ValueError("; ".join(problems))
-    d_clk = d if d_clk is None else d_clk
-    T = 2 * theta * theta * d if T is None else T
 
     q = d / 4
     period = 2 * theta * d_clk
@@ -260,6 +259,7 @@ def derive(n: int, f: int, theta, d, rounds: int, bit_bound: int, T=None,
         max_duration=12 * rounds + 22 * theta * (d_clk - d) / d,
         estimate_band=grid.ceil_units(3 * theta * d_clk) + grid.q_units,
         estimate_t0_bound=t0_bound,
+        min_tail_samples=2,
         # The float bounds keep their float expressions: converting the exact
         # values instead moves some last bits.
         bits_denom=hdr_bits + n * bit_bound * rounds / float(T),

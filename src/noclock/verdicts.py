@@ -398,35 +398,34 @@ def _estimates_suite(ix, p, clocks, correct) -> Verdict:
     tail = len(ix.est) - bisect_right(ix.est, t0, key=_TIME)
     # A passing tail is required so an unstabilized run cannot pass vacuously.
     passed = (t0 <= p.estimate_t0_bound and samples > 0
-              and tail >= 2 * max(1, len(correct)))
+              and tail >= p.min_tail_samples * max(1, len(correct)))
     return Verdict("clock-estimate-accuracy", passed,
                    {"t0": float(t0), "t0_bound": float(p.estimate_t0_bound),
                     "samples": samples, "tail_samples": tail},
                    counterexample=[worst] if worst and not passed else None)
 
 
+def _split_bits(sends) -> List[int]:
+    """[infra, instance] bit totals of `send` records: `RoundMsg` sends are
+    instance traffic; every other kind is infrastructure."""
+    bits = [0, 0]
+    for rec in sends:
+        bits[rec[4] == "RoundMsg"] += rec[5] + rec[6]
+    return bits
+
+
 def _window_bits(sends, start, window, count) -> List[List[int]]:
-    """[infra, instance] bit totals of one node's time-ordered `send` records
-    in the windows [start + k*window, start + (k+1)*window), k < count.
-    `RoundMsg` sends are instance traffic; every other kind is infrastructure.
+    """`_split_bits` of one node's time-ordered `send` records in each of the
+    windows [start + k*window, start + (k+1)*window), k < count.
 
     Each window edge is found by bisection, so the cost is count+1 searches
     of the records plus one addition per record inside the windows.
     """
     if not count:
         return []
-    totals = []
-    edge = start
-    lo = bisect_left(sends, edge, key=_TIME)
-    for _ in range(count):
-        edge += window
-        hi = bisect_left(sends, edge, lo, key=_TIME)
-        bits = [0, 0]
-        for rec in sends[lo:hi]:
-            bits[rec[4] == "RoundMsg"] += rec[5] + rec[6]
-        totals.append(bits)
-        lo = hi
-    return totals
+    edges = [bisect_left(sends, start + k * window, key=_TIME)
+             for k in range(count + 1)]
+    return [_split_bits(sends[lo:hi]) for lo, hi in zip(edges, edges[1:])]
 
 
 def _bits_suite(ix, p, correct, cutoff, duration) -> Verdict:
@@ -550,13 +549,10 @@ def run_metrics(ix: _Index, sc, p: Params) -> dict:
     count = max(1, int(frac(sc.duration) / window))
     totals, windows = [], []
     for v, sends in ix.sends.items():
-        bits = [0, 0, 0]   # infra, instance, payload
-        for _, _, _, _, kind, frame, payload, _ in sends:
-            bits[kind == "RoundMsg"] += frame + payload
-            bits[2] += payload
+        infra, inst = _split_bits(sends)
         counts = {"instances_joined": ix.joins[v], "quarantines": quarantines[v]}
-        totals.append({"node": v, "infra_bits": bits[0], "instance_bits": bits[1],
-                       "payload_bits": bits[2], **counts})
+        totals.append({"node": v, "infra_bits": infra, "instance_bits": inst,
+                       "payload_bits": sum(rec[6] for rec in sends), **counts})
         for k, (infra, inst) in enumerate(
                 _window_bits(sends, Fraction(0), window, count)):
             windows.append({"node": v, "window": k, "infra_bits": infra,

@@ -92,6 +92,16 @@ def test_overflow_detected_on_sweep_triggers_quarantine(ctx):
     assert guard.suppress_until == 500 + p.quarantine_hold
 
 
+def test_one_sweep_over_two_overloaded_initiators_quarantines_once(ctx):
+    p, guard, rt = ctx
+    for k in range(p.max_busy_instances + 1):
+        busy(rt, (1, k))
+        busy(rt, (3, k))
+    guard.sweep(500)
+    assert [r[0] for r in rt.trace] == ["quarantine"]
+    assert rt.alarms == [(500 + p.quarantine_hold, (guard.on_wipe,))]
+
+
 def test_corrupted_suppress_register_is_clamped(ctx):
     p, guard, rt = ctx
     guard.suppress_until = 10_000_000
@@ -123,11 +133,11 @@ def test_metrics_shape(ctx):
     assert rt.trace == []
 
 
-@pytest.mark.parametrize("end", [None, "finish", "abort", "gc"])
+@pytest.mark.parametrize("end", [None, "finish", "stall", "gc"])
 def test_busy_count_follows_the_instance_table(ctx, end):
     # k1+1 instances of initiator 1 send round-1 payloads, so all are busy:
-    # the sweep quarantines, unless one of them has finished, been aborted
-    # or been garbage-collected first.
+    # the sweep quarantines, unless one of them has finished, stalled or
+    # been garbage-collected first.
     p, guard, rt = ctx
     rounds = rt.rounds
     first = 1000
@@ -144,7 +154,7 @@ def test_busy_count_follows_the_instance_table(ctx, end):
         inst.thresholds[last] = now
         rounds.on_alarm((1, 0), last, now)
         assert inst.done and rt.trace[-1][5] == "ok"
-    elif end == "abort":
+    elif end == "stall":
         rounds.end((1, 0), inst, 0, "stall")
         assert inst.done
     elif end == "gc":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from noclock.messages import Echo, Garbage, Init, RoundMsg, Update, well_formed
-from noclock.params import derive
+from noclock.params import derive, parse_model
 from noclock.protocols import make_protocol
 from noclock.scenario import Scenario, ScenarioError
 from noclock.verdicts import trace_from_jsonl, trace_to_jsonl
@@ -65,6 +65,18 @@ def test_modulus_alignment(p):
 
 def test_default_T_is_theorem_minimum(p):
     assert p.T == 2 * Fraction("1.1") ** 2 * 1
+
+
+@pytest.mark.parametrize("theta, d", [("1", "1"), ("1.1", "1"), ("1.5", "3/2")])
+def test_parse_model_resolves_the_omitted_T_and_d_clk(theta, d):
+    (x_theta, x_d, T, d_clk), problems = parse_model(4, 1, theta, d)
+    assert problems == []
+    assert T == 2 * x_theta ** 2 * x_d and type(T) is Fraction
+    assert d_clk == x_d == Fraction(d)
+
+
+def test_estimate_tail_needs_two_samples_per_correct_node(p):
+    assert p.min_tail_samples == 2
 
 
 def test_rejects_bad_resilience():
